@@ -62,10 +62,6 @@ class CapacityReport:
     K_RC: float
     MRB: float = MRB
 
-    def as_dict(self) -> dict:
-        return {"K": self.K, "k_m": self.k_m, "K_max": self.K_max,
-                "K_NRC": self.K_NRC, "K_RC": self.K_RC, "MRB": self.MRB}
-
 
 @dataclass(frozen=True)
 class GrowthParams:
@@ -77,10 +73,6 @@ class GrowthParams:
     R_scale_norm: float
     load_class: str
 
-    def as_dict(self) -> dict:
-        return {"L_n": self.L_n, "C_0": self.C_0, "R_scale": self.R_scale,
-                "R_scale_norm": self.R_scale_norm, "load_class": self.load_class}
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -90,9 +82,6 @@ class CoverageReport:
     K: int
     C_m: float
     band: str
-
-    def as_dict(self) -> dict:
-        return {"K_u": self.K_u, "K": self.K, "C_m": self.C_m, "band": self.band}
 
 
 def capacity(k: int) -> CapacityReport:

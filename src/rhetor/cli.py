@@ -5,17 +5,18 @@
 byte-deterministic so it can be golden-file tested or piped to plotting.
 
 Exit status: 0 on success, 1 on a domain error (the error class name is
-the first token on stderr), 2 on usage errors or missing files.  The
-``RHETOR_REGISTRY`` environment variable may point at a registry JSON used
-whenever ``--registry`` is not given.
+the first token on stderr), 2 on usage errors or missing or unreadable
+files.  The ``RHETOR_REGISTRY`` environment variable may point at a
+registry JSON used whenever ``--registry`` is not given.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 # note: "from . import capacity" would bind the re-exported capacity()
@@ -40,9 +41,8 @@ from .pyramid import (
     branching_stats,
     compose_re,
     load_pyramid,
-    realizers,
 )
-from .registry import Registry, base_atoms, load_registry
+from .registry import Registry, _json_text, base_atoms, load_registry
 
 TABLE = "table"
 CSV = "csv"
@@ -52,16 +52,6 @@ FORMATS = (TABLE, CSV, JSON)
 
 def _real(x: float) -> str:
     return f"{x:.4f}"
-
-
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _print_csv(headers: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
@@ -92,36 +82,37 @@ def _is_numberish(cell: str) -> bool:
         return False
 
 
-def _emit(fmt: str, headers: list[str], rows: list[list[str]], payload) -> None:
-    """Render one result: tabular for table/csv, ``payload`` for json."""
-    if fmt == JSON:
-        _print_json(payload)
-    elif fmt == CSV:
-        _print_csv(headers, rows)
-    else:
-        _print_table(headers, rows)
+def _emit(fmt: str, payload, *blocks) -> None:
+    """Render one result: ``payload`` for json, otherwise ``blocks`` in order.
 
-
-def _emit_record(fmt: str, fields: list[tuple[str, str]], payload) -> None:
-    """Render a single record as field/value lines (table) or one csv row."""
+    A dict block is one record, printed as name/value lines (table) or a
+    one-row csv; a ``(headers, rows)`` block is a table.  In table format a
+    blank line separates blocks; csv blocks follow each other directly.
+    """
     if fmt == JSON:
-        _print_json(payload)
-    elif fmt == CSV:
-        _print_csv([name for name, _ in fields], [[value for _, value in fields]])
-    else:
-        width = max(len(name) for name, _ in fields)
-        for name, value in fields:
-            print(f"{name.ljust(width)}  {value}")
+        sys.stdout.write(_json_text(payload))
+        return
+    for i, block in enumerate(blocks):
+        if fmt == CSV:
+            headers, rows = ((list(block), [list(block.values())])
+                             if isinstance(block, dict) else block)
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(headers)
+            writer.writerows(rows)
+            continue
+        if i:
+            print()
+        if isinstance(block, dict):
+            width = max(len(name) for name in block)
+            for name, value in block.items():
+                print(f"{name.ljust(width)}  {value}")
+        else:
+            _print_table(*block)
 
 
 def _registry_from(args) -> Registry:
     path = getattr(args, "registry", None) or os.environ.get("RHETOR_REGISTRY")
-    if path is None:
-        return load_registry()
-    file = Path(path)
-    if not file.exists():
-        raise FileNotFoundError(file)
-    return load_registry(file)
+    return load_registry() if path is None else load_registry(Path(path))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -132,29 +123,28 @@ def cmd_tables(args) -> int:
     rows = [[str(r.K), str(r.k_m), str(r.K_max), str(r.K_NRC)] for r in reports]
     payload = [{"K": r.K, "k_m": r.k_m, "K_max": r.K_max, "K_NRC": r.K_NRC}
                for r in reports]
-    _emit(args.format, headers, rows, payload)
+    _emit(args.format, payload, (headers, rows))
     return 0
 
 
 def cmd_capacity(args) -> int:
     report = capacity(args.k)
-    fields = [("K", str(report.K)), ("k_m", str(report.k_m)),
-              ("K_max", str(report.K_max)), ("K_NRC", str(report.K_NRC)),
-              ("K_RC", _real(report.K_RC)), ("MRB", _real(report.MRB))]
-    payload = report.as_dict()
+    record = {"K": str(report.K), "k_m": str(report.k_m), "K_max": str(report.K_max),
+              "K_NRC": str(report.K_NRC), "K_RC": _real(report.K_RC),
+              "MRB": _real(report.MRB)}
+    payload = asdict(report)
     if args.ln is not None:
         params = growth(args.ln, args.c0)
-        fields += [("L_n", _real(params.L_n)), ("C_0", _real(params.C_0)),
-                   ("R_scale", _real(params.R_scale)),
-                   ("R_scale_norm", _real(params.R_scale_norm)),
-                   ("load_class", params.load_class)]
-        payload["growth"] = params.as_dict()
+        record.update(L_n=_real(params.L_n), C_0=_real(params.C_0),
+                      R_scale=_real(params.R_scale),
+                      R_scale_norm=_real(params.R_scale_norm),
+                      load_class=params.load_class)
+        payload["growth"] = asdict(params)
     if args.used is not None:
         cov = coverage(args.used, args.k)
-        fields += [("K_u", str(cov.K_u)), ("C_m", _real(cov.C_m)),
-                   ("band", cov.band)]
-        payload["coverage"] = cov.as_dict()
-    _emit_record(args.format, fields, payload)
+        record.update(K_u=str(cov.K_u), C_m=_real(cov.C_m), band=cov.band)
+        payload["coverage"] = asdict(cov)
+    _emit(args.format, payload, record)
     return 0
 
 
@@ -182,14 +172,16 @@ def cmd_entropy(args, parser) -> int:
         rows.append(["flat", str(report.flat_K), _real(report.flat_H)])
         rows.append(["max_stage", "", _real(report.max_stage_H)])
         rows.append(["sum_stage", "", _real(report.sum_stage_H)])
-        _emit(args.format, headers, rows, report.as_dict())
+        payload = asdict(report)
+        payload["stages"] = [{"name": name, "branching": b, "H": h}
+                             for name, b, h in payload.pop("stage_entropies")]
+        _emit(args.format, payload, (headers, rows))
         return 0
     report = entropy_subset_sizes(args.k)
-    fields = [("K", str(report.K)), ("H_flat", _real(report.H_flat)),
-              ("H_subset", _real(report.H_subset)),
-              ("H_asymptotic", _real(report.H_asymptotic)),
-              ("gap", _real(report.gap))]
-    _emit_record(args.format, fields, report.as_dict())
+    record = {"K": str(report.K), "H_flat": _real(report.H_flat),
+              "H_subset": _real(report.H_subset),
+              "H_asymptotic": _real(report.H_asymptotic), "gap": _real(report.gap)}
+    _emit(args.format, asdict(report), record)
     return 0
 
 
@@ -207,20 +199,17 @@ def cmd_derive(args, parser) -> int:
     rows = [[str(d.depth), d.operator, "+".join(d.inputs),
              "+".join(d.result_ids), str(d.rediscovery).lower()]
             for d in derivations]
-    payload = [{"depth": d.depth, "operator": d.operator, "inputs": list(d.inputs),
-                "results": list(d.result_ids), "rediscovery": d.rediscovery}
+    payload = [{"depth": d.depth, "operator": d.operator, "inputs": d.inputs,
+                "results": d.result_ids, "rediscovery": d.rediscovery}
                for d in derivations]
-    _emit(args.format, headers, rows, payload)
+    _emit(args.format, payload, (headers, rows))
     return 0
 
 
 def _graph_from(args) -> PyramidGraph:
     registry = _registry_from(args)
     if args.file:
-        file = Path(args.file)
-        if not file.exists():
-            raise FileNotFoundError(file)
-        return load_pyramid(source=file, registry=registry)
+        return load_pyramid(source=Path(args.file), registry=registry)
     return load_pyramid(args.profile, registry=registry)
 
 
@@ -228,90 +217,60 @@ def cmd_map(args) -> int:
     graph = _graph_from(args)
     if args.realizers:
         layer, _, name = args.realizers.partition(":")
-        nodes = realizers(graph, layer.strip().upper(), name.strip())
+        nodes = graph.children(layer.strip().upper(), name.strip())
         rows = [[n.id, n.display_name] for n in nodes]
         payload = [{"id": n.id, "display_name": n.display_name} for n in nodes]
-        _emit(args.format, ["id", "display_name"], rows, payload)
+        _emit(args.format, payload, (["id", "display_name"], rows))
         return 0
     if args.compose:
         reached = compose_re(graph, args.compose)
-        _emit(args.format, ["mode"], [[r] for r in reached], list(reached))
+        _emit(args.format, reached, (["mode"], [[r] for r in reached]))
         return 0
     if args.stats:
         stats = branching_stats(graph)
         rows = [["C", node, str(degree)] for node, degree in stats.c_degrees]
         rows += [["E", node, str(degree)] for node, degree in stats.e_degrees]
         payload = {
-            "C": {node: degree for node, degree in stats.c_degrees},
-            "E": {node: degree for node, degree in stats.e_degrees},
+            "C": dict(stats.c_degrees), "E": dict(stats.e_degrees),
             "C_max": stats.max_degree(C), "C_mean": stats.mean_degree(C),
             "E_max": stats.max_degree(E), "E_mean": stats.mean_degree(E),
         }
-        _emit(args.format, ["layer", "node", "out_degree"], rows, payload)
+        _emit(args.format, payload, (["layer", "node", "out_degree"], rows))
         return 0
     rows = [["C", c, r] for c, r in sorted(graph.edges_cr)]
     rows += [["E", e, c] for e, c in sorted(graph.edges_ec)]
-    _emit(args.format, ["layer", "from", "to"], rows, graph.to_document())
+    _emit(args.format, graph.to_document(), (["layer", "from", "to"], rows))
     return 0
 
 
 def cmd_analyze(args) -> int:
-    file = Path(args.file)
-    if not file.exists():
-        raise FileNotFoundError(file)
     registry = _registry_from(args)
-    doc = parse_document(file, registry)
+    doc = parse_document(Path(args.file), registry)
     cov = analyze_coverage(doc, args.k)
-    fields = [("doc", doc.id), ("K_u", str(cov.K_u)), ("K", str(cov.K)),
-              ("C_m", _real(cov.C_m)), ("band", cov.band)]
-    payload: dict = {"doc": doc.id, "coverage": cov.as_dict()}
+    record = {"doc": doc.id, "K_u": str(cov.K_u), "K": str(cov.K),
+              "C_m": _real(cov.C_m), "band": cov.band}
+    payload: dict = {"doc": doc.id, "coverage": asdict(cov)}
     if not args.map:
-        _emit_record(args.format, fields, payload)
+        _emit(args.format, payload, record)
         return 0
-
-    map_file = Path(args.map)
-    if not map_file.exists():
-        raise FileNotFoundError(map_file)
-    graph = load_pyramid(args.profile, registry=registry)
-    trace = trace_layers(doc, graph, load_stage_map(map_file))
-    payload["trace"] = {
-        "e_ids": list(trace.e_ids),
-        "stages": [{
-            "stage": s.stage, "c_ids": list(s.c_ids), "e_id": s.e_id,
-            "observed": sorted(s.observed), "expected": sorted(s.expected),
-            "overlap": sorted(s.overlap), "mismatch": sorted(s.mismatch),
-        } for s in trace.stages],
-    }
-    if args.format == JSON:
-        _print_json(payload)
-        return 0
+    stage_map = load_stage_map(Path(args.map))
+    trace = trace_layers(doc, load_pyramid(args.profile, registry=registry), stage_map)
+    payload["trace"] = {"e_ids": trace.e_ids, "stages": [asdict(s) for s in trace.stages]}
     headers = ["stage", "c_ids", "e_id", "observed", "overlap", "mismatch"]
     rows = [[s.stage, "+".join(s.c_ids), s.e_id, "+".join(sorted(s.observed)),
              "+".join(sorted(s.overlap)), "+".join(sorted(s.mismatch))]
             for s in trace.stages]
-    if args.format == CSV:
-        _print_csv([name for name, _ in fields], [[v for _, v in fields]])
-        _print_csv(headers, rows)
-    else:
-        _emit_record(args.format, fields, payload)
-        print()
-        _print_table(headers, rows)
+    _emit(args.format, payload, record, (headers, rows))
     return 0
 
 
 def cmd_cone(args) -> int:
-    if args.schedule:
-        file = Path(args.schedule)
-        if not file.exists():
-            raise FileNotFoundError(file)
-        schedule = load_schedule(file)
-    else:
-        schedule = load_schedule()
+    schedule = load_schedule(Path(args.schedule)) if args.schedule else load_schedule()
     rows_data = cone(schedule, args.c0)
     headers = ["stage", "K", "K_NRC", "K_RC", "R_scale", "R_scale_norm"]
     rows = [[r.stage, str(r.K), str(r.K_NRC), _real(r.K_RC),
              _real(r.R_scale), _real(r.R_scale_norm)] for r in rows_data]
-    _emit(args.format, headers, rows, [r.as_dict() for r in rows_data])
+    _emit(args.format, [asdict(r) for r in rows_data], (headers, rows))
     return 0
 
 
@@ -334,6 +293,7 @@ _width_flag = _int_in_range(1, MAX_WIDTH)
 _entropy_width_flag = _int_in_range(1, MAX_ENTROPY_WIDTH)
 _depth_flag = _int_in_range(1, 10_000)
 _count_flag = _int_in_range(0, 10**9)
+_positive_flag = _int_in_range(1, math.inf)
 
 
 def _add_format(sub) -> None:
@@ -408,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("analyze", help="coverage and layer trace of a document")
     sub.add_argument("file", metavar="FILE.rma")
-    sub.add_argument("--k", "--K", dest="k", type=_width_flag,
+    sub.add_argument("--k", "--K", dest="k", type=_positive_flag,
                      help="repertoire width (default: declared_K)")
     sub.add_argument("--map", metavar="FILE", help="stage map JSON enabling the trace")
     sub.add_argument("--profile", default=DEFAULT_PROFILE,
@@ -437,8 +397,8 @@ def main(argv: "list[str] | None" = None) -> int:
     except RhetorError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.args[0]}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,7 @@ a staged corpus, and the per-stage capacity rows of a growth schedule.
 """
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,7 +40,13 @@ from .errors import (
     UnmappedStage,
 )
 from .pyramid import C, E, PyramidGraph
-from .registry import Registry, default_registry
+from .registry import (
+    Registry,
+    _document_from_source,
+    _json_text,
+    _read_text,
+    default_registry,
+)
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
     registry so alias spellings are accepted.
     """
     if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
+        source = _read_text(source, "annotation file")
     registry = registry if registry is not None else default_registry()
 
     doc_id = "untitled"
@@ -260,19 +266,15 @@ class LayerTrace:
 
 
 def load_stage_map(source: "str | Path | dict | list") -> list[StageMapping]:
-    """Stage map from JSON: {"stages": [{"stage", "c": [...], "e"}, ...]}."""
-    if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
-    if isinstance(source, str):
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed stage map: {exc.msg}",
-                             line=exc.lineno, column=exc.colno) from exc
+    """Stage map from JSON: {"stages": [{"stage", "c": [...], "e"}, ...]}.
+
+    The bare list of stage entries is accepted as well.
+    """
+    source = _document_from_source(source, "stage map", allow_list=True)
     if isinstance(source, dict):
         source = source.get("stages", [])
     if not isinstance(source, list):
-        raise ParseError("stage map must be a list or carry a 'stages' list")
+        raise ParseError("stage map 'stages' must be a list")
     out = []
     for position, entry in enumerate(source):
         where = f"stages[{position}]"
@@ -422,10 +424,15 @@ def _build_schedule(rows: Sequence[tuple[str, int, float]]) -> StageSchedule:
         if k < previous_k:
             raise BadSchedule(f"cumulative width decreases at stage {name!r} "
                               f"({previous_k} then {k})")
-        if not duration > 0:
-            raise BadSchedule(f"stage {name!r} needs a positive duration, got {duration!r}")
-        steps.append(StageStep(name=name, k_cumulative=k, duration=float(duration),
-                               l_n=(k - previous_k) / duration))
+        if not 0 < duration < math.inf:
+            raise BadSchedule(f"stage {name!r} needs a positive finite duration, "
+                              f"got {duration!r}")
+        try:
+            duration = float(duration)
+            l_n = (k - previous_k) / duration
+        except OverflowError:
+            raise BadSchedule(f"stage {name!r} is out of floating-point range") from None
+        steps.append(StageStep(name=name, k_cumulative=k, duration=duration, l_n=l_n))
         previous_k = k
     return StageSchedule(tuple(steps))
 
@@ -442,16 +449,9 @@ def load_schedule(source: "str | Path | dict | None" = None) -> StageSchedule:
     """
     if source is None:
         return default_schedule()
-    if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
-    if isinstance(source, str):
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed schedule: {exc.msg}",
-                             line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(source, dict) or not isinstance(source.get("stages"), list):
-        raise ParseError("schedule must be a JSON object with a 'stages' list")
+    source = _document_from_source(source, "schedule")
+    if not isinstance(source.get("stages"), list):
+        raise ParseError("schedule must carry a 'stages' list")
     rows = []
     for position, entry in enumerate(source["stages"]):
         where = f"stages[{position}]"
@@ -466,15 +466,15 @@ def load_schedule(source: "str | Path | dict | None" = None) -> StageSchedule:
             raise ParseError(f"{where}: 'K' must be an integer")
         if not isinstance(duration, (int, float)) or isinstance(duration, bool):
             raise ParseError(f"{where}: 'duration' must be a number")
-        rows.append((name, k, float(duration)))
+        rows.append((name, k, duration))
     return _build_schedule(rows)
 
 
 def serialize_schedule(schedule: StageSchedule) -> str:
     """Deterministic JSON text; loads back to an equal schedule."""
-    doc = {"stages": [{"name": s.name, "K": s.k_cumulative, "duration": s.duration}
-                      for s in schedule.stages]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    stages = [{"name": s.name, "K": s.k_cumulative, "duration": s.duration}
+              for s in schedule.stages]
+    return _json_text({"stages": stages})
 
 
 @dataclass(frozen=True)
@@ -487,11 +487,6 @@ class ConeRow:
     K_RC: float
     R_scale: float
     R_scale_norm: float
-
-    def as_dict(self) -> dict:
-        return {"stage": self.stage, "K": self.K, "K_NRC": self.K_NRC,
-                "K_RC": self.K_RC, "R_scale": self.R_scale,
-                "R_scale_norm": self.R_scale_norm}
 
 
 def cone(schedule: StageSchedule, c_0: float = 1.0) -> list[ConeRow]:

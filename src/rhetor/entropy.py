@@ -44,10 +44,6 @@ class EntropyReport:
     H_asymptotic: float
     gap: float
 
-    def as_dict(self) -> dict:
-        return {"K": self.K, "H_flat": self.H_flat, "H_subset": self.H_subset,
-                "H_asymptotic": self.H_asymptotic, "gap": self.gap}
-
 
 @dataclass(frozen=True)
 class LayeredEntropyReport:
@@ -58,16 +54,6 @@ class LayeredEntropyReport:
     flat_H: float
     max_stage_H: float
     sum_stage_H: float
-
-    def as_dict(self) -> dict:
-        return {
-            "stages": [{"name": name, "branching": b, "H": h}
-                       for name, b, h in self.stage_entropies],
-            "flat_K": self.flat_K,
-            "flat_H": self.flat_H,
-            "max_stage_H": self.max_stage_H,
-            "sum_stage_H": self.sum_stage_H,
-        }
 
 
 def uniform(k: int) -> list[float]:

@@ -26,7 +26,6 @@ Scale pairs are ordered ``[expanded, reduced]``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -37,11 +36,19 @@ from .errors import (
     NoDual,
     NotAtomic,
     NotDiatomic,
-    ParseError,
     SelfUnite,
     UnknownMode,
 )
-from .registry import Mode, Origin, Registry, _title, canon, default_registry
+from .registry import (
+    Mode,
+    Origin,
+    Registry,
+    _document_from_source,
+    _json_text,
+    _title,
+    canon,
+    default_registry,
+)
 
 SPLIT = "split"
 UNITE = "unite"
@@ -175,16 +182,7 @@ def load_rules(source: "str | Path | dict | None" = None) -> DualityRuleSet:
     """Rule set from a JSON document (path, text, or parsed dict)."""
     if source is None:
         return default_rules()
-    if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
-    if isinstance(source, str):
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed rules document: {exc.msg}",
-                             line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(source, dict):
-        raise BadRuleSet("rules document must be a JSON object")
+    source = _document_from_source(source, "rules")
     for key in source:
         if key not in ("reversal", "scale", "orthogonal"):
             raise BadRuleSet(f"unknown rules section {key!r}")
@@ -203,7 +201,7 @@ def load_rules(source: "str | Path | dict | None" = None) -> DualityRuleSet:
 
 def serialize_rules(rules: DualityRuleSet) -> str:
     """Deterministic JSON text; loads back to an equal rule set."""
-    return json.dumps(rules.to_document(), indent=2, sort_keys=True) + "\n"
+    return _json_text(rules.to_document())
 
 
 # --- operator application ---------------------------------------------------

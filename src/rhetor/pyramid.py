@@ -26,7 +26,6 @@ plus supplementary modes (:func:`compose_academic`).
 from __future__ import annotations
 
 import difflib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
@@ -45,6 +44,9 @@ from .registry import (
     Origin,
     Registry,
     _ID_PATTERN,
+    _document_from_source,
+    _json_text,
+    _text_field,
     _title,
     canon,
     default_registry,
@@ -332,11 +334,6 @@ class PyramidGraph:
 
 # --- graph queries -----------------------------------------------------------
 
-def realizers(graph: PyramidGraph, layer: str, name: str) -> tuple[LayerNode, ...]:
-    """The lower-layer nodes that realize a C- or E-layer node."""
-    return graph.children(layer, name)
-
-
 def compose_re(graph: PyramidGraph, e_name: str) -> tuple[str, ...]:
     """All R-ids reachable from an E-node through its C-children, sorted."""
     reached: set[str] = set()
@@ -427,7 +424,7 @@ def _rows_from_document(doc: dict, key: str, target_key: str):
         where = f"{key}[{position}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: node entries must be objects")
-        node_id = canon(str(entry.get("id", "")))
+        node_id = canon(_text_field(entry, "id", where))
         if not node_id or not _ID_PATTERN.match(node_id):
             raise ParseError(f"{where}: missing or invalid id {entry.get('id')!r}")
         if node_id in seen:
@@ -436,10 +433,8 @@ def _rows_from_document(doc: dict, key: str, target_key: str):
         targets = entry.get(target_key, [])
         if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
             raise ParseError(f"{where}: {target_key!r} must be a list of names")
-        display = entry.get("display_name") or _title(node_id)
-        description = entry.get("description", "")
-        if not isinstance(description, str):
-            raise ParseError(f"{where}: description must be a string")
+        display = _text_field(entry, "display_name", where) or _title(node_id)
+        description = _text_field(entry, "description", where)
         rows.append((node_id, display, description, tuple(targets)))
     return rows
 
@@ -457,16 +452,7 @@ def load_pyramid(
     """
     registry = registry if registry is not None else default_registry()
     if source is not None:
-        if isinstance(source, Path):
-            source = source.read_text(encoding="utf-8")
-        if isinstance(source, str):
-            try:
-                source = json.loads(source)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"malformed mapping document: {exc.msg}",
-                                 line=exc.lineno, column=exc.colno) from exc
-        if not isinstance(source, dict):
-            raise ParseError("mapping document must be a JSON object")
+        source = _document_from_source(source, "mapping")
         name = source.get("profile", "custom")
         if not isinstance(name, str) or not name:
             raise ParseError("mapping 'profile' must be a non-empty string")
@@ -484,7 +470,7 @@ def load_pyramid(
 
 def serialize_pyramid(graph: PyramidGraph) -> str:
     """Deterministic JSON text; loads back to an equal graph."""
-    return json.dumps(graph.to_document(), indent=2, sort_keys=True) + "\n"
+    return _json_text(graph.to_document())
 
 
 # --- academic-function composition ------------------------------------------

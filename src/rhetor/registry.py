@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from .errors import BadConstituent, DuplicateMode, ParseError, UnknownMode
 
-_ID_PATTERN = re.compile(r"^[a-z][a-z0-9-]*$")
+_ID_PATTERN = re.compile(r"[a-z][a-z0-9-]*\Z")
 _SEPARATORS = re.compile(r"[–—/\s]+")  # en/em dash, slash, whitespace
 _DISALLOWED = re.compile(r"[^a-z0-9-]")
 _HYPHEN_RUNS = re.compile(r"-{2,}")
@@ -219,6 +219,8 @@ class Registry:
                     raise BadConstituent(
                         f"mode {mode.id!r} nests the compound mode {cid!r}")
         for alias, target in self._aliases.items():
+            if alias in self._modes:
+                raise DuplicateMode(f"alias {alias!r} shadows the registered mode {alias!r}")
             if target not in self._modes:
                 raise BadConstituent(f"alias {alias!r} points at unknown mode {target!r}")
 
@@ -389,27 +391,55 @@ def _mode_from_entry(entry: object, position: int) -> Mode:
         if arity != expected:
             raise ParseError(f"{where}: arity {arity!r} does not match "
                              f"{len(constituents)} constituents")
-    display = entry.get("display_name") or _title(mode_id)
-    description = entry.get("description", "")
-    if not isinstance(description, str):
-        raise ParseError(f"{where}: description must be a string")
+    display = _text_field(entry, "display_name", where) or _title(mode_id)
+    description = _text_field(entry, "description", where)
     origin = _parse_origin(entry.get("origin"), where)
     return Mode(mode_id, display, constituents, origin, description)
 
 
-def _document_from_source(source: "str | Path | dict", kind: str) -> dict:
-    """Normalize path / JSON text / parsed dict into a dict document."""
+def _text_field(entry: dict, key: str, where: str) -> str:
+    """Optional string field of a document entry; ``""`` when absent."""
+    value = entry.get(key, "")
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: {key} must be a string")
+    return value
+
+
+def _read_text(path: Path, kind: str) -> str:
+    """UTF-8 contents of ``path``; ``OSError`` propagates to the caller."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{kind} is not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _document_from_source(source: "str | Path | dict | list", kind: str,
+                          allow_list: bool = False) -> "dict | list":
+    """Normalize path / JSON text / parsed value into a JSON object document.
+
+    With ``allow_list`` a top-level JSON list is accepted as well.
+    """
     if isinstance(source, Path):
-        source = source.read_text(encoding="utf-8")
+        source = _read_text(source, f"{kind} document")
     if isinstance(source, str):
         try:
             source = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed {kind} document: {exc.msg}",
                              line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(source, dict):
-        raise ParseError(f"{kind} document must be a JSON object")
+        except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+            raise ParseError(f"malformed {kind} document: {exc}") from None
+    if not (isinstance(source, dict) or allow_list and isinstance(source, list)):
+        raise ParseError(f"{kind} document must be a JSON object"
+                         + (" or list" if allow_list else ""))
     return source
+
+
+def _json_text(payload) -> str:
+    """Deterministic JSON text: sorted keys, two-space indent, sets sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n"
 
 
 def load_registry(source: "str | Path | dict | None" = None) -> Registry:
@@ -444,7 +474,10 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
     extra = doc.get("aliases", {})
     if not isinstance(extra, dict):
         raise ParseError("registry 'aliases' must be an object")
-    aliases.update({canon(k): canon(v) for k, v in extra.items()})
+    for alias, target in extra.items():
+        if not isinstance(target, str):
+            raise ParseError(f"registry alias {alias!r} must name a mode")
+        aliases[canon(alias)] = canon(target)
     version = doc.get("version", DEFAULT_VERSION)
     if not isinstance(version, str):
         raise ParseError("registry 'version' must be a string")
@@ -453,4 +486,4 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
 
 def serialize_registry(registry: Registry) -> str:
     """Deterministic JSON text for a registry; loads back to an equal registry."""
-    return json.dumps(registry.to_document(), indent=2, sort_keys=True) + "\n"
+    return _json_text(registry.to_document())

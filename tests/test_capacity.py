@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,7 +73,7 @@ class TestCapacity:
             assert capacity(k).MRB == 1.0
 
     def test_as_dict_fields(self):
-        record = capacity(14).as_dict()
+        record = asdict(capacity(14))
         assert record["K"] == 14
         assert record["k_m"] == 7
         assert record["K_max"] == 3432

@@ -190,6 +190,11 @@ class TestDerive:
         code, _, _ = run(capsys, "derive", "--registry", "/no/such/file.json")
         assert code == 2
 
+    def test_directory_as_registry(self, capsys, tmp_path):
+        code, _, err = run(capsys, "derive", "--registry", str(tmp_path))
+        assert code == 2
+        assert err.split()[0] == "error:"
+
     def test_unknown_operator_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "derive", "--ops", "merge")
         assert code == 2
@@ -291,6 +296,29 @@ class TestAnalyze:
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "analyze", "/no/such/lesson.rma")
+        assert code == 2
+
+    def test_directory_as_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 2
+        assert err.split()[0] == "error:"
+
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.rma"
+        bad.write_bytes(b"doc t\nstage S\nseg | caf\xe9\n")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 1
+        assert err.split(":")[0] == "ParseError"
+        assert "line 3" in err
+
+    def test_width_beyond_capacity_cap(self, capsys, lesson_path):
+        code, out, _ = run(capsys, "analyze", str(lesson_path), "--k", "1000",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["coverage"]["C_m"] == 0.014
+
+    def test_zero_width_is_usage_error(self, capsys, lesson_path):
+        code, _, _ = run(capsys, "analyze", str(lesson_path), "--k", "0")
         assert code == 2
 
     def test_parse_error_names_error_first(self, capsys, tmp_path):

@@ -123,6 +123,14 @@ class TestParsingDiagnostics:
             parse_document("doc t\nstage S\nseg narration\n")
 
 
+    def test_non_utf8_file_reports_line(self, tmp_path):
+        file = tmp_path / "bad.rma"
+        file.write_bytes(b"doc t\nstage S\nseg | narration | caf\xe9\n")
+        with pytest.raises(ParseError) as excinfo:
+            parse_document(file)
+        assert excinfo.value.line == 3
+
+
 class TestRoundTrip:
     def test_lesson(self, lesson):
         assert parse_document(serialize_document(lesson)) == lesson
@@ -311,6 +319,16 @@ class TestSchedules:
             load_schedule({"stages": [{"name": "a"}]})
         with pytest.raises(ParseError):
             load_schedule("{bad")
+
+    @pytest.mark.parametrize("duration", ["Infinity", "NaN", "1e999"])
+    def test_non_finite_duration(self, duration):
+        text = f'{{"stages": [{{"name": "a", "K": 3, "duration": {duration}}}]}}'
+        with pytest.raises(BadSchedule):
+            load_schedule(text)
+
+    def test_duration_beyond_float_range(self):
+        with pytest.raises(BadSchedule):
+            load_schedule({"stages": [{"name": "a", "K": 3, "duration": 10**400}]})
 
 
 class TestCone:

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,7 +157,7 @@ class TestEntropyReport:
 
     def test_as_dict_round_trips_values(self):
         report = entropy_subset_sizes(14)
-        record = report.as_dict()
+        record = asdict(report)
         assert record["K"] == 14
         assert record["H_subset"] == report.H_subset
 

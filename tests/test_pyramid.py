@@ -18,7 +18,6 @@ from rhetor import (
     compose_re,
     entropy_layered,
     load_pyramid,
-    realizers,
     serialize_pyramid,
 )
 from rhetor.pyramid import C, E, R
@@ -74,20 +73,20 @@ class TestLookup:
 
 class TestRealizers:
     def test_c_node(self, graph):
-        ids = [n.id for n in realizers(graph, C, "observe")]
+        ids = [n.id for n in graph.children(C, "observe")]
         assert ids == ["description", "evidence", "exemplification", "narration"]
 
     def test_alias_collapse_in_targets(self, graph):
-        ids = [n.id for n in realizers(graph, C, "test-validate")]
+        ids = [n.id for n in graph.children(C, "test-validate")]
         assert ids == ["evaluation", "evidence"]
 
     def test_e_node(self, graph):
-        ids = [n.id for n in realizers(graph, E, "knowledge-formation")]
+        ids = [n.id for n in graph.children(E, "knowledge-formation")]
         assert ids == ["abstract", "classify", "identify", "observe"]
 
     def test_unknown(self, graph):
         with pytest.raises(UnknownNode):
-            realizers(graph, C, "no-such-function")
+            graph.children(C, "no-such-function")
 
 
 class TestComposeRE:
@@ -181,7 +180,7 @@ class TestAcademicProfile:
 
     def test_presentation_function(self):
         graph = load_pyramid(ACADEMIC_PROFILE)
-        ids = [n.id for n in realizers(graph, C, "information-presentation")]
+        ids = [n.id for n in graph.children(C, "information-presentation")]
         assert len(ids) == 8
         assert "narration" in ids and "grading" in ids
 
@@ -203,6 +202,14 @@ class TestLoading:
     def test_non_object_document(self):
         with pytest.raises(ParseError):
             load_pyramid(source="[1, 2]")
+
+    @pytest.mark.parametrize("entry", [
+        {"id": "observe", "display_name": ["Observe"], "modes": ["narration"]},
+        {"id": ["observe"], "modes": ["narration"]},
+    ], ids=["display_name", "id"])
+    def test_non_string_field_rejected(self, entry):
+        with pytest.raises(ParseError):
+            load_pyramid(source={"c_nodes": [entry]})
 
     def test_unknown_c_reference(self):
         with pytest.raises(BadEdge):

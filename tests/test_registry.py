@@ -220,6 +220,30 @@ class TestSerializeLoad:
         with pytest.raises(BadConstituent):
             load_registry({"modes": [], "aliases": {"story": "nope"}})
 
+    def test_non_string_alias_target(self):
+        with pytest.raises(ParseError):
+            load_registry({"modes": [], "aliases": {"story": 3}})
+
+    def test_alias_shadowing_a_mode_id(self):
+        with pytest.raises(DuplicateMode):
+            load_registry({"aliases": {"narration": "description"}})
+
+    def test_non_string_display_name(self):
+        doc = {"modes": [{"id": "story", "display_name": 5, "description": ""}]}
+        with pytest.raises(ParseError):
+            load_registry(doc)
+
+    def test_id_with_trailing_newline_rejected(self):
+        with pytest.raises(ParseError):
+            load_registry({"modes": [{"id": "story\n", "description": ""}]})
+
+    def test_non_utf8_file_reports_line(self, tmp_path):
+        file = tmp_path / "reg.json"
+        file.write_bytes(b'{"modes": [],\n "version": "caf\xe9"}')
+        with pytest.raises(ParseError) as excinfo:
+            load_registry(file)
+        assert excinfo.value.line == 2
+
 
 class TestModeValue:
     def test_frozen(self, registry):
