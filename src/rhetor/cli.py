@@ -6,8 +6,9 @@ byte-deterministic so it can be golden-file tested or piped to plotting.
 
 Exit status: 0 on success, 1 on a domain error (the error class name is
 the first token on stderr), 2 on usage errors or missing or unreadable
-files.  The ``RHETOR_REGISTRY`` environment variable may point at a
-registry JSON used whenever ``--registry`` is not given.
+files, 141 (128 + SIGPIPE) when the reader of stdout stops early.  The
+``RHETOR_REGISTRY`` environment variable may point at a registry JSON used
+whenever ``--registry`` is not given.
 """
 from __future__ import annotations
 
@@ -37,17 +38,18 @@ from .pyramid import (
     C,
     DEFAULT_PROFILE,
     E,
-    PyramidGraph,
     branching_stats,
     compose_re,
     load_pyramid,
 )
-from .registry import Registry, _json_text, base_atoms, load_registry
+from .registry import _json_text, base_atoms, load_registry
 
 TABLE = "table"
 CSV = "csv"
 JSON = "json"
 FORMATS = (TABLE, CSV, JSON)
+
+REGISTRY_ENV = "RHETOR_REGISTRY"
 
 
 def _real(x: float) -> str:
@@ -108,11 +110,6 @@ def _emit(fmt: str, payload, *blocks) -> None:
                 print(f"{name.ljust(width)}  {value}")
         else:
             _print_table(*block)
-
-
-def _registry_from(args) -> Registry:
-    path = getattr(args, "registry", None) or os.environ.get("RHETOR_REGISTRY")
-    return load_registry() if path is None else load_registry(Path(path))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -191,8 +188,8 @@ def cmd_derive(args, parser) -> int:
                  for name in args.ops.split(",") if name.strip()]
     except ValueError as exc:
         parser.error(str(exc))
-    registry = _registry_from(args)
-    rules = load_rules(Path(args.rules)) if args.rules else load_rules()
+    registry = load_registry(args.registry)
+    rules = load_rules(args.rules)
     seed = base_atoms() if args.atoms_only_base else None
     derivations = closure(registry, rules, kinds, args.depth, seed=seed)
     headers = ["depth", "operator", "inputs", "results", "rediscovery"]
@@ -206,15 +203,9 @@ def cmd_derive(args, parser) -> int:
     return 0
 
 
-def _graph_from(args) -> PyramidGraph:
-    registry = _registry_from(args)
-    if args.file:
-        return load_pyramid(source=Path(args.file), registry=registry)
-    return load_pyramid(args.profile, registry=registry)
-
-
 def cmd_map(args) -> int:
-    graph = _graph_from(args)
+    graph = load_pyramid(args.profile, source=args.file,
+                         registry=load_registry(args.registry))
     if args.realizers:
         layer, _, name = args.realizers.partition(":")
         nodes = graph.children(layer.strip().upper(), name.strip())
@@ -244,16 +235,16 @@ def cmd_map(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    registry = _registry_from(args)
-    doc = parse_document(Path(args.file), registry)
+    registry = load_registry(args.registry)
+    doc = parse_document(args.file, registry)
     cov = analyze_coverage(doc, args.k)
     record = {"doc": doc.id, "K_u": str(cov.K_u), "K": str(cov.K),
               "C_m": _real(cov.C_m), "band": cov.band}
     payload: dict = {"doc": doc.id, "coverage": asdict(cov)}
-    if not args.map:
+    if args.map is None:
         _emit(args.format, payload, record)
         return 0
-    stage_map = load_stage_map(Path(args.map))
+    stage_map = load_stage_map(args.map)
     trace = trace_layers(doc, load_pyramid(args.profile, registry=registry), stage_map)
     payload["trace"] = {"e_ids": trace.e_ids, "stages": [asdict(s) for s in trace.stages]}
     headers = ["stage", "c_ids", "e_id", "observed", "overlap", "mismatch"]
@@ -265,7 +256,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    schedule = load_schedule(Path(args.schedule)) if args.schedule else load_schedule()
+    schedule = load_schedule(args.schedule)
     rows_data = cone(schedule, args.c0)
     headers = ["stage", "K", "K_NRC", "K_RC", "R_scale", "R_scale_norm"]
     rows = [[r.stage, str(r.K), str(r.K_NRC), _real(r.K_RC),
@@ -289,6 +280,13 @@ def _int_in_range(lo: int, hi: int):
     return parse
 
 
+def _file_flag(text: str) -> Path:
+    """argparse type for FILE values: an empty name is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file name, got an empty string")
+    return Path(text)
+
+
 _width_flag = _int_in_range(1, MAX_WIDTH)
 _entropy_width_flag = _int_in_range(1, MAX_ENTROPY_WIDTH)
 _depth_flag = _int_in_range(1, 10_000)
@@ -302,7 +300,7 @@ def _add_format(sub) -> None:
 
 
 def _add_registry(sub) -> None:
-    sub.add_argument("--registry", metavar="FILE",
+    sub.add_argument("--registry", metavar="FILE", type=_file_flag,
                      help="registry JSON (default: built-in modes, or "
                           "$RHETOR_REGISTRY when set)")
 
@@ -344,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="OP[,OP...]",
                      help="operators: split, unite, fb, expand, reduce, ortho")
     sub.add_argument("--depth", type=_depth_flag, default=1)
-    sub.add_argument("--rules", metavar="FILE", help="duality rules JSON")
+    sub.add_argument("--rules", metavar="FILE", type=_file_flag,
+                     help="duality rules JSON")
     sub.add_argument("--atoms-only-base", action="store_true",
                      help="seed with the 7 canonical-table atoms only")
     _add_registry(sub)
@@ -354,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("map", help="three-layer mapping graph")
     sub.add_argument("--profile", default=DEFAULT_PROFILE,
                      help="built-in profile name (default/academic-writing)")
-    sub.add_argument("--file", metavar="FILE", help="mapping document JSON")
+    sub.add_argument("--file", metavar="FILE", type=_file_flag,
+                     help="mapping document JSON")
     action = sub.add_mutually_exclusive_group()
     action.add_argument("--realizers", metavar="LAYER:NODE",
                         help="list the lower-layer nodes of one node (e.g. C:observe)")
@@ -367,10 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_map)
 
     sub = commands.add_parser("analyze", help="coverage and layer trace of a document")
-    sub.add_argument("file", metavar="FILE.rma")
+    sub.add_argument("file", metavar="FILE.rma", type=_file_flag)
     sub.add_argument("--k", "--K", dest="k", type=_positive_flag,
                      help="repertoire width (default: declared_K)")
-    sub.add_argument("--map", metavar="FILE", help="stage map JSON enabling the trace")
+    sub.add_argument("--map", metavar="FILE", type=_file_flag,
+                     help="stage map JSON enabling the trace")
     sub.add_argument("--profile", default=DEFAULT_PROFILE,
                      help="mapping profile for the trace")
     _add_registry(sub)
@@ -378,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_analyze)
 
     sub = commands.add_parser("cone", help="capacity growth along a stage schedule")
-    sub.add_argument("--schedule", metavar="FILE", help="schedule JSON")
+    sub.add_argument("--schedule", metavar="FILE", type=_file_flag,
+                     help="schedule JSON")
     sub.add_argument("--c0", type=float, default=1.0, metavar="C_0",
                      help="learner capacity in bits/stage (default 1.0)")
     _add_format(sub)
@@ -390,13 +392,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    env_registry = os.environ.get(REGISTRY_ENV)
+    if env_registry is not None and "registry" in vars(args) and args.registry is None:
+        if not env_registry:
+            parser.error(f"{REGISTRY_ENV} is set but empty")
+        args.registry = Path(env_registry)
     try:
         if getattr(args, "needs_parser", False):
-            return args.func(args, parser)
-        return args.func(args)
+            code = args.func(args, parser)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+        return code
     except RhetorError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader stopped early: end quietly, as a SIGPIPE-killed filter would.
+        # Pointing stdout at devnull keeps the final flush from failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,11 +90,7 @@ class AnnotatedDocument:
 
     def stages(self) -> tuple[str, ...]:
         """Stage labels in first-appearance order."""
-        seen: list[str] = []
-        for seg in self.segments:
-            if seg.stage not in seen:
-                seen.append(seg.stage)
-        return tuple(seen)
+        return tuple(dict.fromkeys(seg.stage for seg in self.segments))
 
     def stage_modes(self, stage: str) -> frozenset[str]:
         """Union of mode ids over the segments of one stage."""
@@ -305,9 +301,11 @@ def trace_layers(
     declared C-functions; ``mismatch`` is whatever was observed outside it.
     """
     by_stage = {m.stage: m for m in stage_map}
+    observed_by_stage: dict[str, set[str]] = {}  # first-appearance order
+    for seg in doc.segments:
+        observed_by_stage.setdefault(seg.stage, set()).update(seg.modes)
     traces: list[StageTrace] = []
-    e_ids: list[str] = []
-    for stage in doc.stages():
+    for stage, modes in observed_by_stage.items():
         mapping = by_stage.get(stage)
         if mapping is None:
             raise UnmappedStage(f"stage {stage!r} has no entry in the stage map")
@@ -318,7 +316,7 @@ def trace_layers(
             c_node = graph.node(C, c_name)
             c_resolved.append(c_node.id)
             expected.update(r.id for r in graph.children(C, c_node.id))
-        observed = doc.stage_modes(stage)
+        observed = frozenset(modes)
         traces.append(StageTrace(
             stage=stage,
             c_ids=tuple(c_resolved),
@@ -328,9 +326,8 @@ def trace_layers(
             overlap=observed & expected,
             mismatch=observed - expected,
         ))
-        if e_node.id not in e_ids:
-            e_ids.append(e_node.id)
-    return LayerTrace(doc_id=doc.id, stages=tuple(traces), e_ids=tuple(e_ids))
+    e_ids = tuple(dict.fromkeys(trace.e_id for trace in traces))
+    return LayerTrace(doc_id=doc.id, stages=tuple(traces), e_ids=e_ids)
 
 
 # --- introduction-rate estimation -------------------------------------------

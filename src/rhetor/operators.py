@@ -26,8 +26,8 @@ Scale pairs are ordered ``[expanded, reduced]``.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,7 +37,6 @@ from .errors import (
     NotAtomic,
     NotDiatomic,
     SelfUnite,
-    UnknownMode,
 )
 from .registry import (
     Mode,
@@ -101,6 +100,9 @@ class DualityRuleSet:
                 seen.add(member)
             self._reduced_of[expanded] = reduced
             self._expanded_of[reduced] = expanded
+        self._members = frozenset(
+            m for pairs in (self.reversal_pairs, self.scale_pairs, self.orthogonal_pairs)
+            for pair in pairs for m in pair)
 
     @staticmethod
     def _canon_pairs(pairs, relation: str, ordered: bool) -> tuple[tuple[str, str], ...]:
@@ -144,9 +146,7 @@ class DualityRuleSet:
 
     def members(self) -> frozenset[str]:
         """Every mode id mentioned by any pair of any relation."""
-        flat = [m for pairs in (self.reversal_pairs, self.scale_pairs,
-                                self.orthogonal_pairs) for pair in pairs for m in pair]
-        return frozenset(flat)
+        return self._members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DualityRuleSet):
@@ -214,14 +214,14 @@ def _rule_mode(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mo
     """Resolve against the registry, falling back to rule-known generated atoms."""
     if isinstance(m, Mode):
         return m
-    try:
-        return registry.resolve(m)
-    except UnknownMode:
-        cid = canon(m)
-        if cid in rules.members():
-            return Mode(cid, _title(cid), (), Origin.generated("rules", ()),
-                        f"Duality partner named by the active rule set ({cid}).")
-        raise
+    mode = registry._lookup(m)
+    if mode is not None:
+        return mode
+    cid = canon(m)
+    if cid in rules.members():
+        return Mode(cid, _title(cid), (), Origin.generated("rules", ()),
+                    f"Duality partner named by the active rule set ({cid}).")
+    return registry.resolve(m)  # raises UnknownMode with did-you-mean hints
 
 
 def _generated_atom(partner_id: str, operator: str, source: Mode) -> Mode:
@@ -338,10 +338,14 @@ def closure(
 ) -> tuple[Derivation, ...]:
     """Apply ``ops`` breadth-first up to ``max_depth``, recording derivations.
 
-    Every applicable operator/input combination over the current universe is
-    tried each depth; a derivation is recorded the first time a result id is
-    reached, so the output lists each generated (or rediscovered) mode once,
-    at its shallowest depth.  Output is ordered by depth, then result ids.
+    Depth 1 tries every operator/input combination over the starting
+    universe.  Each later depth tries only the combinations with at least
+    one input that the previous depth added to the universe: every other
+    combination was tried before and can yield nothing new (semi-naive
+    evaluation).  Combinations run in the order of a full pass, so a
+    derivation is recorded the first time a result id is reached, and the
+    output lists each generated (or rediscovered) mode once, at its
+    shallowest depth.  Output is ordered by depth, then result ids.
 
     ``seed`` restricts the starting universe to the given modes (default:
     the whole registry).  Stops early once a depth adds nothing new.
@@ -363,9 +367,11 @@ def closure(
 
     derived: set[str] = set()
     out: list[Derivation] = []
+    fresh_ids: set[str] = set(universe)  # inputs not yet tried: all, at depth 1
     for depth in range(1, max_depth + 1):
         snapshot = sorted(universe.values(), key=lambda m: m.id)
         atoms = [m for m in snapshot if m.is_atomic]
+        fresh = [m for m in snapshot if m.id in fresh_ids]
         batch: list[Derivation] = []
 
         def attempt(operator: str, inputs: tuple[Mode, ...], apply) -> None:
@@ -389,24 +395,41 @@ def closure(
 
         for kind in kinds:
             if kind == SPLIT:
-                for mode in snapshot:
+                for mode in fresh:
                     if mode.is_diatomic:
                         attempt(SPLIT, (mode,), lambda m=mode: split(registry, m))
             elif kind == UNITE:
-                for a, b in combinations(atoms, 2):
+                for a, b in _pairs_touching(atoms, fresh_ids):
                     attempt(UNITE, (a, b), lambda x=a, y=b: unite(registry, x, y))
             else:
                 op_fn = {FORWARD_BACKWARD: forward_backward, EXPAND: expand,
                          REDUCE: reduce, ORTHOGONAL: orthogonal}[kind]
-                for mode in atoms:
-                    attempt(kind, (mode,),
-                            lambda m=mode, f=op_fn: f(registry, rules, m))
+                for mode in fresh:
+                    if mode.is_atomic:
+                        attempt(kind, (mode,),
+                                lambda m=mode, f=op_fn: f(registry, rules, m))
 
-        if not batch:
-            break
         batch.sort(key=lambda d: d.result_ids)
         out.extend(batch)
+        fresh_ids = set()
         for derivation in batch:
             for result in derivation.results:
-                universe.setdefault(result.id, result)
+                if result.id not in universe:
+                    universe[result.id] = result
+                    fresh_ids.add(result.id)
+        if not fresh_ids:
+            break
     return tuple(out)
+
+
+def _pairs_touching(atoms: Sequence[Mode], fresh_ids: set[str]):
+    """``combinations(atoms, 2)`` in its own order, keeping only the pairs
+    with a member in ``fresh_ids``."""
+    fresh_at = [i for i, m in enumerate(atoms) if m.id in fresh_ids]
+    for i, a in enumerate(atoms):
+        if a.id in fresh_ids:
+            later = atoms[i + 1:]
+        else:
+            later = [atoms[j] for j in fresh_at[bisect_right(fresh_at, i):]]
+        for b in later:
+            yield a, b

@@ -35,7 +35,6 @@ from .errors import (
     BadComposition,
     BadEdge,
     ParseError,
-    UnknownMode,
     UnknownNode,
     UnknownProfile,
 )
@@ -236,7 +235,11 @@ class BranchingStats:
 
 
 class PyramidGraph:
-    """Immutable three-layer graph with downward edges C→R and E→C."""
+    """Immutable three-layer graph with downward edges C→R and E→C.
+
+    The sorted child ids of every C- and E-node are built once, at
+    construction, so child queries cost in proportion to their answer.
+    """
 
     def __init__(
         self,
@@ -259,6 +262,9 @@ class PyramidGraph:
         self.edges_ec = frozenset(edges_ec)
         self.registry = registry if registry is not None else default_registry()
         self._check_edges()
+        self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {
+            upper: _adjacency(self._nodes[upper], edges)
+            for upper, edges in ((C, self.edges_cr), (E, self.edges_ec))}
 
     def _check_edges(self) -> None:
         for c_id, r_id in self.edges_cr:
@@ -294,13 +300,10 @@ class PyramidGraph:
     def children(self, layer: str, name: str) -> tuple[LayerNode, ...]:
         """Directly connected nodes one layer down, sorted by id."""
         node = self.node(layer, name)
-        if node.layer == C:
-            ids = sorted(r for c, r in self.edges_cr if c == node.id)
-            return tuple(self._nodes[R][r] for r in ids)
-        if node.layer == E:
-            ids = sorted(c for e, c in self.edges_ec if e == node.id)
-            return tuple(self._nodes[C][c] for c in ids)
-        raise UnknownNode("R-layer nodes have no lower layer")
+        if node.layer == R:
+            raise UnknownNode("R-layer nodes have no lower layer")
+        lower = self._nodes[R if node.layer == C else C]
+        return tuple(lower[child] for child in self._child_ids[node.layer][node.id])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PyramidGraph):
@@ -319,7 +322,7 @@ class PyramidGraph:
                 "id": node.id,
                 "display_name": node.display_name,
                 "description": node.description,
-                "modes": sorted(r for c, r in self.edges_cr if c == node.id),
+                "modes": list(self._child_ids[C][node.id]),
             })
         e_nodes = []
         for node in self.layer_nodes(E):
@@ -327,9 +330,18 @@ class PyramidGraph:
                 "id": node.id,
                 "display_name": node.display_name,
                 "description": node.description,
-                "cognitive": sorted(c for e, c in self.edges_ec if e == node.id),
+                "cognitive": list(self._child_ids[E][node.id]),
             })
         return {"profile": self.profile, "c_nodes": c_nodes, "e_nodes": e_nodes}
+
+
+def _adjacency(upper_nodes: dict[str, LayerNode],
+               edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """Sorted child ids of every upper-layer node, from ``(upper, child)`` edges."""
+    children: dict[str, list[str]] = {node_id: [] for node_id in upper_nodes}
+    for upper, child in edges:
+        children[upper].append(child)
+    return {node_id: tuple(sorted(ids)) for node_id, ids in children.items()}
 
 
 # --- graph queries -----------------------------------------------------------
@@ -344,16 +356,11 @@ def compose_re(graph: PyramidGraph, e_name: str) -> tuple[str, ...]:
 
 def branching_stats(graph: PyramidGraph) -> BranchingStats:
     """Out-degree of every C- and E-node, sorted by node id."""
-    c_counts = {node.id: 0 for node in graph.layer_nodes(C)}
-    for c_id, _ in graph.edges_cr:
-        c_counts[c_id] += 1
-    e_counts = {node.id: 0 for node in graph.layer_nodes(E)}
-    for e_id, _ in graph.edges_ec:
-        e_counts[e_id] += 1
-    return BranchingStats(
-        c_degrees=tuple(sorted(c_counts.items())),
-        e_degrees=tuple(sorted(e_counts.items())),
-    )
+    def degrees(layer: str) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted((node, len(kids))
+                            for node, kids in graph._child_ids[layer].items()))
+
+    return BranchingStats(c_degrees=degrees(C), e_degrees=degrees(E))
 
 
 # --- construction -----------------------------------------------------------
@@ -361,18 +368,18 @@ def branching_stats(graph: PyramidGraph) -> BranchingStats:
 def _resolve_target(registry: Registry, name: str, profile: str,
                     extras: dict[str, Mode]) -> Mode:
     """Resolve an R-layer target, minting a generated atom when unknown."""
-    try:
-        return registry.resolve(name)
-    except UnknownMode:
-        cid = canon(name)
-        if not _ID_PATTERN.match(cid):
-            raise ParseError(f"invalid mode name {name!r} in {profile} mapping")
-        mode = extras.get(cid)
-        if mode is None:
-            mode = Mode(cid, _title(cid), (), Origin.generated("academic-profile", ()),
-                        f"Writing move declared by the {profile} mapping profile.")
-            extras[cid] = mode
+    mode = registry._lookup(name)
+    if mode is not None:
         return mode
+    cid = canon(name)
+    if not _ID_PATTERN.match(cid):
+        raise ParseError(f"invalid mode name {name!r} in {profile} mapping")
+    mode = extras.get(cid)
+    if mode is None:
+        mode = Mode(cid, _title(cid), (), Origin.generated("academic-profile", ()),
+                    f"Writing move declared by the {profile} mapping profile.")
+        extras[cid] = mode
+    return mode
 
 
 def _build_graph(

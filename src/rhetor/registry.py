@@ -234,14 +234,17 @@ class Registry:
         """
         if isinstance(name, Mode):
             return name
-        cid = canon(name)
-        cid = self._aliases.get(cid, cid)
-        mode = self._modes.get(cid)
+        mode = self._lookup(name)
         if mode is None:
             suggestions = tuple(
-                difflib.get_close_matches(cid, sorted(self._modes), n=2, cutoff=0.6))
+                difflib.get_close_matches(canon(name), sorted(self._modes), n=2, cutoff=0.6))
             raise UnknownMode(f"no mode named {name!r}", suggestions=suggestions)
         return mode
+
+    def _lookup(self, name: str) -> Mode | None:
+        """The mode ``name`` resolves to, or ``None``: no hints are built on a miss."""
+        cid = canon(name)
+        return self._modes.get(self._aliases.get(cid, cid))
 
     def get(self, mode_id: str) -> Mode | None:
         return self._modes.get(mode_id)

@@ -2,10 +2,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from rhetor import default_registry, default_rules, load_pyramid, parse_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Every run draws the same examples and stores none, so property tests
+# cannot flake the suite and leave no example database in the checkout.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

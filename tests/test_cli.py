@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rhetor
 from rhetor.cli import main
 
 
@@ -397,3 +402,42 @@ class TestJsonOutputs:
             first = run(capsys, *argv, "--format", "csv")
             second = run(capsys, *argv, "--format", "csv")
             assert first == second
+
+
+class TestFileArguments:
+    @pytest.mark.parametrize("argv", [
+        ("derive", "--registry", ""),
+        ("derive", "--rules", ""),
+        ("map", "--file", ""),
+        ("analyze", "LESSON", "--map", ""),
+        ("analyze", ""),
+        ("cone", "--schedule", ""),
+    ], ids=["registry", "rules", "map-file", "analyze-map", "analyze-file", "schedule"])
+    def test_empty_file_name_is_usage_error(self, capsys, lesson_path, argv):
+        argv = [str(lesson_path) if a == "LESSON" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "empty string" in err
+
+    def test_empty_registry_variable_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RHETOR_REGISTRY", "")
+        code, out, err = run(capsys, "derive")
+        assert code == 2
+        assert out == ""
+        assert "RHETOR_REGISTRY" in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    src = str(Path(rhetor.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("RHETOR_REGISTRY", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rhetor.cli", "tables", "--max-k", "120", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -1,0 +1,316 @@
+"""The indexed graph, document and closure code against the plain scans it replaced.
+
+Each oracle below is the earlier implementation, kept here only: a full
+edge scan per child query, one segment scan per stage, and a closure that
+retries every combination at every depth.  The properties assert that the
+indexed code returns exactly what the scans return.
+"""
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rhetor import (
+    AnnotatedDocument,
+    DualityRuleSet,
+    LayerNode,
+    Mode,
+    PyramidGraph,
+    Registry,
+    RhetorError,
+    Segment,
+    StageMapping,
+    UnmappedStage,
+    base_atoms,
+    branching_stats,
+    closure,
+    compose_re,
+    default_registry,
+    default_rules,
+    expand,
+    forward_backward,
+    orthogonal,
+    reduce,
+    split,
+    trace_layers,
+    unite,
+)
+from rhetor import operators
+from rhetor.documents import LayerTrace, StageTrace
+from rhetor.operators import OPERATOR_KINDS, operator_kind
+from rhetor.pyramid import C, E, R, BranchingStats
+
+# --- oracles: the scans -------------------------------------------------------
+
+
+def children_scan(graph, layer, name):
+    node = graph.node(layer, name)
+    if node.layer == C:
+        ids = sorted(r for c, r in graph.edges_cr if c == node.id)
+        return tuple(graph.node(R, r) for r in ids)
+    ids = sorted(c for e, c in graph.edges_ec if e == node.id)
+    return tuple(graph.node(C, c) for c in ids)
+
+
+def compose_re_scan(graph, e_name):
+    reached = set()
+    for c_node in children_scan(graph, E, e_name):
+        reached.update(r.id for r in children_scan(graph, C, c_node.id))
+    return tuple(sorted(reached))
+
+
+def to_document_scan(graph):
+    c_nodes = [{"id": n.id, "display_name": n.display_name, "description": n.description,
+                "modes": sorted(r for c, r in graph.edges_cr if c == n.id)}
+               for n in graph.layer_nodes(C)]
+    e_nodes = [{"id": n.id, "display_name": n.display_name, "description": n.description,
+                "cognitive": sorted(c for e, c in graph.edges_ec if e == n.id)}
+               for n in graph.layer_nodes(E)]
+    return {"profile": graph.profile, "c_nodes": c_nodes, "e_nodes": e_nodes}
+
+
+def branching_stats_scan(graph):
+    c_counts = {node.id: 0 for node in graph.layer_nodes(C)}
+    for c_id, _ in graph.edges_cr:
+        c_counts[c_id] += 1
+    e_counts = {node.id: 0 for node in graph.layer_nodes(E)}
+    for e_id, _ in graph.edges_ec:
+        e_counts[e_id] += 1
+    return BranchingStats(c_degrees=tuple(sorted(c_counts.items())),
+                          e_degrees=tuple(sorted(e_counts.items())))
+
+
+def stages_scan(doc):
+    seen = []
+    for seg in doc.segments:
+        if seg.stage not in seen:
+            seen.append(seg.stage)
+    return tuple(seen)
+
+
+def stage_modes_scan(doc, stage):
+    out = set()
+    for seg in doc.segments:
+        if seg.stage == stage:
+            out.update(seg.modes)
+    return frozenset(out)
+
+
+def trace_layers_scan(doc, graph, stage_map):
+    by_stage = {m.stage: m for m in stage_map}
+    traces, e_ids = [], []
+    for stage in stages_scan(doc):
+        mapping = by_stage.get(stage)
+        if mapping is None:
+            raise UnmappedStage(f"stage {stage!r} has no entry in the stage map")
+        e_node = graph.node(E, mapping.e_id)
+        expected, c_resolved = set(), []
+        for c_name in mapping.c_ids:
+            c_node = graph.node(C, c_name)
+            c_resolved.append(c_node.id)
+            expected.update(r.id for r in children_scan(graph, C, c_node.id))
+        observed = stage_modes_scan(doc, stage)
+        traces.append(StageTrace(stage, tuple(c_resolved), e_node.id, observed,
+                                 frozenset(expected), observed & expected,
+                                 observed - expected))
+        if e_node.id not in e_ids:
+            e_ids.append(e_node.id)
+    return LayerTrace(doc.id, tuple(traces), tuple(e_ids))
+
+
+def closure_naive(registry, rules, ops, max_depth, seed=None):
+    kinds = sorted({operator_kind(op) for op in ops}, key=OPERATOR_KINDS.index)
+    if seed is None:
+        universe = {m.id: m for m in registry}
+    else:
+        universe = {}
+        for entry in seed:
+            mode = entry if isinstance(entry, Mode) else registry.resolve(entry)
+            universe[mode.id] = mode
+    derived, out = set(), []
+    unary = {"forward_backward": forward_backward, "expand": expand,
+             "reduce": reduce, "orthogonal": orthogonal}
+    for depth in range(1, max_depth + 1):
+        snapshot = sorted(universe.values(), key=lambda m: m.id)
+        atoms = [m for m in snapshot if m.is_atomic]
+        batch = []
+
+        def attempt(operator, inputs, apply):
+            try:
+                results = apply()
+            except operators._SKIPPABLE:
+                return
+            if not isinstance(results, tuple):
+                results = (results,)
+            novel = tuple(r for r in results if r.id not in derived)
+            if not novel:
+                return
+            derived.update(r.id for r in novel)
+            batch.append(operators.Derivation(
+                operator, tuple(m.id for m in inputs), novel, depth,
+                all(r.id in registry for r in novel)))
+
+        for kind in kinds:
+            if kind == "split":
+                for mode in snapshot:
+                    if mode.is_diatomic:
+                        attempt(kind, (mode,), lambda m=mode: split(registry, m))
+            elif kind == "unite":
+                for a, b in combinations(atoms, 2):
+                    attempt(kind, (a, b), lambda x=a, y=b: unite(registry, x, y))
+            else:
+                for mode in atoms:
+                    attempt(kind, (mode,),
+                            lambda m=mode, f=unary[kind]: f(registry, rules, m))
+        if not batch:
+            break
+        batch.sort(key=lambda d: d.result_ids)
+        out.extend(batch)
+        for derivation in batch:
+            for result in derivation.results:
+                universe.setdefault(result.id, result)
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    """A call's value, or the class and text of the domain error it raised."""
+    try:
+        return fn(*args)
+    except RhetorError as exc:
+        return type(exc), str(exc)
+
+
+# --- random graphs and documents -----------------------------------------------
+
+R_IDS = [f"r{i}" for i in range(8)]
+C_IDS = [f"c{i}" for i in range(6)]
+E_IDS = [f"e{i}" for i in range(4)]
+
+
+@st.composite
+def graphs(draw):
+    r_ids = draw(st.lists(st.sampled_from(R_IDS), min_size=1, unique=True))
+    c_ids = draw(st.lists(st.sampled_from(C_IDS), min_size=1, unique=True))
+    e_ids = draw(st.lists(st.sampled_from(E_IDS), min_size=1, unique=True))
+    edges_cr = draw(st.sets(st.tuples(st.sampled_from(c_ids), st.sampled_from(r_ids))))
+    edges_ec = draw(st.sets(st.tuples(st.sampled_from(e_ids), st.sampled_from(c_ids))))
+    nodes = [LayerNode(layer, node_id, node_id.upper())
+             for layer, ids in ((R, r_ids), (C, c_ids), (E, e_ids)) for node_id in ids]
+    return PyramidGraph("random", draw(st.permutations(nodes)), edges_cr, edges_ec)
+
+
+@st.composite
+def documents(draw, r_ids):
+    stages = draw(st.lists(st.sampled_from(["S1", "S2", "S3", "S4"]), min_size=1,
+                           max_size=30))
+    segments = tuple(
+        Segment(index, stage, frozenset(draw(st.sets(st.sampled_from(r_ids), min_size=1))))
+        for index, stage in enumerate(stages, start=1))
+    return AnnotatedDocument("random", segments)
+
+
+class TestGraphAgainstScans:
+    @given(graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_every_query_matches_the_edge_scan(self, graph):
+        for node in graph.layer_nodes(C) + graph.layer_nodes(E):
+            assert graph.children(node.layer, node.id) == children_scan(
+                graph, node.layer, node.id)
+        for node in graph.layer_nodes(E):
+            assert compose_re(graph, node.id) == compose_re_scan(graph, node.id)
+        assert graph.to_document() == to_document_scan(graph)
+        assert branching_stats(graph) == branching_stats_scan(graph)
+
+
+class TestDocumentsAgainstScans:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_trace_matches_the_per_stage_scan(self, data):
+        graph = data.draw(graphs())
+        r_ids = [n.id for n in graph.layer_nodes(R)]
+        c_ids = [n.id for n in graph.layer_nodes(C)]
+        e_ids = [n.id for n in graph.layer_nodes(E)]
+        doc = data.draw(documents(r_ids))
+        mapped = data.draw(st.lists(st.sampled_from(["S1", "S2", "S3", "S4", "S5"]),
+                                    unique=True))
+        stage_map = [StageMapping(stage,
+                                  tuple(data.draw(st.lists(st.sampled_from(c_ids),
+                                                           min_size=1))),
+                                  data.draw(st.sampled_from(e_ids)))
+                     for stage in mapped]
+        assert doc.stages() == stages_scan(doc)
+        for stage in doc.stages():
+            assert doc.stage_modes(stage) == stage_modes_scan(doc, stage)
+        assert (outcome(trace_layers, doc, graph, stage_map)
+                == outcome(trace_layers_scan, doc, graph, stage_map))
+
+
+# --- closure over clashing ids ---------------------------------------------------
+
+ONE_WORD = ["ka", "lo", "mi", "nu"]
+TWO_WORD = ["ka-lo", "lo-mi", "mi-nu", "nu-ka"]
+# unite(ka, lo) takes the id of the atom ka-lo, and unite(ka, lo-mi) and
+# unite(ka-lo, mi) both take the id ka-lo-mi: generated ids clash.
+CLASH_REGISTRY = Registry(
+    [Mode(i, i.title()) for i in ONE_WORD + TWO_WORD]
+    + [Mode("ka-mi-pair", "Ka-Mi Pair", ("ka", "mi")),
+       Mode("lo-nu-pair", "Lo-Nu Pair", ("lo", "nu"))])
+# Rule partners may lie outside the registry; those come back as generated atoms.
+RULE_NAMES = ONE_WORD + TWO_WORD + ["zo", "zo-ka", "pe"]
+
+
+def pairs_of(names):
+    return [names[i:i + 2] for i in range(0, len(names) - 1, 2)]
+
+
+@st.composite
+def rule_sets(draw):
+    relations = [pairs_of(draw(st.lists(st.sampled_from(RULE_NAMES), unique=True,
+                                        max_size=8)))
+                 for _ in range(3)]
+    return DualityRuleSet(*relations)
+
+
+class TestClosureAgainstNaive:
+    @given(seed=st.none() | st.sets(st.sampled_from(sorted(m.id for m in CLASH_REGISTRY)),
+                                    min_size=1),
+           rules=rule_sets(),
+           ops=st.sets(st.sampled_from(OPERATOR_KINDS), min_size=1),
+           depth=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_derivations_match_tuple_for_tuple(self, seed, rules, ops, depth):
+        assert (closure(CLASH_REGISTRY, rules, ops, depth, seed=seed)
+                == closure_naive(CLASH_REGISTRY, rules, ops, depth, seed=seed))
+
+    def test_clashing_ids_are_reached(self):
+        derivations = closure(CLASH_REGISTRY, DualityRuleSet(), ["unite"], 1)
+        inputs = {d.result_ids[0]: d.inputs for d in derivations}
+        assert inputs["ka-lo-mi"] == ("ka", "lo-mi")   # not ("ka-lo", "mi")
+        assert inputs["ka-lo"] == ("ka", "lo")
+        assert next(d for d in derivations if d.inputs == ("ka", "lo")).rediscovery
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_builtin_registry_matches(self, depth):
+        registry, rules = default_registry(), default_rules()
+        assert (closure(registry, rules, OPERATOR_KINDS, depth)
+                == closure_naive(registry, rules, OPERATOR_KINDS, depth))
+
+
+def test_depth_two_unites_only_pairs_touching_a_new_atom(monkeypatch):
+    registry, rules = default_registry(), default_rules()
+    calls = []
+
+    def counting_unite(reg, a, b):
+        calls.append(frozenset((a.id, b.id)))
+        return unite(reg, a, b)
+
+    monkeypatch.setattr(operators, "unite", counting_unite)
+    seed = sorted(m.id for m in base_atoms())
+    derivations = closure(registry, rules, ["unite", "reduce"], 2, seed=seed)
+    new_atoms = {r.id for d in derivations if d.depth == 1
+                 for r in d.results if r.is_atomic and r.id not in seed}
+    assert new_atoms == {"summary"}  # reduce(exposition)
+    first, second = calls[:21], calls[21:]
+    assert set(first) == {frozenset(p) for p in combinations(seed, 2)}
+    assert set(second) == {frozenset((a, "summary")) for a in seed}
+    assert len(second) == 7  # a full second pass would make C(8, 2) = 28
