@@ -1,218 +1,54 @@
 """Rhetorical-mode toolkit: registry, duality operators, capacity and
-entropy metrics, three-layer mapping, and annotated-document analysis."""
+entropy metrics, three-layer mapping, and annotated-document analysis.
 
-from .capacity import (
-    MAX_WIDTH,
-    MRB,
-    CapacityReport,
-    CoverageReport,
-    GrowthParams,
-    capacity,
-    capacity_ratio,
-    capacity_table,
-    coverage,
-    coverage_band,
-    growth,
-)
-from .documents import (
-    AnnotatedDocument,
-    ConeRow,
-    IntervalRate,
-    LayerTrace,
-    RriEstimate,
-    Segment,
-    StageMapping,
-    StageSchedule,
-    StageStep,
-    StageTrace,
-    analyze_coverage,
-    cone,
-    default_schedule,
-    estimate_rri,
-    load_schedule,
-    load_stage_map,
-    parse_document,
-    serialize_document,
-    serialize_schedule,
-    trace_layers,
-)
-from .entropy import (
-    MAX_ENTROPY_WIDTH,
-    EntropyReport,
-    LayeredEntropyReport,
-    asymptotic_subset_entropy,
-    entropy_flat,
-    entropy_layered,
-    entropy_subset_sizes,
-    subset_entropy_exact,
-    subset_entropy_logspace,
-    uniform,
-)
-from .errors import (
-    BadCapacity,
-    BadComposition,
-    BadConstituent,
-    BadCount,
-    BadDistribution,
-    BadEdge,
-    BadIndex,
-    BadRuleSet,
-    BadSchedule,
-    DuplicateMode,
-    EmptySegment,
-    NoDual,
-    NotAtomic,
-    NotDiatomic,
-    NotEnoughStages,
-    OutOfRange,
-    ParseError,
-    RhetorError,
-    SelfUnite,
-    UnknownMode,
-    UnknownNode,
-    UnknownProfile,
-    UnmappedStage,
-)
-from .operators import (
-    OPERATOR_KINDS,
-    Derivation,
-    DualityRuleSet,
-    closure,
-    default_rules,
-    expand,
-    forward_backward,
-    load_rules,
-    orthogonal,
-    reduce,
-    serialize_rules,
-    split,
-    unite,
-)
-from .pyramid import (
-    ACADEMIC_PROFILE,
-    DEFAULT_PROFILE,
-    AcademicFunction,
-    BranchingStats,
-    LayerNode,
-    PyramidGraph,
-    academic_function_examples,
-    branching_stats,
-    compose_academic,
-    compose_re,
-    load_pyramid,
-    serialize_pyramid,
-)
-from .registry import (
-    Mode,
-    Origin,
-    Registry,
-    base_atoms,
-    base_registry,
-    canon,
-    default_registry,
-    load_registry,
-    serialize_registry,
-)
+Public names load their submodule on first access (PEP 562), so a caller
+pays only for the modules it uses.
+"""
+
+import importlib
+
+# Eager, because importing the submodule rhetor.capacity sets the package
+# attribute ``capacity`` to the module; binding the function afterwards keeps
+# ``rhetor.capacity`` the function.
+from .capacity import capacity
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACADEMIC_PROFILE",
-    "AcademicFunction",
-    "AnnotatedDocument",
-    "BadCapacity",
-    "BadComposition",
-    "BadConstituent",
-    "BadCount",
-    "BadDistribution",
-    "BadEdge",
-    "BadIndex",
-    "BadRuleSet",
-    "BadSchedule",
-    "BranchingStats",
-    "CapacityReport",
-    "ConeRow",
-    "CoverageReport",
-    "DEFAULT_PROFILE",
-    "Derivation",
-    "DualityRuleSet",
-    "DuplicateMode",
-    "EmptySegment",
-    "EntropyReport",
-    "GrowthParams",
-    "IntervalRate",
-    "LayerNode",
-    "LayerTrace",
-    "LayeredEntropyReport",
-    "MAX_ENTROPY_WIDTH",
-    "MAX_WIDTH",
-    "MRB",
-    "Mode",
-    "NoDual",
-    "NotAtomic",
-    "NotDiatomic",
-    "NotEnoughStages",
-    "OPERATOR_KINDS",
-    "Origin",
-    "OutOfRange",
-    "ParseError",
-    "PyramidGraph",
-    "Registry",
-    "RhetorError",
-    "RriEstimate",
-    "Segment",
-    "SelfUnite",
-    "StageMapping",
-    "StageSchedule",
-    "StageStep",
-    "StageTrace",
-    "UnknownMode",
-    "UnknownNode",
-    "UnknownProfile",
-    "UnmappedStage",
-    "academic_function_examples",
-    "analyze_coverage",
-    "asymptotic_subset_entropy",
-    "base_atoms",
-    "base_registry",
-    "branching_stats",
-    "canon",
-    "capacity",
-    "capacity_ratio",
-    "capacity_table",
-    "closure",
-    "compose_academic",
-    "compose_re",
-    "cone",
-    "coverage",
-    "coverage_band",
-    "default_registry",
-    "default_rules",
-    "default_schedule",
-    "entropy_flat",
-    "entropy_layered",
-    "entropy_subset_sizes",
-    "estimate_rri",
-    "expand",
-    "forward_backward",
-    "growth",
-    "load_pyramid",
-    "load_registry",
-    "load_rules",
-    "load_schedule",
-    "load_stage_map",
-    "orthogonal",
-    "parse_document",
-    "reduce",
-    "serialize_document",
-    "serialize_pyramid",
-    "serialize_registry",
-    "serialize_rules",
-    "serialize_schedule",
-    "split",
-    "subset_entropy_exact",
-    "subset_entropy_logspace",
-    "trace_layers",
-    "uniform",
-    "unite",
-]
+_SUBMODULE = {name: module for module, names in {
+    "capacity": """MAX_WIDTH MRB CapacityReport CoverageReport GrowthParams
+        capacity capacity_ratio capacity_table coverage coverage_band growth""",
+    "documents": """AnnotatedDocument ConeRow IntervalRate LayerTrace RriEstimate
+        Segment StageMapping StageSchedule StageStep StageTrace analyze_coverage
+        cone default_schedule estimate_rri load_schedule load_stage_map
+        parse_document serialize_document serialize_schedule trace_layers""",
+    "entropy": """MAX_ENTROPY_WIDTH EntropyReport LayeredEntropyReport
+        asymptotic_subset_entropy entropy_flat entropy_layered entropy_subset_sizes
+        subset_entropy_exact subset_entropy_logspace uniform""",
+    "errors": """BadCapacity BadComposition BadConstituent BadCount BadDistribution
+        BadEdge BadIndex BadRuleSet BadSchedule DuplicateMode EmptySegment NoDual
+        NotAtomic NotDiatomic NotEnoughStages OutOfRange ParseError RhetorError
+        SelfUnite UnknownMode UnknownNode UnknownProfile UnmappedStage""",
+    "operators": """OPERATOR_KINDS Derivation DualityRuleSet closure default_rules
+        expand forward_backward load_rules orthogonal reduce serialize_rules split
+        unite""",
+    "pyramid": """ACADEMIC_PROFILE DEFAULT_PROFILE AcademicFunction BranchingStats
+        LayerNode PyramidGraph academic_function_examples branching_stats
+        compose_academic compose_re load_pyramid serialize_pyramid""",
+    "registry": """Mode Origin Registry base_atoms base_registry canon
+        default_registry load_registry serialize_registry""",
+}.items() for name in names.split()}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SUBMODULE))

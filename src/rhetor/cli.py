@@ -13,36 +13,19 @@ whenever ``--registry`` is not given.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
+# Building the parser needs only the width caps.  Each command imports the
+# rest of what it calls, so a call loads only the modules it uses.
 # note: "from . import capacity" would bind the re-exported capacity()
 # function, not the submodule, so names are imported explicitly instead.
 from .capacity import MAX_WIDTH, capacity, capacity_table, coverage, growth
-from .documents import (
-    analyze_coverage,
-    cone,
-    load_schedule,
-    load_stage_map,
-    parse_document,
-    trace_layers,
-)
 from .entropy import MAX_ENTROPY_WIDTH, entropy_layered, entropy_subset_sizes
 from .errors import RhetorError
-from .operators import OPERATOR_KINDS, closure, load_rules, operator_kind
-from .pyramid import (
-    C,
-    DEFAULT_PROFILE,
-    E,
-    branching_stats,
-    compose_re,
-    load_pyramid,
-)
-from .registry import _json_text, base_atoms, load_registry
 
 TABLE = "table"
 CSV = "csv"
@@ -92,10 +75,12 @@ def _emit(fmt: str, payload, *blocks) -> None:
     blank line separates blocks; csv blocks follow each other directly.
     """
     if fmt == JSON:
+        from .registry import _json_text
         sys.stdout.write(_json_text(payload))
         return
     for i, block in enumerate(blocks):
         if fmt == CSV:
+            import csv
             headers, rows = ((list(block), [list(block.values())])
                              if isinstance(block, dict) else block)
             writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -183,11 +168,17 @@ def cmd_entropy(args, parser) -> int:
 
 
 def cmd_derive(args, parser) -> int:
-    try:
-        kinds = [operator_kind(name.strip())
-                 for name in args.ops.split(",") if name.strip()]
-    except ValueError as exc:
-        parser.error(str(exc))
+    from .operators import OPERATOR_KINDS, closure, load_rules, operator_kind
+    from .registry import base_atoms, load_registry
+    kinds = OPERATOR_KINDS
+    if args.ops is not None:
+        try:
+            kinds = [operator_kind(name.strip())
+                     for name in args.ops.split(",") if name.strip()]
+        except ValueError as exc:
+            parser.error(str(exc))
+        if not kinds:
+            parser.error("--ops needs at least one operator")
     registry = load_registry(args.registry)
     rules = load_rules(args.rules)
     seed = base_atoms() if args.atoms_only_base else None
@@ -204,16 +195,19 @@ def cmd_derive(args, parser) -> int:
 
 
 def cmd_map(args) -> int:
-    graph = load_pyramid(args.profile, source=args.file,
+    from .pyramid import C, DEFAULT_PROFILE, E, branching_stats, compose_re, load_pyramid
+    from .registry import load_registry
+    profile = DEFAULT_PROFILE if args.profile is None else args.profile
+    graph = load_pyramid(profile, source=args.file,
                          registry=load_registry(args.registry))
-    if args.realizers:
+    if args.realizers is not None:
         layer, _, name = args.realizers.partition(":")
         nodes = graph.children(layer.strip().upper(), name.strip())
         rows = [[n.id, n.display_name] for n in nodes]
         payload = [{"id": n.id, "display_name": n.display_name} for n in nodes]
         _emit(args.format, payload, (["id", "display_name"], rows))
         return 0
-    if args.compose:
+    if args.compose is not None:
         reached = compose_re(graph, args.compose)
         _emit(args.format, reached, (["mode"], [[r] for r in reached]))
         return 0
@@ -235,6 +229,9 @@ def cmd_map(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .documents import analyze_coverage, load_stage_map, parse_document, trace_layers
+    from .pyramid import DEFAULT_PROFILE, load_pyramid
+    from .registry import load_registry
     registry = load_registry(args.registry)
     doc = parse_document(args.file, registry)
     cov = analyze_coverage(doc, args.k)
@@ -245,7 +242,8 @@ def cmd_analyze(args) -> int:
         _emit(args.format, payload, record)
         return 0
     stage_map = load_stage_map(args.map)
-    trace = trace_layers(doc, load_pyramid(args.profile, registry=registry), stage_map)
+    profile = DEFAULT_PROFILE if args.profile is None else args.profile
+    trace = trace_layers(doc, load_pyramid(profile, registry=registry), stage_map)
     payload["trace"] = {"e_ids": trace.e_ids, "stages": [asdict(s) for s in trace.stages]}
     headers = ["stage", "c_ids", "e_id", "observed", "overlap", "mismatch"]
     rows = [[s.stage, "+".join(s.c_ids), s.e_id, "+".join(sorted(s.observed)),
@@ -256,6 +254,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cone(args) -> int:
+    from .documents import cone, load_schedule
     schedule = load_schedule(args.schedule)
     rows_data = cone(schedule, args.c0)
     headers = ["stage", "K", "K_NRC", "K_RC", "R_scale", "R_scale_norm"]
@@ -338,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_entropy, needs_parser=True)
 
     sub = commands.add_parser("derive", help="closure of duality operators")
-    sub.add_argument("--ops", default=",".join(OPERATOR_KINDS),
-                     metavar="OP[,OP...]",
+    sub.add_argument("--ops", metavar="OP[,OP...]",
                      help="operators: split, unite, fb, expand, reduce, ortho")
     sub.add_argument("--depth", type=_depth_flag, default=1)
     sub.add_argument("--rules", metavar="FILE", type=_file_flag,
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_derive, needs_parser=True)
 
     sub = commands.add_parser("map", help="three-layer mapping graph")
-    sub.add_argument("--profile", default=DEFAULT_PROFILE,
+    sub.add_argument("--profile",
                      help="built-in profile name (default/academic-writing)")
     sub.add_argument("--file", metavar="FILE", type=_file_flag,
                      help="mapping document JSON")
@@ -372,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="repertoire width (default: declared_K)")
     sub.add_argument("--map", metavar="FILE", type=_file_flag,
                      help="stage map JSON enabling the trace")
-    sub.add_argument("--profile", default=DEFAULT_PROFILE,
-                     help="mapping profile for the trace")
+    sub.add_argument("--profile", help="mapping profile for the trace")
     _add_registry(sub)
     _add_format(sub)
     sub.set_defaults(func=cmd_analyze)

@@ -25,10 +25,9 @@ plus supplementary modes (:func:`compose_academic`).
 """
 from __future__ import annotations
 
-import difflib
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import fmean
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -227,7 +226,7 @@ class BranchingStats:
 
     def mean_degree(self, layer: str) -> float:
         degrees = self._layer(layer)
-        return fmean(d for _, d in degrees) if degrees else 0.0
+        return math.fsum(d for _, d in degrees) / len(degrees) if degrees else 0.0
 
     def branchings(self, layer: str) -> list[tuple[str, int]]:
         """Stage list for :func:`rhetor.entropy.entropy_layered`."""
@@ -291,6 +290,7 @@ class PyramidGraph:
         nid = canon(name)
         found = self._nodes[layer].get(nid)
         if found is None:
+            import difflib  # only a miss that reaches the user needs hints
             pool = sorted(self._nodes[layer])
             hints = difflib.get_close_matches(nid, pool, n=2, cutoff=0.6)
             raise UnknownNode(f"no {layer}-layer node named {name!r}"

@@ -19,7 +19,6 @@ serialized registry always loads back.
 """
 from __future__ import annotations
 
-import difflib
 import json
 import re
 from dataclasses import dataclass, field
@@ -236,6 +235,7 @@ class Registry:
             return name
         mode = self._lookup(name)
         if mode is None:
+            import difflib  # only a miss that reaches the user needs hints
             suggestions = tuple(
                 difflib.get_close_matches(canon(name), sorted(self._modes), n=2, cutoff=0.6))
             raise UnknownMode(f"no mode named {name!r}", suggestions=suggestions)

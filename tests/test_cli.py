@@ -208,6 +208,13 @@ class TestDerive:
         code, _, _ = run(capsys, "derive", "--depth", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("ops", [",", " "], ids=["comma", "blank"])
+    def test_empty_operator_list_is_usage_error(self, capsys, ops):
+        code, out, err = run(capsys, "derive", "--ops", ops)
+        assert code == 2
+        assert out == ""
+        assert "--ops needs at least one operator" in err
+
 
 class TestMap:
     def test_edge_listing(self, capsys):
@@ -263,6 +270,13 @@ class TestMap:
     def test_unknown_node(self, capsys):
         code, _, err = run(capsys, "map", "--realizers", "C:nonesuch")
         assert code == 1
+        assert err.split(":")[0] == "UnknownNode"
+
+    @pytest.mark.parametrize("flag", ["--compose", "--realizers"])
+    def test_empty_node_name_is_unknown_node(self, capsys, flag):
+        code, out, err = run(capsys, "map", flag, "")
+        assert code == 1
+        assert out == ""
         assert err.split(":")[0] == "UnknownNode"
 
     def test_actions_mutually_exclusive(self, capsys):

@@ -1,0 +1,109 @@
+"""What a call loads, and the lazily loaded package namespace.
+
+The load checks run in fresh interpreters, because this test process has
+already imported every module.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rhetor
+
+SRC = str(Path(rhetor.__file__).resolve().parent.parent)
+
+# Modules that building the parser and the capacity and entropy commands
+# never use.
+UNUSED_BY_LIGHT_CALLS = ("rhetor.registry", "rhetor.operators", "rhetor.pyramid",
+                         "rhetor.documents", "difflib", "statistics")
+
+PUBLIC_NAMES = set("""
+ACADEMIC_PROFILE AcademicFunction AnnotatedDocument BadCapacity BadComposition
+BadConstituent BadCount BadDistribution BadEdge BadIndex BadRuleSet BadSchedule
+BranchingStats CapacityReport ConeRow CoverageReport DEFAULT_PROFILE Derivation
+DualityRuleSet DuplicateMode EmptySegment EntropyReport GrowthParams
+IntervalRate LayerNode LayerTrace LayeredEntropyReport MAX_ENTROPY_WIDTH
+MAX_WIDTH MRB Mode NoDual NotAtomic NotDiatomic NotEnoughStages OPERATOR_KINDS
+Origin OutOfRange ParseError PyramidGraph Registry RhetorError RriEstimate
+Segment SelfUnite StageMapping StageSchedule StageStep StageTrace UnknownMode
+UnknownNode UnknownProfile UnmappedStage academic_function_examples
+analyze_coverage asymptotic_subset_entropy base_atoms base_registry
+branching_stats canon capacity capacity_ratio capacity_table closure
+compose_academic compose_re cone coverage coverage_band default_registry
+default_rules default_schedule entropy_flat entropy_layered entropy_subset_sizes
+estimate_rri expand forward_backward growth load_pyramid load_registry
+load_rules load_schedule load_stage_map orthogonal parse_document reduce
+serialize_document serialize_pyramid serialize_registry serialize_rules
+serialize_schedule split subset_entropy_exact subset_entropy_logspace
+trace_layers uniform unite
+""".split())
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports rhetor from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("RHETOR_REGISTRY", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _loaded_after(code: str) -> set[str]:
+    return set(_fresh(code + "\nimport sys\nprint(' '.join(sys.modules))").split())
+
+
+@pytest.mark.parametrize("code", [
+    "import rhetor.cli",
+    *(f"import contextlib, io\nfrom rhetor.cli import main\n"
+      f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+      for argv in (["tables", "--max-k", "12"],
+                   ["tables", "--max-k", "12", "--format", "csv"],
+                   ["capacity", "--k", "14", "--ln", "1", "--used", "5"],
+                   ["entropy", "--k", "18"],
+                   ["entropy", "--k", "20", "--layers", "4,4", "--flat", "20",
+                    "--format", "csv"])),
+], ids=["import", "tables", "tables-csv", "capacity", "entropy", "entropy-layered-csv"])
+def test_light_calls_load_no_unused_module(code):
+    loaded = _loaded_after(code)
+    assert "rhetor.cli" in loaded
+    assert loaded.isdisjoint(UNUSED_BY_LIGHT_CALLS), loaded & set(UNUSED_BY_LIGHT_CALLS)
+
+
+def test_import_loads_submodules_on_first_use():
+    assert "rhetor.pyramid" not in _loaded_after("import rhetor")
+    assert "rhetor.pyramid" in _loaded_after("import rhetor\nrhetor.load_pyramid")
+
+
+def test_public_names_are_unchanged():
+    assert set(rhetor.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    _fresh("import rhetor\nfor name in rhetor.__all__:\n    getattr(rhetor, name)")
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from rhetor import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+
+
+def test_capacity_stays_the_function_after_importing_its_module():
+    assert _fresh("import rhetor.capacity, rhetor\n"
+                  "print(callable(rhetor.capacity), rhetor.capacity(4).K)").split() == [
+        "True", "4"]
+
+
+def test_dir_lists_all_and_every_public_name():
+    assert "__all__" in dir(rhetor)
+    assert PUBLIC_NAMES <= set(dir(rhetor))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nonesuch"):
+        rhetor.nonesuch
+    assert not hasattr(rhetor, "nonesuch")
