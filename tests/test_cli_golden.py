@@ -17,6 +17,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
 LESSON = str(FIXTURES / "lesson_nature_of_memory.rma")
 LESSON_MAP = str(FIXTURES / "lesson_map.json")
+EMPTY_SCHEDULE = str(FIXTURES / "empty_schedule.json")
 
 CASES = {
     "tables": ["tables", "--max-k", "12"],
@@ -25,6 +26,7 @@ CASES = {
     "entropy": ["entropy", "--k", "18"],
     "entropy-layered": ["entropy", "--k", "20", "--layers", "4,4", "--flat", "20"],
     "derive": ["derive", "--ops", "split,fb", "--depth", "2"],
+    "derive-empty": ["derive", "--ops", "split", "--atoms-only-base"],
     "map": ["map"],
     "map-realizers": ["map", "--realizers", "C:observe"],
     "map-compose": ["map", "--compose", "knowledge-formation"],
@@ -32,6 +34,7 @@ CASES = {
     "analyze": ["analyze", LESSON],
     "analyze-map": ["analyze", LESSON, "--map", LESSON_MAP],
     "cone": ["cone"],
+    "cone-empty": ["cone", "--schedule", EMPTY_SCHEDULE],
 }
 FORMATS = ("table", "csv", "json")
 
