@@ -119,6 +119,8 @@ def growth(l_n: float, c_0: float = 1.0) -> GrowthParams:
         raise BadCapacity(f"introduction rate L_n must be non-negative, got {l_n!r}")
     r_scale = l_n * MRB
     norm = r_scale / c_0
+    if not math.isfinite(norm):
+        raise BadCapacity(f"load L_n/C_0 = {l_n!r}/{c_0!r} is out of floating-point range")
     if abs(norm - 1.0) <= CRITICAL_TOLERANCE:
         load_class = CRITICAL
     elif norm < 1.0:

@@ -35,8 +35,18 @@ FORMATS = (TABLE, CSV, JSON)
 REGISTRY_ENV = "RHETOR_REGISTRY"
 
 
-def _real(x: float) -> str:
-    return f"{x:.4f}"
+def _cell(value) -> str:
+    """One table or csv cell: ``true``/``false``, reals to 4 places, sets
+    sorted and sequences in order joined with ``+``, anything else as str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    if isinstance(value, (set, frozenset)):
+        return "+".join(sorted(value))
+    if isinstance(value, (tuple, list)):
+        return "+".join(value)
+    return str(value)
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
@@ -71,61 +81,55 @@ def _emit(fmt: str, payload, *blocks) -> None:
     """Render one result: ``payload`` for json, otherwise ``blocks`` in order.
 
     A dict block is one record, printed as name/value lines (table) or a
-    one-row csv; a ``(headers, rows)`` block is a table.  In table format a
-    blank line separates blocks; csv blocks follow each other directly.
+    one-row csv; a ``(headers, rows)`` block is a table whose rows are
+    sequences or dicts keyed by header.  Blocks hold raw values; every cell
+    goes through :func:`_cell`.  In table format a blank line separates
+    blocks; csv blocks follow each other directly.
     """
     if fmt == JSON:
         from .registry import _json_text
         sys.stdout.write(_json_text(payload))
         return
     for i, block in enumerate(blocks):
+        record = isinstance(block, dict)
+        headers, rows = (list(block), [block]) if record else block
+        cells = [[_cell(row[h]) for h in headers] if isinstance(row, dict)
+                 else [_cell(value) for value in row] for row in rows]
         if fmt == CSV:
             import csv
-            headers, rows = ((list(block), [list(block.values())])
-                             if isinstance(block, dict) else block)
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(headers)
-            writer.writerows(rows)
+            writer.writerows(cells)
             continue
         if i:
             print()
-        if isinstance(block, dict):
-            width = max(len(name) for name in block)
-            for name, value in block.items():
-                print(f"{name.ljust(width)}  {value}")
+        if record:
+            width = max(len(name) for name in headers)
+            for name, cell in zip(headers, cells[0]):
+                print(f"{name.ljust(width)}  {cell}")
         else:
-            _print_table(*block)
+            _print_table(headers, cells)
 
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_tables(args) -> int:
-    reports = capacity_table(args.max_k)
-    headers = ["K", "k_m", "K_max", "K_NRC"]
-    rows = [[str(r.K), str(r.k_m), str(r.K_max), str(r.K_NRC)] for r in reports]
-    payload = [{"K": r.K, "k_m": r.k_m, "K_max": r.K_max, "K_NRC": r.K_NRC}
-               for r in reports]
-    _emit(args.format, payload, (headers, rows))
+def cmd_tables(args, parser) -> int:
+    records = [{"K": r.K, "k_m": r.k_m, "K_max": r.K_max, "K_NRC": r.K_NRC}
+               for r in capacity_table(args.max_k)]
+    _emit(args.format, records, (["K", "k_m", "K_max", "K_NRC"], records))
     return 0
 
 
-def cmd_capacity(args) -> int:
-    report = capacity(args.k)
-    record = {"K": str(report.K), "k_m": str(report.k_m), "K_max": str(report.K_max),
-              "K_NRC": str(report.K_NRC), "K_RC": _real(report.K_RC),
-              "MRB": _real(report.MRB)}
-    payload = asdict(report)
+def cmd_capacity(args, parser) -> int:
+    payload = asdict(capacity(args.k))
+    record = dict(payload)
     if args.ln is not None:
-        params = growth(args.ln, args.c0)
-        record.update(L_n=_real(params.L_n), C_0=_real(params.C_0),
-                      R_scale=_real(params.R_scale),
-                      R_scale_norm=_real(params.R_scale_norm),
-                      load_class=params.load_class)
-        payload["growth"] = asdict(params)
+        payload["growth"] = asdict(growth(args.ln, args.c0))
+        record.update(payload["growth"])
     if args.used is not None:
-        cov = coverage(args.used, args.k)
-        record.update(K_u=str(cov.K_u), C_m=_real(cov.C_m), band=cov.band)
-        payload["coverage"] = asdict(cov)
+        # coverage's K is args.k, so merging it keeps the record's K in place
+        payload["coverage"] = asdict(coverage(args.used, args.k))
+        record.update(payload["coverage"])
     _emit(args.format, payload, record)
     return 0
 
@@ -145,25 +149,19 @@ def _parse_layers(parser, text: str) -> list[tuple[str, int]]:
 
 
 def cmd_entropy(args, parser) -> int:
-    if args.layers is not None:
-        if args.flat is None:
-            parser.error("--layers requires --flat")
-        report = entropy_layered(_parse_layers(parser, args.layers), args.flat)
-        headers = ["stage", "branching", "H"]
-        rows = [[name, str(b), _real(h)] for name, b, h in report.stage_entropies]
-        rows.append(["flat", str(report.flat_K), _real(report.flat_H)])
-        rows.append(["max_stage", "", _real(report.max_stage_H)])
-        rows.append(["sum_stage", "", _real(report.sum_stage_H)])
-        payload = asdict(report)
-        payload["stages"] = [{"name": name, "branching": b, "H": h}
-                             for name, b, h in payload.pop("stage_entropies")]
-        _emit(args.format, payload, (headers, rows))
+    if args.layers is None:
+        record = asdict(entropy_subset_sizes(args.k))
+        _emit(args.format, record, record)
         return 0
-    report = entropy_subset_sizes(args.k)
-    record = {"K": str(report.K), "H_flat": _real(report.H_flat),
-              "H_subset": _real(report.H_subset),
-              "H_asymptotic": _real(report.H_asymptotic), "gap": _real(report.gap)}
-    _emit(args.format, asdict(report), record)
+    if args.flat is None:
+        parser.error("--layers requires --flat")
+    report = entropy_layered(_parse_layers(parser, args.layers), args.flat)
+    rows = [*report.stage_entropies, ("flat", report.flat_K, report.flat_H),
+            ("max_stage", "", report.max_stage_H), ("sum_stage", "", report.sum_stage_H)]
+    payload = asdict(report)
+    payload["stages"] = [{"name": name, "branching": b, "H": h}
+                         for name, b, h in payload.pop("stage_entropies")]
+    _emit(args.format, payload, (["stage", "branching", "H"], rows))
     return 0
 
 
@@ -182,19 +180,15 @@ def cmd_derive(args, parser) -> int:
     registry = load_registry(args.registry)
     rules = load_rules(args.rules)
     seed = base_atoms() if args.atoms_only_base else None
-    derivations = closure(registry, rules, kinds, args.depth, seed=seed)
-    headers = ["depth", "operator", "inputs", "results", "rediscovery"]
-    rows = [[str(d.depth), d.operator, "+".join(d.inputs),
-             "+".join(d.result_ids), str(d.rediscovery).lower()]
-            for d in derivations]
-    payload = [{"depth": d.depth, "operator": d.operator, "inputs": d.inputs,
+    records = [{"depth": d.depth, "operator": d.operator, "inputs": d.inputs,
                 "results": d.result_ids, "rediscovery": d.rediscovery}
-               for d in derivations]
-    _emit(args.format, payload, (headers, rows))
+               for d in closure(registry, rules, kinds, args.depth, seed=seed)]
+    headers = ["depth", "operator", "inputs", "results", "rediscovery"]
+    _emit(args.format, records, (headers, records))
     return 0
 
 
-def cmd_map(args) -> int:
+def cmd_map(args, parser) -> int:
     from .pyramid import C, DEFAULT_PROFILE, E, branching_stats, compose_re, load_pyramid
     from .registry import load_registry
     profile = DEFAULT_PROFILE if args.profile is None else args.profile
@@ -202,10 +196,9 @@ def cmd_map(args) -> int:
                          registry=load_registry(args.registry))
     if args.realizers is not None:
         layer, _, name = args.realizers.partition(":")
-        nodes = graph.children(layer.strip().upper(), name.strip())
-        rows = [[n.id, n.display_name] for n in nodes]
-        payload = [{"id": n.id, "display_name": n.display_name} for n in nodes]
-        _emit(args.format, payload, (["id", "display_name"], rows))
+        records = [{"id": n.id, "display_name": n.display_name}
+                   for n in graph.children(layer.strip().upper(), name.strip())]
+        _emit(args.format, records, (["id", "display_name"], records))
         return 0
     if args.compose is not None:
         reached = compose_re(graph, args.compose)
@@ -213,8 +206,8 @@ def cmd_map(args) -> int:
         return 0
     if args.stats:
         stats = branching_stats(graph)
-        rows = [["C", node, str(degree)] for node, degree in stats.c_degrees]
-        rows += [["E", node, str(degree)] for node, degree in stats.e_degrees]
+        rows = [["C", node, degree] for node, degree in stats.c_degrees]
+        rows += [["E", node, degree] for node, degree in stats.e_degrees]
         payload = {
             "C": dict(stats.c_degrees), "E": dict(stats.e_degrees),
             "C_max": stats.max_degree(C), "C_mean": stats.mean_degree(C),
@@ -228,39 +221,32 @@ def cmd_map(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, parser) -> int:
     from .documents import analyze_coverage, load_stage_map, parse_document, trace_layers
     from .pyramid import DEFAULT_PROFILE, load_pyramid
     from .registry import load_registry
     registry = load_registry(args.registry)
     doc = parse_document(args.file, registry)
-    cov = analyze_coverage(doc, args.k)
-    record = {"doc": doc.id, "K_u": str(cov.K_u), "K": str(cov.K),
-              "C_m": _real(cov.C_m), "band": cov.band}
-    payload: dict = {"doc": doc.id, "coverage": asdict(cov)}
+    payload: dict = {"doc": doc.id, "coverage": asdict(analyze_coverage(doc, args.k))}
+    record = {"doc": doc.id, **payload["coverage"]}
     if args.map is None:
         _emit(args.format, payload, record)
         return 0
     stage_map = load_stage_map(args.map)
     profile = DEFAULT_PROFILE if args.profile is None else args.profile
     trace = trace_layers(doc, load_pyramid(profile, registry=registry), stage_map)
-    payload["trace"] = {"e_ids": trace.e_ids, "stages": [asdict(s) for s in trace.stages]}
+    stages = [asdict(s) for s in trace.stages]
+    payload["trace"] = {"e_ids": trace.e_ids, "stages": stages}
     headers = ["stage", "c_ids", "e_id", "observed", "overlap", "mismatch"]
-    rows = [[s.stage, "+".join(s.c_ids), s.e_id, "+".join(sorted(s.observed)),
-             "+".join(sorted(s.overlap)), "+".join(sorted(s.mismatch))]
-            for s in trace.stages]
-    _emit(args.format, payload, record, (headers, rows))
+    _emit(args.format, payload, record, (headers, stages))
     return 0
 
 
-def cmd_cone(args) -> int:
+def cmd_cone(args, parser) -> int:
     from .documents import cone, load_schedule
-    schedule = load_schedule(args.schedule)
-    rows_data = cone(schedule, args.c0)
+    records = [asdict(r) for r in cone(load_schedule(args.schedule), args.c0)]
     headers = ["stage", "K", "K_NRC", "K_RC", "R_scale", "R_scale_norm"]
-    rows = [[r.stage, str(r.K), str(r.K_NRC), _real(r.K_RC),
-             _real(r.R_scale), _real(r.R_scale_norm)] for r in rows_data]
-    _emit(args.format, [asdict(r) for r in rows_data], (headers, rows))
+    _emit(args.format, records, (headers, records))
     return 0
 
 
@@ -334,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--flat", type=_entropy_width_flag, metavar="K",
                      help="flat width the layered report compares against")
     _add_format(sub)
-    sub.set_defaults(func=cmd_entropy, needs_parser=True)
+    sub.set_defaults(func=cmd_entropy)
 
     sub = commands.add_parser("derive", help="closure of duality operators")
     sub.add_argument("--ops", metavar="OP[,OP...]",
@@ -346,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed with the 7 canonical-table atoms only")
     _add_registry(sub)
     _add_format(sub)
-    sub.set_defaults(func=cmd_derive, needs_parser=True)
+    sub.set_defaults(func=cmd_derive)
 
     sub = commands.add_parser("map", help="three-layer mapping graph")
     sub.add_argument("--profile",
@@ -395,10 +381,7 @@ def main(argv: "list[str] | None" = None) -> int:
             parser.error(f"{REGISTRY_ENV} is set but empty")
         args.registry = Path(env_registry)
     try:
-        if getattr(args, "needs_parser", False):
-            code = args.func(args, parser)
-        else:
-            code = args.func(args)
+        code = args.func(args, parser)
         sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
         return code
     except RhetorError as exc:

@@ -145,11 +145,10 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
             if not rest:
                 raise ParseError("stage line needs a label", line=line_no)
             stage = rest
-        elif keyword == "seg" or line.startswith("seg|") or line.startswith("seg "):
+        elif keyword == "seg" or line.startswith("seg|"):
             if stage is None:
                 raise ParseError("segment before any stage line", line=line_no)
-            segments.append(
-                _parse_segment(line, line_no, stage, next_index, segments, registry))
+            segments.append(_parse_segment(line, line_no, stage, next_index, registry))
             next_index = segments[-1].index + 1
         else:
             raise ParseError(f"unrecognized line {line!r}", line=line_no)
@@ -158,14 +157,12 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
 
 
 def _parse_segment(line: str, line_no: int, stage: str, auto_index: int,
-                   existing: Sequence[Segment], registry: Registry) -> Segment:
+                   registry: Registry) -> Segment:
     parts = [p.strip() for p in line.split("|", 2)]
     head = parts[0]
     if len(parts) < 2:
         raise ParseError("segment line needs '|'-separated mode names", line=line_no)
     head_tokens = head.split()
-    if head_tokens[0] != "seg":
-        raise ParseError(f"unrecognized segment head {head!r}", line=line_no)
     index = auto_index
     if len(head_tokens) == 2:
         try:
@@ -175,10 +172,9 @@ def _parse_segment(line: str, line_no: int, stage: str, auto_index: int,
                              f"{head_tokens[1]!r}", line=line_no) from None
     elif len(head_tokens) > 2:
         raise ParseError(f"unrecognized segment head {head!r}", line=line_no)
-    last = existing[-1].index if existing else 0
-    if index <= last:
-        raise BadIndex(f"segment index {index} repeats or decreases (last was {last})",
-                       line=line_no)
+    if index < auto_index:
+        raise BadIndex(f"segment index {index} repeats or decreases "
+                       f"(last was {auto_index - 1})", line=line_no)
 
     names = [n.strip() for n in parts[1].split(",")]
     names = [n for n in names if n]
@@ -428,7 +424,9 @@ def _build_schedule(rows: Sequence[tuple[str, int, float]]) -> StageSchedule:
             duration = float(duration)
             l_n = (k - previous_k) / duration
         except OverflowError:
-            raise BadSchedule(f"stage {name!r} is out of floating-point range") from None
+            l_n = math.inf
+        if not math.isfinite(l_n):
+            raise BadSchedule(f"stage {name!r} is out of floating-point range")
         steps.append(StageStep(name=name, k_cumulative=k, duration=duration, l_n=l_n))
         previous_k = k
     return StageSchedule(tuple(steps))

@@ -72,7 +72,7 @@ def entropy_flat(probabilities: Sequence[float]) -> float:
         total += p
     if abs(total - 1.0) > DISTRIBUTION_TOLERANCE:
         raise BadDistribution(f"probabilities sum to {total!r}, not 1")
-    return -sum(p * math.log2(p) for p in sorted(probabilities, reverse=True) if p > 0)
+    return 0.0 - sum(p * math.log2(p) for p in sorted(probabilities, reverse=True) if p > 0)
 
 
 def _check_entropy_width(k: int) -> None:
@@ -89,7 +89,7 @@ def subset_entropy_exact(k: int) -> float:
         raise OutOfRange(f"exact path supports width 1..{MAX_WIDTH}, got {k}")
     nrc = 2**k - 1
     probs = sorted((math.comb(k, i) / nrc for i in range(1, k + 1)), reverse=True)
-    return -sum(q * math.log2(q) for q in probs)
+    return 0.0 - sum(q * math.log2(q) for q in probs)
 
 
 def subset_entropy_logspace(k: int) -> float:
@@ -102,7 +102,7 @@ def subset_entropy_logspace(k: int) -> float:
         reverse=True,
     )
     # term −q·log2 q computed from ln q; exp underflows harmlessly to 0.
-    return -sum(math.exp(lq) * (lq / _LN2) for lq in ln_probs)
+    return 0.0 - sum(math.exp(lq) * (lq / _LN2) for lq in ln_probs)
 
 
 def asymptotic_subset_entropy(k: int) -> float:

@@ -166,6 +166,10 @@ class TestGrowth:
         with pytest.raises(BadCapacity):
             growth(-0.1)
 
+    def test_load_beyond_float_range(self):
+        with pytest.raises(BadCapacity, match="out of floating-point range"):
+            growth(1e308, c_0=1e-10)
+
 
 class TestCoverage:
     def test_lesson_example(self):

@@ -84,6 +84,12 @@ class TestCapacity:
         assert payload["coverage"]["C_m"] == 0.7
         assert payload["coverage"]["band"] == "high"
 
+    def test_load_overflow_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "capacity", "--k", "5", "--ln", "1e308",
+                             "--c0", "1e-10", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.split(":")[0] == "BadCapacity"
+
     def test_used_above_width_is_domain_error(self, capsys):
         code, _, err = run(capsys, "capacity", "--k", "10", "--used", "11")
         assert code == 1
@@ -382,6 +388,11 @@ class TestCone:
         code, _, err = run(capsys, "cone", "--schedule", str(sched))
         assert code == 1
         assert err.split(":")[0] == "BadSchedule"
+
+    def test_load_overflow_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "cone", "--c0", "1e-320", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.split(":")[0] == "BadCapacity"
 
     def test_missing_schedule_file(self, capsys):
         code, _, _ = run(capsys, "cone", "--schedule", "/no/such/file.json")

@@ -9,6 +9,7 @@ fast.
 """
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -30,6 +31,8 @@ FILES = ["", " ", str(FIXTURES / "no-such-file.json"), str(FIXTURES),
          *(str(path) for path in sorted(FIXTURES.iterdir()))]
 NODES = ["", " ", ",", ":", "C:", ":observe", "X:observe", "C:nonesuch", "nonesuch"]
 PROFILES = ["", " ", "bogus"]
+# Floats that parse but are not finite, or overflow once divided.
+NON_REALS = ["nan", "inf", "-inf", "1e400", "1e308", "1e-320"]
 
 # Per subcommand: flag -> (valid values, other values), or None for a
 # switch.  "FILE" is analyze's positional argument; leaving it out is a
@@ -38,8 +41,8 @@ OPTIONS = {
     "tables": {"--max-k": (["1", "7", "30", str(MAX_WIDTH)], BROKEN + [str(MAX_WIDTH + 1)])},
     "capacity": {
         "--k": (["1", "14", str(MAX_WIDTH)], BROKEN + [str(MAX_WIDTH + 1)]),
-        "--ln": (["0.5", "1", "2.5"], BROKEN + ["nan", "inf", "-inf", "1e400"]),
-        "--c0": (["0.5", "1"], BROKEN + ["nan", "inf", "-inf", "1e400"]),
+        "--ln": (["0.5", "1", "2.5"], BROKEN + NON_REALS),
+        "--c0": (["0.5", "1"], BROKEN + NON_REALS),
         "--used": (["0", "5", "14"], BROKEN + ["10000000000"]),
     },
     "entropy": {
@@ -71,7 +74,8 @@ OPTIONS = {
         "--profile": (["default", "academic-writing"], PROFILES),
         "--registry": ([REGISTRY], FILES),
     },
-    "cone": {"--schedule": ([], FILES), "--c0": (["0.5", "1"], BROKEN + ["nan", "inf"])},
+    "cone": {"--schedule": ([], FILES),
+             "--c0": (["0.5", "1"], BROKEN + ["nan", "inf", "1e308", "1e-320"])},
 }
 
 ERROR_CLASSES = {name for name, value in vars(errors).items()
@@ -109,10 +113,18 @@ def argvs(draw) -> list[str]:
     return argv
 
 
+def _is_json(argv: list[str]) -> bool:
+    return "--format" in argv and argv[argv.index("--format") + 1] == "json"
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _check_map_output(argv: list[str], out: str) -> None:
     query = next((flag for flag in MAP_OUTPUT_START if flag in argv), None)
     header, bracket = MAP_OUTPUT_START[query]
-    if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+    if _is_json(argv):
         assert out[0] == bracket, argv
     else:
         assert re.split("[ ,\n]", out, maxsplit=1)[0] == header, argv
@@ -134,6 +146,8 @@ def test_no_argument_list_gives_a_traceback(argv):
     assert code in (0, 1, 2), argv
     if code == 0:
         assert err.getvalue() == "", argv
+        if _is_json(argv):
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
         if argv[0] == "map":
             _check_map_output(argv, out.getvalue())
     elif code == 1:

@@ -330,6 +330,10 @@ class TestSchedules:
         with pytest.raises(BadSchedule):
             load_schedule({"stages": [{"name": "a", "K": 3, "duration": 10**400}]})
 
+    def test_rate_beyond_float_range(self):
+        with pytest.raises(BadSchedule, match="out of floating-point range"):
+            load_schedule({"stages": [{"name": "a", "K": 3, "duration": 1e-320}]})
+
 
 class TestCone:
     def test_default_cone(self):

@@ -106,6 +106,12 @@ class TestSubsetSizeEntropy:
         assert h_500 == pytest.approx(asymptotic_subset_entropy(500), abs=0.01)
         assert subset_entropy_logspace(1000) > h_500
 
+    @pytest.mark.parametrize("h", [subset_entropy_exact(1), subset_entropy_logspace(1),
+                                   entropy_flat(uniform(1))],
+                             ids=["exact", "logspace", "flat"])
+    def test_single_choice_is_positive_zero(self, h):
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
     def test_range_checks(self):
         for fn in (subset_entropy_exact, subset_entropy_logspace):
             with pytest.raises(OutOfRange):
