@@ -5,7 +5,8 @@ probe, which may take any value: an empty string, a comma, a blank, a
 non-number, a bad layer or node name, a missing file, a directory, or a
 fixture of the wrong kind.  Every subcommand and flag is covered.  Depths
 stay at most 2 and accepted widths stay inside their caps, so a run stays
-fast.
+fast.  A successful json call must print strict JSON: no ``NaN`` or
+``Infinity``.
 """
 import contextlib
 import io
