@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -263,50 +264,69 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
     for mode in (ma, mb):
         if not mode.is_atomic:
             raise NotAtomic(f"cannot unite {mode.id!r}: arity is {mode.arity}")
-    existing = registry.diatomic_for_pair(ma.id, mb.id)
+    first, second = sorted((ma, mb), key=lambda m: m.id)
+    return _united(registry, first, second, _title)
+
+
+def _united(registry: Registry, first: Mode, second: Mode, title) -> Mode:
+    """``unite`` past its checks: two distinct atoms with ``first.id < second.id``;
+    ``title`` gives each atom's display name."""
+    existing = registry.diatomic_for_pair(first.id, second.id)
     if existing is not None:
         return existing
-    first, second = sorted((ma, mb), key=lambda m: m.id)
-    new_id = f"{first.id}-{second.id}"
-    return Mode(new_id, f"{_title(first.id)}-{_title(second.id)}",
+    return Mode(f"{first.id}-{second.id}", f"{title(first.id)}-{title(second.id)}",
                 (first.id, second.id), Origin.generated(UNITE, (first.id, second.id)),
                 f"Generated pairing of {first.id} and {second.id}.")
 
 
+#: Per unary operator: the rule lookup that names a partner (``None`` when
+#: unpaired) and the relation a :class:`NoDual` message names.
+_UNARY_RULES = {
+    FORWARD_BACKWARD: (DualityRuleSet.reversal_partner, "reversal"),
+    EXPAND: (DualityRuleSet.expanded_form, "scale"),
+    REDUCE: (DualityRuleSet.reduced_form, "scale"),
+    ORTHOGONAL: (DualityRuleSet.orthogonal_partner, "orthogonal"),
+}
+
+
 def _unary(registry: Registry, rules: DualityRuleSet, m: "str | Mode",
-           operator: str, partner_of, relation: str) -> Mode:
+           operator: str) -> Mode:
     mode = _rule_mode(registry, rules, m)
     if not mode.is_atomic:
         raise NotAtomic(f"cannot apply {operator} to {mode.id!r}: arity is {mode.arity}")
-    partner_id = partner_of(mode.id)
+    partner_of, relation = _UNARY_RULES[operator]
+    partner_id = partner_of(rules, mode.id)
     if partner_id is None:
         raise NoDual(f"{mode.id!r} has no {relation} partner under the active rules")
+    return _partner(registry, partner_id, operator, mode)
+
+
+def _partner(registry: Registry, partner_id: str, operator: str, source: Mode) -> Mode:
+    """A unary operator's result once the rules named ``partner_id`` for ``source``."""
     existing = registry.get(partner_id)
     if existing is not None:
         return existing
-    return _generated_atom(partner_id, operator, mode)
+    return _generated_atom(partner_id, operator, source)
 
 
 def forward_backward(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mode:
     """Reversal partner of an atom (cause → effect); an involution."""
-    return _unary(registry, rules, m, FORWARD_BACKWARD,
-                  rules.reversal_partner, "reversal")
+    return _unary(registry, rules, m, FORWARD_BACKWARD)
 
 
 def expand(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mode:
     """Expanded-scale partner of a reduced form (summary → exposition)."""
-    return _unary(registry, rules, m, EXPAND, rules.expanded_form, "scale")
+    return _unary(registry, rules, m, EXPAND)
 
 
 def reduce(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mode:
     """Reduced-scale partner of an expanded form (exposition → summary)."""
-    return _unary(registry, rules, m, REDUCE, rules.reduced_form, "scale")
+    return _unary(registry, rules, m, REDUCE)
 
 
 def orthogonal(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mode:
     """Complementary-axis partner (narration ↔ description); an involution."""
-    return _unary(registry, rules, m, ORTHOGONAL,
-                  rules.orthogonal_partner, "orthogonal")
+    return _unary(registry, rules, m, ORTHOGONAL)
 
 
 # --- closure ----------------------------------------------------------------
@@ -324,9 +344,6 @@ class Derivation:
     @property
     def result_ids(self) -> tuple[str, ...]:
         return tuple(r.id for r in self.results)
-
-
-_SKIPPABLE = (NotDiatomic, NotAtomic, SelfUnite, NoDual)
 
 
 def closure(
@@ -347,11 +364,14 @@ def closure(
     output lists each generated (or rediscovered) mode once, at its
     shallowest depth.  Output is ordered by depth, then result ids.
 
-    ``seed`` restricts the starting universe to the given modes (default:
-    the whole registry).  Stops early once a depth adds nothing new.
+    ``ops`` names operator kinds; a single string names one kind.  ``seed``
+    restricts the starting universe to the given modes (default: the whole
+    registry).  Stops early once a depth adds nothing new.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
+    if isinstance(ops, str):
+        ops = (ops,)
     kinds = sorted({operator_kind(op) for op in ops}, key=OPERATOR_KINDS.index)
     if not kinds:
         raise ValueError("ops must name at least one operator")
@@ -367,6 +387,10 @@ def closure(
 
     derived: set[str] = set()
     out: list[Derivation] = []
+    title = cache(_title)  # each atom's display name, built once per call
+    # The loops below pass the operators only inputs they accept: atoms to
+    # unite and the unary operators, diatomics to split, distinct pairs in id
+    # order.  So they call the operator cores and skip unpaired atoms by lookup.
     fresh_ids: set[str] = set(universe)  # inputs not yet tried: all, at depth 1
     for depth in range(1, max_depth + 1):
         snapshot = sorted(universe.values(), key=lambda m: m.id)
@@ -374,20 +398,14 @@ def closure(
         fresh = [m for m in snapshot if m.id in fresh_ids]
         batch: list[Derivation] = []
 
-        def attempt(operator: str, inputs: tuple[Mode, ...], apply) -> None:
-            try:
-                results = apply()
-            except _SKIPPABLE:
-                return
-            if not isinstance(results, tuple):
-                results = (results,)
+        def record(operator: str, inputs: tuple[str, ...], results: tuple[Mode, ...]) -> None:
             novel = tuple(r for r in results if r.id not in derived)
             if not novel:
                 return
             derived.update(r.id for r in novel)
             batch.append(Derivation(
                 operator=operator,
-                inputs=tuple(m.id for m in inputs),
+                inputs=inputs,
                 results=novel,
                 depth=depth,
                 rediscovery=all(r.id in registry for r in novel),
@@ -397,17 +415,18 @@ def closure(
             if kind == SPLIT:
                 for mode in fresh:
                     if mode.is_diatomic:
-                        attempt(SPLIT, (mode,), lambda m=mode: split(registry, m))
+                        record(SPLIT, (mode.id,), split(registry, mode))
             elif kind == UNITE:
                 for a, b in _pairs_touching(atoms, fresh_ids):
-                    attempt(UNITE, (a, b), lambda x=a, y=b: unite(registry, x, y))
+                    record(UNITE, (a.id, b.id), (_united(registry, a, b, title),))
             else:
-                op_fn = {FORWARD_BACKWARD: forward_backward, EXPAND: expand,
-                         REDUCE: reduce, ORTHOGONAL: orthogonal}[kind]
+                partner_of = _UNARY_RULES[kind][0]
                 for mode in fresh:
                     if mode.is_atomic:
-                        attempt(kind, (mode,),
-                                lambda m=mode, f=op_fn: f(registry, rules, m))
+                        partner_id = partner_of(rules, mode.id)
+                        if partner_id is not None:
+                            record(kind, (mode.id,),
+                                   (_partner(registry, partner_id, kind, mode),))
 
         batch.sort(key=lambda d: d.result_ids)
         out.extend(batch)

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .errors import BadConstituent, DuplicateMode, ParseError, UnknownMode
 
-_ID_PATTERN = re.compile(r"[a-z][a-z0-9-]*\Z")
+_ID_PATTERN = re.compile(r"[a-z][a-z0-9]*(?:-[a-z0-9]+)*\Z")
 _SEPARATORS = re.compile(r"[–—/\s]+")  # en/em dash, slash, whitespace
 _DISALLOWED = re.compile(r"[^a-z0-9-]")
 _HYPHEN_RUNS = re.compile(r"-{2,}")

@@ -1,17 +1,22 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from rhetor import default_registry, default_rules, load_pyramid, parse_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # Every run draws the same examples and stores none, so property tests
-# cannot flake the suite and leave no example database in the checkout.
+# cannot flake the suite.  What hypothesis still writes (its constants
+# cache) goes to a directory removed when the run ends, not the checkout.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="rhetor-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

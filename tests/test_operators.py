@@ -277,6 +277,13 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure(registry, rules, ["bogus"], 1)
 
+    def test_bare_string_names_one_operator(self, registry, rules):
+        assert (closure(registry, rules, "unite", 1)
+                == closure(registry, rules, ["unite"], 1))
+        assert closure(registry, rules, "fb", 1) == closure(registry, rules, ["fb"], 1)
+        with pytest.raises(ValueError, match="'bogus'"):
+            closure(registry, rules, "bogus", 1)
+
 
 class TestOperatorNames:
     def test_aliases(self):

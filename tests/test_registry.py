@@ -10,6 +10,7 @@ from rhetor import (
     Mode,
     Origin,
     ParseError,
+    Registry,
     UnknownMode,
     base_atoms,
     base_registry,
@@ -200,6 +201,14 @@ class TestSerializeLoad:
         doc = {"modes": [{"id": "Bad Id", "constituents": [], "description": ""}]}
         with pytest.raises(ParseError):
             load_registry(doc)
+
+    @pytest.mark.parametrize("bad_id", ["a--b", "ab-", "1ab"])
+    def test_non_canonical_id_rejected_with_position(self, bad_id):
+        doc = {"modes": [{"id": "story"}, {"id": bad_id}]}
+        with pytest.raises(ParseError, match=r"modes\[1\]"):
+            load_registry(doc)
+        with pytest.raises(ParseError, match="not a valid identifier"):
+            Registry([Mode(bad_id, "Bad")])
 
     def test_arity_mismatch_rejected(self):
         doc = {"modes": [{"id": "x", "arity": "diatomic", "constituents": [],

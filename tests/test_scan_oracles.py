@@ -15,10 +15,14 @@ from rhetor import (
     DualityRuleSet,
     LayerNode,
     Mode,
+    NoDual,
+    NotAtomic,
+    NotDiatomic,
     PyramidGraph,
     Registry,
     RhetorError,
     Segment,
+    SelfUnite,
     StageMapping,
     UnmappedStage,
     base_atoms,
@@ -118,6 +122,12 @@ def trace_layers_scan(doc, graph, stage_map):
     return LayerTrace(doc.id, tuple(traces), tuple(e_ids))
 
 
+# The errors the naive closure treats as "operator does not apply here".
+SKIPPABLE = (NotDiatomic, NotAtomic, SelfUnite, NoDual)
+UNARY = {"forward_backward": forward_backward, "expand": expand,
+         "reduce": reduce, "orthogonal": orthogonal}
+
+
 def closure_naive(registry, rules, ops, max_depth, seed=None):
     kinds = sorted({operator_kind(op) for op in ops}, key=OPERATOR_KINDS.index)
     if seed is None:
@@ -128,8 +138,6 @@ def closure_naive(registry, rules, ops, max_depth, seed=None):
             mode = entry if isinstance(entry, Mode) else registry.resolve(entry)
             universe[mode.id] = mode
     derived, out = set(), []
-    unary = {"forward_backward": forward_backward, "expand": expand,
-             "reduce": reduce, "orthogonal": orthogonal}
     for depth in range(1, max_depth + 1):
         snapshot = sorted(universe.values(), key=lambda m: m.id)
         atoms = [m for m in snapshot if m.is_atomic]
@@ -138,7 +146,7 @@ def closure_naive(registry, rules, ops, max_depth, seed=None):
         def attempt(operator, inputs, apply):
             try:
                 results = apply()
-            except operators._SKIPPABLE:
+            except SKIPPABLE:
                 return
             if not isinstance(results, tuple):
                 results = (results,)
@@ -161,7 +169,7 @@ def closure_naive(registry, rules, ops, max_depth, seed=None):
             else:
                 for mode in atoms:
                     attempt(kind, (mode,),
-                            lambda m=mode, f=unary[kind]: f(registry, rules, m))
+                            lambda m=mode, f=UNARY[kind]: f(registry, rules, m))
         if not batch:
             break
         batch.sort(key=lambda d: d.result_ids)
@@ -271,12 +279,16 @@ def rule_sets(draw):
     return DualityRuleSet(*relations)
 
 
+CLOSURE_CASES = dict(
+    seed=st.none() | st.sets(st.sampled_from(sorted(m.id for m in CLASH_REGISTRY)),
+                             min_size=1),
+    rules=rule_sets(),
+    ops=st.sets(st.sampled_from(OPERATOR_KINDS), min_size=1),
+    depth=st.integers(1, 4))
+
+
 class TestClosureAgainstNaive:
-    @given(seed=st.none() | st.sets(st.sampled_from(sorted(m.id for m in CLASH_REGISTRY)),
-                                    min_size=1),
-           rules=rule_sets(),
-           ops=st.sets(st.sampled_from(OPERATOR_KINDS), min_size=1),
-           depth=st.integers(1, 4))
+    @given(**CLOSURE_CASES)
     @settings(max_examples=300, deadline=None)
     def test_derivations_match_tuple_for_tuple(self, seed, rules, ops, depth):
         assert (closure(CLASH_REGISTRY, rules, ops, depth, seed=seed)
@@ -296,15 +308,35 @@ class TestClosureAgainstNaive:
                 == closure_naive(registry, rules, OPERATOR_KINDS, depth))
 
 
+@given(**CLOSURE_CASES)
+@settings(max_examples=200, deadline=None)
+def test_every_derivation_replays_through_the_public_operator(seed, rules, ops, depth):
+    """closure calls the operator cores; the public operators must give the same modes."""
+    derivations = closure(CLASH_REGISTRY, rules, ops, depth, seed=seed)
+    universe = {m.id: m for m in (CLASH_REGISTRY if seed is None
+                                  else map(CLASH_REGISTRY.resolve, seed))}
+    for d in derivations:
+        inputs = [universe[i] for i in d.inputs]
+        if d.operator == "unite":
+            assert unite(CLASH_REGISTRY, *inputs) == d.results[0]
+        elif d.operator == "split":
+            assert set(d.results) <= set(split(CLASH_REGISTRY, *inputs))
+        else:
+            assert UNARY[d.operator](CLASH_REGISTRY, rules, *inputs) == d.results[0]
+        for result in d.results:
+            universe.setdefault(result.id, result)
+
+
 def test_depth_two_unites_only_pairs_touching_a_new_atom(monkeypatch):
     registry, rules = default_registry(), default_rules()
     calls = []
+    united = operators._united
 
-    def counting_unite(reg, a, b):
-        calls.append(frozenset((a.id, b.id)))
-        return unite(reg, a, b)
+    def counting_united(reg, first, second, title):
+        calls.append(frozenset((first.id, second.id)))
+        return united(reg, first, second, title)
 
-    monkeypatch.setattr(operators, "unite", counting_unite)
+    monkeypatch.setattr(operators, "_united", counting_united)
     seed = sorted(m.id for m in base_atoms())
     derivations = closure(registry, rules, ["unite", "reduce"], 2, seed=seed)
     new_atoms = {r.id for d in derivations if d.depth == 1
