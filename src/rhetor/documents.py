@@ -119,6 +119,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
     stage: str | None = None
     segments: list[Segment] = []
     next_index = 1
+    resolved: dict[str, str] = {}  # spelling -> mode id, hits only; one per call
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
@@ -137,10 +138,12 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
             if declared_k is not None:
                 raise ParseError("duplicate declared_K directive", line=line_no)
             try:
-                declared_k = int(rest)
-            except ValueError:
-                raise ParseError(f"declared_K needs an integer, got {rest!r}",
-                                 line=line_no) from None
+                declared_k = int(rest) if rest.isascii() and rest.isdigit() else 0
+            except ValueError:  # more digits than int() converts
+                declared_k = 0
+            if declared_k < 1:
+                raise ParseError(f"declared_K needs a positive integer, got {rest!r}",
+                                 line=line_no)
         elif keyword == "stage":
             if not rest:
                 raise ParseError("stage line needs a label", line=line_no)
@@ -148,7 +151,8 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
         elif keyword == "seg" or line.startswith("seg|"):
             if stage is None:
                 raise ParseError("segment before any stage line", line=line_no)
-            segments.append(_parse_segment(line, line_no, stage, next_index, registry))
+            segments.append(_parse_segment(line, line_no, stage, next_index, registry,
+                                           resolved))
             next_index = segments[-1].index + 1
         else:
             raise ParseError(f"unrecognized line {line!r}", line=line_no)
@@ -157,7 +161,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
 
 
 def _parse_segment(line: str, line_no: int, stage: str, auto_index: int,
-                   registry: Registry) -> Segment:
+                   registry: Registry, resolved: dict[str, str]) -> Segment:
     parts = [p.strip() for p in line.split("|", 2)]
     head = parts[0]
     if len(parts) < 2:
@@ -182,11 +186,14 @@ def _parse_segment(line: str, line_no: int, stage: str, auto_index: int,
         raise EmptySegment("segment lists no modes", line=line_no)
     modes: set[str] = set()
     for name in names:
-        try:
-            modes.add(registry.resolve(name).id)
-        except UnknownMode as exc:
-            raise UnknownMode(f"no mode named {name!r}",
-                              suggestions=exc.suggestions, line=line_no) from None
+        mode_id = resolved.get(name)
+        if mode_id is None:
+            try:
+                mode_id = resolved[name] = registry.resolve(name).id
+            except UnknownMode as exc:
+                raise UnknownMode(f"no mode named {name!r}",
+                                  suggestions=exc.suggestions, line=line_no) from None
+        modes.add(mode_id)
     text = parts[2] if len(parts) == 3 else ""
     return Segment(index=index, stage=stage, modes=frozenset(modes), text=text)
 

@@ -389,6 +389,7 @@ def _build_graph(
     registry: Registry,
 ) -> PyramidGraph:
     extras: dict[str, Mode] = {}
+    resolved: dict[str, Mode] = {}  # spelling -> R-mode; mapping rows repeat names
     nodes: list[LayerNode] = []
     edges_cr: set[tuple[str, str]] = set()
     edges_ec: set[tuple[str, str]] = set()
@@ -401,7 +402,9 @@ def _build_graph(
         nodes.append(LayerNode(C, c_id, display, description))
         c_ids.add(c_id)
         for name in targets:
-            mode = _resolve_target(registry, name, profile, extras)
+            mode = resolved.get(name)
+            if mode is None:
+                mode = resolved[name] = _resolve_target(registry, name, profile, extras)
             r_seen.setdefault(mode.id, mode)
             edges_cr.add((c_id, mode.id))
 

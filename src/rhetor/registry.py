@@ -218,6 +218,8 @@ class Registry:
                     raise BadConstituent(
                         f"mode {mode.id!r} nests the compound mode {cid!r}")
         for alias, target in self._aliases.items():
+            if not alias or alias != canon(alias):
+                raise ParseError(f"alias {alias!r} is not a canonical name")
             if alias in self._modes:
                 raise DuplicateMode(f"alias {alias!r} shadows the registered mode {alias!r}")
             if target not in self._modes:
@@ -480,7 +482,10 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
     for alias, target in extra.items():
         if not isinstance(target, str):
             raise ParseError(f"registry alias {alias!r} must name a mode")
-        aliases[canon(alias)] = canon(target)
+        key = canon(alias)
+        if not key:
+            raise ParseError(f"aliases[{alias!r}]: alias has no letters or digits")
+        aliases[key] = canon(target)
     version = doc.get("version", DEFAULT_VERSION)
     if not isinstance(version, str):
         raise ParseError("registry 'version' must be a string")
