@@ -20,6 +20,7 @@ from rhetor import (
     default_schedule,
     estimate_rri,
     load_schedule,
+    load_registry,
     load_stage_map,
     parse_document,
     serialize_document,
@@ -113,6 +114,23 @@ class TestParsingDiagnostics:
     def test_bad_declared_width(self):
         with pytest.raises(ParseError):
             parse_document("doc t\ndeclared_K twenty\n")
+
+    @pytest.mark.parametrize("width", ["0", "00", "-3", "+3", "1_000", "٣", "3.0", "",
+                                       pytest.param("9" * 5000, id="5000-digits")])
+    def test_declared_width_needs_positive_ascii_digits(self, width):
+        with pytest.raises(ParseError, match="positive integer") as err:
+            parse_document(f"doc t\n\ndeclared_K {width}\nstage S\nseg | narration\n")
+        assert err.value.line == 3
+
+    def test_declared_width_with_leading_zero(self):
+        doc = parse_document("doc t\ndeclared_K 007\nstage S\nseg | narration\n")
+        assert doc.declared_K == 7
+
+    def test_junk_tag_is_unknown_under_extra_aliases(self):
+        registry = load_registry({"aliases": {"tale": "narration"}})
+        with pytest.raises(UnknownMode) as err:
+            parse_document("doc d\nstage s\nseg | ?, description\n", registry)
+        assert err.value.line == 3
 
     def test_declared_width_below_usage(self):
         with pytest.raises(BadCount):

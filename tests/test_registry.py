@@ -237,6 +237,31 @@ class TestSerializeLoad:
         with pytest.raises(DuplicateMode):
             load_registry({"aliases": {"narration": "description"}})
 
+    @pytest.mark.parametrize("key", ["!!!", "", "  -  ", "—"])
+    def test_alias_key_without_letters_or_digits_rejected(self, key):
+        with pytest.raises(ParseError, match=r"aliases\[" + repr(key) + r"\]"):
+            load_registry({"aliases": {key: "narration"}})
+
+    @pytest.mark.parametrize("junk", ["?", "—", "  -  "])
+    def test_junk_names_stay_unknown(self, junk):
+        extended = load_registry({"aliases": {"tale": "narration"}})
+        with pytest.raises(UnknownMode):
+            extended.resolve(junk)
+
+    def test_canonical_alias_key_starting_with_a_digit(self):
+        extended = load_registry({"aliases": {"9Lives": "narration"}})
+        assert extended.aliases["9lives"] == "narration"
+        assert extended.resolve("9lives").id == "narration"
+
+    @pytest.mark.parametrize("key", ["", "Narrative", "tall tale", "-story"])
+    def test_registry_rejects_non_canonical_alias_key(self, key):
+        with pytest.raises(ParseError, match="not a canonical name"):
+            Registry([Mode("narration", "Narration")], aliases={key: "narration"})
+
+    def test_registry_accepts_canonical_alias_key(self):
+        reg = Registry([Mode("narration", "Narration")], aliases={"9lives": "narration"})
+        assert reg.resolve("9LIVES").id == "narration"
+
     def test_non_string_display_name(self):
         doc = {"modes": [{"id": "story", "display_name": 5, "description": ""}]}
         with pytest.raises(ParseError):

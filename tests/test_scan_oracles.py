@@ -1,9 +1,10 @@
 """The indexed graph, document and closure code against the plain scans it replaced.
 
 Each oracle below is the earlier implementation, kept here only: a full
-edge scan per child query, one segment scan per stage, and a closure that
-retries every combination at every depth.  The properties assert that the
-indexed code returns exactly what the scans return.
+edge scan per child query, one segment scan per stage, a closure that
+retries every combination at every depth, and parsing and mapping loads
+that resolve every name occurrence on its own.  The properties assert that
+the indexed and memoized code returns exactly what the scans return.
 """
 from itertools import combinations
 
@@ -24,22 +25,26 @@ from rhetor import (
     Segment,
     SelfUnite,
     StageMapping,
+    UnknownMode,
     UnmappedStage,
     base_atoms,
     branching_stats,
+    canon,
     closure,
     compose_re,
     default_registry,
     default_rules,
     expand,
     forward_backward,
+    load_pyramid,
     orthogonal,
+    parse_document,
     reduce,
     split,
     trace_layers,
     unite,
 )
-from rhetor import operators
+from rhetor import operators, pyramid
 from rhetor.documents import LayerTrace, StageTrace
 from rhetor.operators import OPERATOR_KINDS, operator_kind
 from rhetor.pyramid import C, E, R, BranchingStats
@@ -180,12 +185,47 @@ def closure_naive(registry, rules, ops, max_depth, seed=None):
     return tuple(out)
 
 
+def parse_per_tag(segments, seg_lines, registry):
+    """The document ``render`` wrote, with every tag sent through ``registry.resolve``."""
+    out = []
+    for index, ((stage, names), line) in enumerate(zip(segments, seg_lines), start=1):
+        modes = set()
+        for name in names:
+            try:
+                modes.add(registry.resolve(name).id)
+            except UnknownMode as exc:
+                raise UnknownMode(f"no mode named {name!r}", suggestions=exc.suggestions,
+                                  line=line) from None
+        out.append(Segment(index, stage, frozenset(modes)))
+    return AnnotatedDocument("random", tuple(out))
+
+
+def load_pyramid_per_occurrence(doc, registry):
+    """The graph of a mapping document with each R-name occurrence resolved on its own."""
+    profile = doc["profile"]
+    c_rows = pyramid._rows_from_document(doc, "c_nodes", "modes")
+    e_rows = pyramid._rows_from_document(doc, "e_nodes", "cognitive")
+    extras, r_seen, edges_cr = {}, {}, set()
+    nodes = [LayerNode(C, c_id, display, text) for c_id, display, text, _ in c_rows]
+    nodes += [LayerNode(E, e_id, display, text) for e_id, display, text, _ in e_rows]
+    for c_id, _, _, names in c_rows:
+        for name in names:
+            mode = pyramid._resolve_target(registry, name, profile, extras)
+            r_seen.setdefault(mode.id, mode)
+            edges_cr.add((c_id, mode.id))
+    nodes += [LayerNode(R, m.id, m.display_name, m.description) for m in r_seen.values()]
+    edges_ec = {(e_id, canon(c)) for e_id, _, _, names in e_rows for c in names}
+    full = registry.with_modes(extras.values()) if extras else registry
+    return PyramidGraph(profile, nodes, edges_cr, edges_ec, registry=full)
+
+
 def outcome(fn, *args):
-    """A call's value, or the class and text of the domain error it raised."""
+    """A call's value, or the class, text, line and hints of the domain error it raised."""
     try:
         return fn(*args)
     except RhetorError as exc:
-        return type(exc), str(exc)
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "suggestions", None))
 
 
 # --- random graphs and documents -----------------------------------------------
@@ -251,6 +291,96 @@ class TestDocumentsAgainstScans:
             assert doc.stage_modes(stage) == stage_modes_scan(doc, stage)
         assert (outcome(trace_layers, doc, graph, stage_map)
                 == outcome(trace_layers_scan, doc, graph, stage_map))
+
+
+# --- names resolved once per spelling ----------------------------------------------
+
+# Registered ids and alias keys that share words, as "cause", "cause-effect"
+# and the alias "cause-and-effect" do: a memo with a loose key mixes them up.
+KNOWN = ["analysis", "analysis-synthesis", "cause", "cause-and-effect", "cause-effect",
+         "effect", "evidence", "exemplification-illustration", "illustration",
+         "narration", "narrative", "process", "process-analysis"]
+# Two spellings of one unknown name and a typo that gets hints; a name with
+# no letters or digits, which no mapping may mint.
+UNKNOWN = ["zorbl-quux", "Zorbl Quux", "narraton"]
+INVALID = ["?!"]
+SEPARATORS = ["-", " ", "–", "—", "/", "--", " - "]
+CASES = [str.lower, str.upper, str.title]
+
+
+@st.composite
+def spellings(draw, names):
+    words = draw(st.sampled_from(names)).split("-")
+    return draw(st.sampled_from(CASES))(draw(st.sampled_from(SEPARATORS)).join(words))
+
+
+@st.composite
+def tagged_segments(draw):
+    """Segments drawn from a small pool of spellings, so spellings repeat."""
+    pool = draw(st.lists(spellings(KNOWN), min_size=2, max_size=8))
+    if draw(st.integers(0, 3)) == 0:  # an unknown name ends the parse: keep it rarer
+        pool += draw(st.lists(spellings(UNKNOWN), min_size=1, max_size=2))
+    stages = draw(st.lists(st.sampled_from(["S1", "S2", "S3"]), min_size=1, max_size=30))
+    return [(stage, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+            for stage in stages]
+
+
+def render(segments):
+    """Annotation text for ``segments`` and the line of each ``seg``."""
+    lines, seg_lines, current = ["doc random"], [], None
+    for stage, names in segments:
+        if stage != current:
+            lines.append(f"stage {stage}")
+            current = stage
+        lines.append("seg | " + ", ".join(names))
+        seg_lines.append(len(lines))
+    return "\n".join(lines) + "\n", seg_lines
+
+
+@st.composite
+def mapping_documents(draw):
+    pool = (draw(st.lists(spellings(KNOWN), min_size=2, max_size=8))
+            + draw(st.lists(spellings(UNKNOWN), max_size=3)))
+    if draw(st.integers(0, 7)) == 0:  # a name that cannot be minted fails the load
+        pool += INVALID
+    c_ids = draw(st.lists(st.sampled_from(C_IDS), min_size=1, unique=True))
+    c_nodes = [{"id": c_id, "modes": draw(st.lists(st.sampled_from(pool), min_size=1,
+                                                   max_size=5))}
+               for c_id in c_ids]
+    e_nodes = [{"id": e_id, "cognitive": draw(st.lists(st.sampled_from(c_ids), min_size=1))}
+               for e_id in draw(st.lists(st.sampled_from(E_IDS), min_size=1, unique=True))]
+    return {"profile": "random", "c_nodes": c_nodes, "e_nodes": e_nodes}
+
+
+class TestNamesResolvedOncePerSpelling:
+    @given(tagged_segments())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_matches_resolving_every_tag(self, segments):
+        registry = default_registry()
+        text, seg_lines = render(segments)
+        assert (outcome(parse_document, text, registry)
+                == outcome(parse_per_tag, segments, seg_lines, registry))
+
+    @given(mapping_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_mapping_matches_resolving_every_occurrence(self, doc):
+        registry = default_registry()
+        memoized = outcome(load_pyramid, "default", doc, registry)
+        reference = outcome(load_pyramid_per_occurrence, doc, registry)
+        assert memoized == reference
+        if isinstance(memoized, PyramidGraph):
+            assert memoized.registry == reference.registry
+
+    def test_two_spellings_of_an_unknown_name_mint_one_atom(self):
+        doc = {"profile": "random",
+               "c_nodes": [{"id": "c0", "modes": ["Zorbl Quux", "narration"]},
+                           {"id": "c1", "modes": ["zorbl–quux", "Zorbl Quux"]}],
+               "e_nodes": [{"id": "e0", "cognitive": ["c0", "c1"]}]}
+        graph = load_pyramid(source=doc)
+        minted = [m for m in graph.registry if m.id not in default_registry()]
+        assert [m.id for m in minted] == ["zorbl-quux"]
+        assert graph.edges_cr == {("c0", "zorbl-quux"), ("c0", "narration"),
+                                  ("c1", "zorbl-quux")}
 
 
 # --- closure over clashing ids ---------------------------------------------------
