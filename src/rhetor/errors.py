@@ -7,7 +7,18 @@ from __future__ import annotations
 
 
 class RhetorError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors.
+
+    ``line`` and ``column``, when known, are kept and appended to the
+    message as ``(line L, column C)``.
+    """
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.line = line
+        self.column = column
+        if line is not None:
+            message += f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
+        super().__init__(message)
 
 
 # --- registry ---------------------------------------------------------------
@@ -23,26 +34,15 @@ class BadConstituent(RhetorError):
 class ParseError(RhetorError):
     """A document is structurally malformed; carries line/position when known."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
-
 
 class UnknownMode(RhetorError):
     """A name does not resolve to any registered mode."""
 
     def __init__(self, message: str, suggestions: tuple[str, ...] = (), line: int | None = None):
         self.suggestions = tuple(suggestions)
-        self.line = line
-        if line is not None:
-            message = f"{message} (line {line})"
+        super().__init__(message, line)
         if self.suggestions:
-            message = f"{message}; did you mean: {', '.join(self.suggestions)}?"
-        super().__init__(message)
+            self.args = (f"{self.args[0]}; did you mean: {', '.join(self.suggestions)}?",)
 
 
 # --- operators --------------------------------------------------------------
@@ -108,21 +108,9 @@ class BadComposition(RhetorError):
 class EmptySegment(RhetorError):
     """A segment line carries no mode names."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
-
 
 class BadIndex(RhetorError):
     """Segment or stage indices are duplicated or not strictly increasing."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
 
 
 class UnmappedStage(RhetorError):

@@ -72,12 +72,17 @@ def operator_kind(name: str) -> str:
     return kind
 
 
+#: The rule relations, in document order.
+_RELATIONS = ("reversal", "scale", "orthogonal")
+
+
 class DualityRuleSet:
     """Registered mode pairs for the unary duality operators.
 
     ``reversal`` and ``orthogonal`` pairs are unordered; ``scale`` pairs are
     ordered ``(expanded, reduced)``.  A mode may appear in at most one pair
-    per relation so each operator stays a function.
+    per relation so each operator stays a function: :meth:`partner` names
+    the one mode a unary operator maps a mode to.
     """
 
     def __init__(
@@ -89,21 +94,14 @@ class DualityRuleSet:
         self.reversal_pairs = self._canon_pairs(reversal, "reversal", ordered=False)
         self.scale_pairs = self._canon_pairs(scale, "scale", ordered=True)
         self.orthogonal_pairs = self._canon_pairs(orthogonal, "orthogonal", ordered=False)
-        self._reversal = self._symmetric_map(self.reversal_pairs, "reversal")
-        self._orthogonal = self._symmetric_map(self.orthogonal_pairs, "orthogonal")
-        self._reduced_of = {}
-        self._expanded_of = {}
-        seen: set[str] = set()
-        for expanded, reduced in self.scale_pairs:
-            for member in (expanded, reduced):
-                if member in seen:
-                    raise BadRuleSet(f"mode {member!r} appears in two scale pairs")
-                seen.add(member)
-            self._reduced_of[expanded] = reduced
-            self._expanded_of[reduced] = expanded
-        self._members = frozenset(
-            m for pairs in (self.reversal_pairs, self.scale_pairs, self.orthogonal_pairs)
-            for pair in pairs for m in pair)
+        self._partner_of = {
+            FORWARD_BACKWARD: self._symmetric_map(self.reversal_pairs, "reversal"),
+            ORTHOGONAL: self._symmetric_map(self.orthogonal_pairs, "orthogonal"),
+        }
+        self._symmetric_map(self.scale_pairs, "scale")  # one scale pair per mode
+        self._partner_of[REDUCE] = dict(self.scale_pairs)
+        self._partner_of[EXPAND] = {reduced: expanded for expanded, reduced in self.scale_pairs}
+        self._members = frozenset().union(*self._partner_of.values())
 
     @staticmethod
     def _canon_pairs(pairs, relation: str, ordered: bool) -> tuple[tuple[str, str], ...]:
@@ -129,21 +127,12 @@ class DualityRuleSet:
                 partner[x] = y
         return partner
 
-    # -- lookups (None when unpaired) ---------------------------------------
+    def partner(self, operator: str, mode_id: str) -> str | None:
+        """The mode the unary ``operator`` maps ``mode_id`` to; ``None`` when unpaired.
 
-    def reversal_partner(self, mode_id: str) -> str | None:
-        return self._reversal.get(mode_id)
-
-    def orthogonal_partner(self, mode_id: str) -> str | None:
-        return self._orthogonal.get(mode_id)
-
-    def reduced_form(self, mode_id: str) -> str | None:
-        """Partner reached by ``reduce``; defined on expanded members only."""
-        return self._reduced_of.get(mode_id)
-
-    def expanded_form(self, mode_id: str) -> str | None:
-        """Partner reached by ``expand``; defined on reduced members only."""
-        return self._expanded_of.get(mode_id)
+        ``reduce`` is defined on expanded members only, ``expand`` on reduced ones.
+        """
+        return self._partner_of[operator].get(mode_id)
 
     def members(self) -> frozenset[str]:
         """Every mode id mentioned by any pair of any relation."""
@@ -152,9 +141,7 @@ class DualityRuleSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DualityRuleSet):
             return NotImplemented
-        return (self.reversal_pairs == other.reversal_pairs
-                and self.scale_pairs == other.scale_pairs
-                and self.orthogonal_pairs == other.orthogonal_pairs)
+        return self.to_document() == other.to_document()
 
     def __repr__(self) -> str:
         return (f"DualityRuleSet(reversal={len(self.reversal_pairs)}, "
@@ -162,11 +149,8 @@ class DualityRuleSet:
                 f"orthogonal={len(self.orthogonal_pairs)})")
 
     def to_document(self) -> dict:
-        return {
-            "reversal": [list(p) for p in self.reversal_pairs],
-            "scale": [list(p) for p in self.scale_pairs],
-            "orthogonal": [list(p) for p in self.orthogonal_pairs],
-        }
+        return {relation: [list(p) for p in getattr(self, f"{relation}_pairs")]
+                for relation in _RELATIONS}
 
 
 def default_rules() -> DualityRuleSet:
@@ -184,20 +168,14 @@ def load_rules(source: "str | Path | dict | None" = None) -> DualityRuleSet:
     if source is None:
         return default_rules()
     source = _document_from_source(source, "rules")
-    for key in source:
-        if key not in ("reversal", "scale", "orthogonal"):
+    for key, section in source.items():
+        if key not in _RELATIONS:
             raise BadRuleSet(f"unknown rules section {key!r}")
-    for key in ("reversal", "scale", "orthogonal"):
-        section = source.get(key, [])
         if not isinstance(section, list) or not all(
                 isinstance(p, (list, tuple)) and all(isinstance(m, str) for m in p)
                 for p in section):
             raise BadRuleSet(f"rules section {key!r} must be a list of name pairs")
-    return DualityRuleSet(
-        reversal=source.get("reversal", ()),
-        scale=source.get("scale", ()),
-        orthogonal=source.get("orthogonal", ()),
-    )
+    return DualityRuleSet(**source)
 
 
 def serialize_rules(rules: DualityRuleSet) -> str:
@@ -223,17 +201,6 @@ def _rule_mode(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mo
         return Mode(cid, _title(cid), (), Origin.generated("rules", ()),
                     f"Duality partner named by the active rule set ({cid}).")
     return registry.resolve(m)  # raises UnknownMode with did-you-mean hints
-
-
-def _generated_atom(partner_id: str, operator: str, source: Mode) -> Mode:
-    descriptions = {
-        FORWARD_BACKWARD: f"Directional reversal of {source.id}.",
-        EXPAND: f"Expanded-scale form of {source.id}.",
-        REDUCE: f"Reduced-scale form of {source.id}.",
-        ORTHOGONAL: f"Complementary-axis partner of {source.id}.",
-    }
-    return Mode(partner_id, _title(partner_id), (),
-                Origin.generated(operator, (source.id,)), descriptions[operator])
 
 
 def split(registry: Registry, m: "str | Mode") -> tuple[Mode, Mode]:
@@ -279,13 +246,15 @@ def _united(registry: Registry, first: Mode, second: Mode, title) -> Mode:
                 f"Generated pairing of {first.id} and {second.id}.")
 
 
-#: Per unary operator: the rule lookup that names a partner (``None`` when
-#: unpaired) and the relation a :class:`NoDual` message names.
-_UNARY_RULES = {
-    FORWARD_BACKWARD: (DualityRuleSet.reversal_partner, "reversal"),
-    EXPAND: (DualityRuleSet.expanded_form, "scale"),
-    REDUCE: (DualityRuleSet.reduced_form, "scale"),
-    ORTHOGONAL: (DualityRuleSet.orthogonal_partner, "orthogonal"),
+#: Per unary operator: the relation a :class:`NoDual` message names, and the
+#: description of a partner the rules name but the registry lacks.
+_RELATION_OF = {FORWARD_BACKWARD: "reversal", EXPAND: "scale", REDUCE: "scale",
+                ORTHOGONAL: "orthogonal"}
+_DESCRIPTION = {
+    FORWARD_BACKWARD: "Directional reversal of {}.",
+    EXPAND: "Expanded-scale form of {}.",
+    REDUCE: "Reduced-scale form of {}.",
+    ORTHOGONAL: "Complementary-axis partner of {}.",
 }
 
 
@@ -294,10 +263,10 @@ def _unary(registry: Registry, rules: DualityRuleSet, m: "str | Mode",
     mode = _rule_mode(registry, rules, m)
     if not mode.is_atomic:
         raise NotAtomic(f"cannot apply {operator} to {mode.id!r}: arity is {mode.arity}")
-    partner_of, relation = _UNARY_RULES[operator]
-    partner_id = partner_of(rules, mode.id)
+    partner_id = rules.partner(operator, mode.id)
     if partner_id is None:
-        raise NoDual(f"{mode.id!r} has no {relation} partner under the active rules")
+        raise NoDual(f"{mode.id!r} has no {_RELATION_OF[operator]} partner "
+                     "under the active rules")
     return _partner(registry, partner_id, operator, mode)
 
 
@@ -306,7 +275,8 @@ def _partner(registry: Registry, partner_id: str, operator: str, source: Mode) -
     existing = registry.get(partner_id)
     if existing is not None:
         return existing
-    return _generated_atom(partner_id, operator, source)
+    return Mode(partner_id, _title(partner_id), (), Origin.generated(operator, (source.id,)),
+                _DESCRIPTION[operator].format(source.id))
 
 
 def forward_backward(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mode:
@@ -420,13 +390,11 @@ def closure(
                 for a, b in _pairs_touching(atoms, fresh_ids):
                     record(UNITE, (a.id, b.id), (_united(registry, a, b, title),))
             else:
-                partner_of = _UNARY_RULES[kind][0]
+                partner_of = rules._partner_of[kind]
                 for mode in fresh:
-                    if mode.is_atomic:
-                        partner_id = partner_of(rules, mode.id)
-                        if partner_id is not None:
-                            record(kind, (mode.id,),
-                                   (_partner(registry, partner_id, kind, mode),))
+                    partner_id = partner_of.get(mode.id)
+                    if partner_id is not None and mode.is_atomic:
+                        record(kind, (mode.id,), (_partner(registry, partner_id, kind, mode),))
 
         batch.sort(key=lambda d: d.result_ids)
         out.extend(batch)

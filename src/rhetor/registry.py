@@ -452,8 +452,9 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
 
     ``source`` may be ``None`` (default registry), a :class:`~pathlib.Path`
     to a JSON file, JSON text, or an already-parsed dict.  Document entries
-    extend the default registry; restating a built-in mode unchanged is a
-    no-op, redefining it is a :class:`DuplicateMode` error.
+    extend the default registry; restating a built-in mode or alias unchanged
+    is a no-op, redefining it is a :class:`DuplicateMode` error, and so is
+    pointing two spellings of one alias at different modes.
     """
     if source is None:
         return default_registry()
@@ -485,7 +486,9 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
         key = canon(alias)
         if not key:
             raise ParseError(f"aliases[{alias!r}]: alias has no letters or digits")
-        aliases[key] = canon(target)
+        if aliases.setdefault(key, canon(target)) != canon(target):
+            raise DuplicateMode(
+                f"aliases[{alias!r}]: alias {key!r} already points at {aliases[key]!r}")
     version = doc.get("version", DEFAULT_VERSION)
     if not isinstance(version, str):
         raise ParseError("registry 'version' must be a string")

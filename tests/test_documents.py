@@ -7,6 +7,7 @@ from rhetor import (
     AnnotatedDocument,
     BadCount,
     BadIndex,
+    BadRuleSet,
     BadSchedule,
     EmptySegment,
     NotEnoughStages,
@@ -377,3 +378,18 @@ class TestCone:
     def test_widths_capacity_consistent(self):
         for row in cone(default_schedule()):
             assert row.K_NRC == 2 ** row.K - 1
+
+
+@pytest.mark.parametrize("error, text, line", [
+    (ParseError("bad", line=3, column=7), "bad (line 3, column 7)", 3),
+    (ParseError("bad", line=3), "bad (line 3)", 3),
+    (ParseError("bad"), "bad", None),
+    (EmptySegment("empty", line=2), "empty (line 2)", 2),
+    (BadIndex("order", line=5), "order (line 5)", 5),
+    (UnknownMode("no", ("a", "b"), line=4), "no (line 4); did you mean: a, b?", 4),
+    (UnknownMode("no", ("a",)), "no; did you mean: a?", None),
+    (BadRuleSet("plain"), "plain", None),
+])
+def test_error_location_is_formatted_once(error, text, line):
+    assert str(error) == text
+    assert error.line == line

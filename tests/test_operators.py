@@ -192,7 +192,7 @@ class TestRuleSet:
 
     def test_pairs_canonicalized(self):
         ruleset = DualityRuleSet(reversal=[("Cause", "Effect ")])
-        assert ruleset.reversal_partner("cause") == "effect"
+        assert ruleset.partner("forward_backward", "cause") == "effect"
 
 
 class TestClosure:

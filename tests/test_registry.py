@@ -237,6 +237,21 @@ class TestSerializeLoad:
         with pytest.raises(DuplicateMode):
             load_registry({"aliases": {"narration": "description"}})
 
+    def test_two_spellings_of_one_alias_with_different_targets(self):
+        with pytest.raises(DuplicateMode, match=r"aliases\['tale'\]: alias 'tale' already "
+                                                r"points at 'narration'"):
+            load_registry({"aliases": {"Tale": "narration", "tale": "description"}})
+
+    def test_alias_redefining_a_builtin_alias(self):
+        with pytest.raises(DuplicateMode, match=r"aliases\['narrative'\]"):
+            load_registry({"aliases": {"narrative": "description"}})
+
+    def test_restating_an_alias_is_a_no_op(self):
+        restated = load_registry({"aliases": {"Narrative": "Narration", "tale": "narration",
+                                              "TALE": "narration"}})
+        assert restated == load_registry({"aliases": {"tale": "narration"}})
+        assert load_registry(serialize_registry(restated)) == restated
+
     @pytest.mark.parametrize("key", ["!!!", "", "  -  ", "—"])
     def test_alias_key_without_letters_or_digits_rejected(self, key):
         with pytest.raises(ParseError, match=r"aliases\[" + repr(key) + r"\]"):

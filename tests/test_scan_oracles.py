@@ -37,9 +37,11 @@ from rhetor import (
     expand,
     forward_backward,
     load_pyramid,
+    load_rules,
     orthogonal,
     parse_document,
     reduce,
+    serialize_rules,
     split,
     trace_layers,
     unite,
@@ -407,6 +409,44 @@ def rule_sets(draw):
                                         max_size=8)))
                  for _ in range(3)]
     return DualityRuleSet(*relations)
+
+
+class TestRuleSetLaws:
+    """Operator laws over arbitrary rule sets, partners outside the registry included."""
+
+    @given(rule_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_reversal_and_orthogonal_are_involutions(self, rules):
+        for operator, pairs in ((forward_backward, rules.reversal_pairs),
+                                (orthogonal, rules.orthogonal_pairs)):
+            for mode_id in {m for pair in pairs for m in pair}:
+                there = operator(CLASH_REGISTRY, rules, mode_id)
+                assert operator(CLASH_REGISTRY, rules, there).id == mode_id
+
+    @given(rule_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_expand_undoes_reduce(self, rules):
+        for expanded, reduced in rules.scale_pairs:
+            reduced_mode = reduce(CLASH_REGISTRY, rules, expanded)
+            assert reduced_mode.id == reduced
+            assert expand(CLASH_REGISTRY, rules, reduced_mode).id == expanded
+
+    @given(rule_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_serialized_rules_load_back(self, rules):
+        assert load_rules(serialize_rules(rules)) == rules
+
+    @given(rule_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_partner_agrees_with_the_public_operator(self, rules):
+        for mode_id in rules.members():
+            for kind, operator in UNARY.items():
+                partner_id = rules.partner(kind, mode_id)
+                if partner_id is None:
+                    with pytest.raises(NoDual):
+                        operator(CLASH_REGISTRY, rules, mode_id)
+                else:
+                    assert operator(CLASH_REGISTRY, rules, mode_id).id == partner_id
 
 
 CLOSURE_CASES = dict(
