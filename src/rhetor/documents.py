@@ -119,7 +119,6 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
     stage: str | None = None
     segments: list[Segment] = []
     next_index = 1
-    resolved: dict[str, str] = {}  # spelling -> mode id, hits only; one per call
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
@@ -151,8 +150,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
         elif keyword == "seg" or line.startswith("seg|"):
             if stage is None:
                 raise ParseError("segment before any stage line", line=line_no)
-            segments.append(_parse_segment(line, line_no, stage, next_index, registry,
-                                           resolved))
+            segments.append(_parse_segment(line, line_no, stage, next_index, registry))
             next_index = segments[-1].index + 1
         else:
             raise ParseError(f"unrecognized line {line!r}", line=line_no)
@@ -161,7 +159,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
 
 
 def _parse_segment(line: str, line_no: int, stage: str, auto_index: int,
-                   registry: Registry, resolved: dict[str, str]) -> Segment:
+                   registry: Registry) -> Segment:
     parts = [p.strip() for p in line.split("|", 2)]
     head = parts[0]
     if len(parts) < 2:
@@ -186,14 +184,14 @@ def _parse_segment(line: str, line_no: int, stage: str, auto_index: int,
         raise EmptySegment("segment lists no modes", line=line_no)
     modes: set[str] = set()
     for name in names:
-        mode_id = resolved.get(name)
-        if mode_id is None:
+        mode = registry._lookup(name)
+        if mode is None:  # a miss: resolve() raises with did-you-mean hints
             try:
-                mode_id = resolved[name] = registry.resolve(name).id
+                registry.resolve(name)
             except UnknownMode as exc:
                 raise UnknownMode(f"no mode named {name!r}",
                                   suggestions=exc.suggestions, line=line_no) from None
-        modes.add(mode_id)
+        modes.add(mode.id)
     text = parts[2] if len(parts) == 3 else ""
     return Segment(index=index, stage=stage, modes=frozenset(modes), text=text)
 

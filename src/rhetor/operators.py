@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -91,9 +90,9 @@ class DualityRuleSet:
         scale: Iterable[Sequence[str]] = (),
         orthogonal: Iterable[Sequence[str]] = (),
     ):
-        self.reversal_pairs = self._canon_pairs(reversal, "reversal", ordered=False)
-        self.scale_pairs = self._canon_pairs(scale, "scale", ordered=True)
-        self.orthogonal_pairs = self._canon_pairs(orthogonal, "orthogonal", ordered=False)
+        self._pairs = {
+            relation: self._canon_pairs(pairs, relation, ordered=relation == "scale")
+            for relation, pairs in zip(_RELATIONS, (reversal, scale, orthogonal))}
         self._partner_of = {
             FORWARD_BACKWARD: self._symmetric_map(self.reversal_pairs, "reversal"),
             ORTHOGONAL: self._symmetric_map(self.orthogonal_pairs, "orthogonal"),
@@ -102,6 +101,11 @@ class DualityRuleSet:
         self._partner_of[REDUCE] = dict(self.scale_pairs)
         self._partner_of[EXPAND] = {reduced: expanded for expanded, reduced in self.scale_pairs}
         self._members = frozenset().union(*self._partner_of.values())
+
+    # The sorted canonical pairs of each relation; read-only, like the partner map.
+    reversal_pairs = property(lambda self: self._pairs["reversal"])
+    scale_pairs = property(lambda self: self._pairs["scale"])
+    orthogonal_pairs = property(lambda self: self._pairs["orthogonal"])
 
     @staticmethod
     def _canon_pairs(pairs, relation: str, ordered: bool) -> tuple[tuple[str, str], ...]:
@@ -149,8 +153,7 @@ class DualityRuleSet:
                 f"orthogonal={len(self.orthogonal_pairs)})")
 
     def to_document(self) -> dict:
-        return {relation: [list(p) for p in getattr(self, f"{relation}_pairs")]
-                for relation in _RELATIONS}
+        return {relation: [list(p) for p in pairs] for relation, pairs in self._pairs.items()}
 
 
 def default_rules() -> DualityRuleSet:
@@ -232,16 +235,15 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
         if not mode.is_atomic:
             raise NotAtomic(f"cannot unite {mode.id!r}: arity is {mode.arity}")
     first, second = sorted((ma, mb), key=lambda m: m.id)
-    return _united(registry, first, second, _title)
+    return _united(registry, first, second)
 
 
-def _united(registry: Registry, first: Mode, second: Mode, title) -> Mode:
-    """``unite`` past its checks: two distinct atoms with ``first.id < second.id``;
-    ``title`` gives each atom's display name."""
+def _united(registry: Registry, first: Mode, second: Mode) -> Mode:
+    """``unite`` past its checks: two distinct atoms with ``first.id < second.id``."""
     existing = registry.diatomic_for_pair(first.id, second.id)
     if existing is not None:
         return existing
-    return Mode(f"{first.id}-{second.id}", f"{title(first.id)}-{title(second.id)}",
+    return Mode(f"{first.id}-{second.id}", f"{_title(first.id)}-{_title(second.id)}",
                 (first.id, second.id), Origin.generated(UNITE, (first.id, second.id)),
                 f"Generated pairing of {first.id} and {second.id}.")
 
@@ -357,7 +359,6 @@ def closure(
 
     derived: set[str] = set()
     out: list[Derivation] = []
-    title = cache(_title)  # each atom's display name, built once per call
     # The loops below pass the operators only inputs they accept: atoms to
     # unite and the unary operators, diatomics to split, distinct pairs in id
     # order.  So they call the operator cores and skip unpaired atoms by lookup.
@@ -388,7 +389,7 @@ def closure(
                         record(SPLIT, (mode.id,), split(registry, mode))
             elif kind == UNITE:
                 for a, b in _pairs_touching(atoms, fresh_ids):
-                    record(UNITE, (a.id, b.id), (_united(registry, a, b, title),))
+                    record(UNITE, (a.id, b.id), (_united(registry, a, b),))
             else:
                 partner_of = rules._partner_of[kind]
                 for mode in fresh:

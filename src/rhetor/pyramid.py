@@ -59,6 +59,10 @@ DEFAULT_PROFILE = "default"
 ACADEMIC_PROFILE = "academic-writing"
 BUILTIN_PROFILES = (DEFAULT_PROFILE, ACADEMIC_PROFILE)
 
+#: Per upper layer: its node list's key in a mapping document, and the key
+#: of each node's targets one layer down.
+_DOCUMENT_KEYS = ((C, "c_nodes", "modes"), (E, "e_nodes", "cognitive"))
+
 
 @dataclass(frozen=True)
 class LayerNode:
@@ -266,16 +270,11 @@ class PyramidGraph:
             for upper, edges in ((C, self.edges_cr), (E, self.edges_ec))}
 
     def _check_edges(self) -> None:
-        for c_id, r_id in self.edges_cr:
-            if c_id not in self._nodes[C]:
-                raise BadEdge(f"edge references unknown C-node {c_id!r}")
-            if r_id not in self._nodes[R]:
-                raise BadEdge(f"edge references unknown R-node {r_id!r}")
-        for e_id, c_id in self.edges_ec:
-            if e_id not in self._nodes[E]:
-                raise BadEdge(f"edge references unknown E-node {e_id!r}")
-            if c_id not in self._nodes[C]:
-                raise BadEdge(f"edge references unknown C-node {c_id!r}")
+        for upper, lower, edges in ((C, R, self.edges_cr), (E, C, self.edges_ec)):
+            for edge in edges:
+                for layer, node_id in zip((upper, lower), edge):
+                    if node_id not in self._nodes[layer]:
+                        raise BadEdge(f"edge references unknown {layer}-node {node_id!r}")
 
     # -- access --------------------------------------------------------------
 
@@ -316,23 +315,13 @@ class PyramidGraph:
                 f"C={len(self._nodes[C])}, E={len(self._nodes[E])})")
 
     def to_document(self) -> dict:
-        c_nodes = []
-        for node in self.layer_nodes(C):
-            c_nodes.append({
-                "id": node.id,
-                "display_name": node.display_name,
-                "description": node.description,
-                "modes": list(self._child_ids[C][node.id]),
-            })
-        e_nodes = []
-        for node in self.layer_nodes(E):
-            e_nodes.append({
-                "id": node.id,
-                "display_name": node.display_name,
-                "description": node.description,
-                "cognitive": list(self._child_ids[E][node.id]),
-            })
-        return {"profile": self.profile, "c_nodes": c_nodes, "e_nodes": e_nodes}
+        doc: dict = {"profile": self.profile}
+        for layer, key, target_key in _DOCUMENT_KEYS:
+            doc[key] = [{"id": node.id, "display_name": node.display_name,
+                         "description": node.description,
+                         target_key: list(self._child_ids[layer][node.id])}
+                        for node in self.layer_nodes(layer)]
+        return doc
 
 
 def _adjacency(upper_nodes: dict[str, LayerNode],
@@ -389,7 +378,6 @@ def _build_graph(
     registry: Registry,
 ) -> PyramidGraph:
     extras: dict[str, Mode] = {}
-    resolved: dict[str, Mode] = {}  # spelling -> R-mode; mapping rows repeat names
     nodes: list[LayerNode] = []
     edges_cr: set[tuple[str, str]] = set()
     edges_ec: set[tuple[str, str]] = set()
@@ -402,9 +390,7 @@ def _build_graph(
         nodes.append(LayerNode(C, c_id, display, description))
         c_ids.add(c_id)
         for name in targets:
-            mode = resolved.get(name)
-            if mode is None:
-                mode = resolved[name] = _resolve_target(registry, name, profile, extras)
+            mode = _resolve_target(registry, name, profile, extras)
             r_seen.setdefault(mode.id, mode)
             edges_cr.add((c_id, mode.id))
 
@@ -435,7 +421,7 @@ def _rows_from_document(doc: dict, key: str, target_key: str):
         if not isinstance(entry, dict):
             raise ParseError(f"{where}: node entries must be objects")
         node_id = canon(_text_field(entry, "id", where))
-        if not node_id or not _ID_PATTERN.match(node_id):
+        if not _ID_PATTERN.match(node_id):
             raise ParseError(f"{where}: missing or invalid id {entry.get('id')!r}")
         if node_id in seen:
             raise ParseError(f"{where}: node {node_id!r} duplicated")
@@ -466,8 +452,8 @@ def load_pyramid(
         name = source.get("profile", "custom")
         if not isinstance(name, str) or not name:
             raise ParseError("mapping 'profile' must be a non-empty string")
-        c_rows = _rows_from_document(source, "c_nodes", "modes")
-        e_rows = _rows_from_document(source, "e_nodes", "cognitive")
+        c_rows, e_rows = (_rows_from_document(source, key, target_key)
+                          for _, key, target_key in _DOCUMENT_KEYS)
         return _build_graph(name, c_rows, e_rows, registry)
     if profile == DEFAULT_PROFILE:
         return _build_graph(DEFAULT_PROFILE, _DEFAULT_C_NODES, _DEFAULT_E_NODES, registry)
@@ -501,7 +487,7 @@ def compose_academic(registry: Registry, f: AcademicFunction) -> Mode:
             f"core mode {core.id!r} cannot also be a supplement of {f.name!r}")
     constituents = (core.id, *(s.id for s in supplements))
     name_id = canon(f.name)
-    if not name_id or not _ID_PATTERN.match(name_id):
+    if not _ID_PATTERN.match(name_id):
         raise BadComposition(f"cannot form an id from function name {f.name!r}")
     return Mode(
         id=f"af-{name_id}",

@@ -190,6 +190,15 @@ class TestRuleSet:
         with pytest.raises(ParseError):
             load_rules("{not json")
 
+    def test_pairs_are_read_only(self):
+        rules = default_rules()
+        for relation in ("reversal", "scale", "orthogonal"):
+            with pytest.raises(AttributeError):
+                setattr(rules, f"{relation}_pairs", ())
+        assert rules == default_rules()
+        assert rules.to_document()["scale"] == [["exposition", "summary"]]
+        assert rules.partner("reduce", "exposition") == "summary"
+
     def test_pairs_canonicalized(self):
         ruleset = DualityRuleSet(reversal=[("Cause", "Effect ")])
         assert ruleset.partner("forward_backward", "cause") == "effect"

@@ -16,9 +16,12 @@ from rhetor import (
     base_registry,
     canon,
     default_registry,
+    load_pyramid,
     load_registry,
+    parse_document,
     serialize_registry,
 )
+from rhetor.registry import _ID_PATTERN, _title
 
 
 class TestCanon:
@@ -45,6 +48,39 @@ class TestCanon:
     def test_output_shape(self, s):
         c = canon(s)
         assert c == "" or (c[0] != "-" and c[-1] != "-" and "--" not in c)
+
+
+class TestNameCaches:
+    """``canon`` and ``_title`` each keep one bounded, process-wide cache."""
+
+    @given(st.text(max_size=40))
+    def test_canon_cache_returns_the_computed_id(self, s):
+        expected = canon.__wrapped__(s)
+        assert canon(s) == expected  # first call
+        assert canon(s) == expected  # repeated call: a cache hit
+
+    @given(st.from_regex(_ID_PATTERN.pattern.removesuffix(r"\Z"), fullmatch=True))
+    def test_title_cache_returns_the_computed_name(self, mode_id):
+        expected = _title.__wrapped__(mode_id)
+        assert _title(mode_id) == expected
+        assert _title(mode_id) == expected
+
+    def test_caches_are_bounded(self):
+        for function in (canon, _title):
+            assert isinstance(function.cache_info().maxsize, int)
+
+    def test_one_spelling_resolves_per_registry(self):
+        """Only spelling work is cached: what a spelling names stays per registry."""
+        narrated = load_registry({"aliases": {"tale": "narration"}})
+        described = load_registry({"aliases": {"tale": "description"}})
+        text = "doc d\nstage s\nseg | Tale\n"
+        for _ in range(2):
+            assert parse_document(text, narrated).mode_union() == {"narration"}
+            assert parse_document(text, described).mode_union() == {"description"}
+        mapping = {"c_nodes": [{"id": "c", "modes": ["Tale"]}],
+                   "e_nodes": [{"id": "e", "cognitive": ["c"]}]}
+        assert load_pyramid(source=mapping, registry=narrated).edges_cr == {("c", "narration")}
+        assert load_pyramid(source=mapping).edges_cr == {("c", "tale")}  # minted
 
 
 class TestDefaultRegistry:

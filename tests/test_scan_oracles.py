@@ -502,9 +502,9 @@ def test_depth_two_unites_only_pairs_touching_a_new_atom(monkeypatch):
     calls = []
     united = operators._united
 
-    def counting_united(reg, first, second, title):
+    def counting_united(reg, first, second):
         calls.append(frozenset((first.id, second.id)))
-        return united(reg, first, second, title)
+        return united(reg, first, second)
 
     monkeypatch.setattr(operators, "_united", counting_united)
     seed = sorted(m.id for m in base_atoms())
