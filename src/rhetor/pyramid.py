@@ -271,10 +271,12 @@ class PyramidGraph:
 
     def _check_edges(self) -> None:
         for upper, lower, edges in ((C, R, self.edges_cr), (E, C, self.edges_ec)):
-            for edge in edges:
-                for layer, node_id in zip((upper, lower), edge):
-                    if node_id not in self._nodes[layer]:
-                        raise BadEdge(f"edge references unknown {layer}-node {node_id!r}")
+            upper_ids, lower_ids = self._nodes[upper], self._nodes[lower]
+            for up_id, low_id in edges:
+                if up_id not in upper_ids:
+                    raise BadEdge(f"edge references unknown {upper}-node {up_id!r}")
+                if low_id not in lower_ids:
+                    raise BadEdge(f"edge references unknown {lower}-node {low_id!r}")
 
     # -- access --------------------------------------------------------------
 
@@ -361,10 +363,10 @@ def _resolve_target(registry: Registry, name: str, profile: str,
     if mode is not None:
         return mode
     cid = canon(name)
-    if not _ID_PATTERN.match(cid):
-        raise ParseError(f"invalid mode name {name!r} in {profile} mapping")
     mode = extras.get(cid)
     if mode is None:
+        if not _ID_PATTERN.match(cid):
+            raise ParseError(f"invalid mode name {name!r} in {profile} mapping")
         mode = Mode(cid, _title(cid), (), Origin.generated("academic-profile", ()),
                     f"Writing move declared by the {profile} mapping profile.")
         extras[cid] = mode

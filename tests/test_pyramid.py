@@ -7,6 +7,7 @@ from rhetor import (
     AcademicFunction,
     BadComposition,
     BadEdge,
+    LayerNode,
     ParseError,
     PyramidGraph,
     UnknownMode,
@@ -250,6 +251,18 @@ class TestLoading:
     def test_direct_construction_validates_edges(self):
         with pytest.raises(BadEdge):
             PyramidGraph("p", [], [("c", "r")], [])
+
+    @pytest.mark.parametrize("edges_cr, edges_ec, message", [
+        ([("c", "r")], [], "edge references unknown C-node 'c'"),
+        ([("c0", "r")], [], "edge references unknown R-node 'r'"),
+        ([], [("e", "c0")], "edge references unknown E-node 'e'"),
+        ([], [("e0", "c")], "edge references unknown C-node 'c'"),
+    ], ids=["c-of-cr", "r", "e", "c-of-ec"])
+    def test_unknown_edge_end_named_with_its_layer(self, edges_cr, edges_ec, message):
+        nodes = [LayerNode(C, "c0", "C0"), LayerNode(E, "e0", "E0")]
+        with pytest.raises(BadEdge) as caught:
+            PyramidGraph("p", nodes, edges_cr, edges_ec)
+        assert str(caught.value) == message
 
 
 class TestComposeAcademic:
