@@ -2,6 +2,11 @@
 
     python3 scripts/bench_pair.py --base 8b8178b --change HEAD --topic spelling \\
         --workload corpus --seeds 12-21
+    python3 scripts/bench_pair.py --base HEAD~1 --change HEAD --topic closure \\
+        --workload closure,corpus,mapping,cli --seeds 1-3
+
+``--workload`` takes one workload or a comma-separated list; each runs
+over every seed, one workload after the other.
 
 Both revisions are exported with ``git archive`` into a temporary
 directory, and the unchanged benchmark of each tree
@@ -134,16 +139,28 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
+def workload_list(text: str) -> list[str]:
+    """Workload names as ``closure`` or ``closure,corpus``; repeats are dropped."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names):
+        raise ValueError(f"empty workload name in {text!r}")
+    return list(dict.fromkeys(names))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="parent revision")
     parser.add_argument("--change", required=True, help="revision with the change")
     parser.add_argument("--topic", required=True, help="writes BENCH_<topic>.json")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=workload_list, required=True,
+                        help="one workload or a comma-separated list")
     parser.add_argument("--seeds", type=seed_list, required=True)
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    unknown = set(args.workload) - {w["name"] for w in bench["workloads"]}
+    if unknown:
+        parser.error(f"unknown workload {', '.join(sorted(unknown))}")
     commits = {"base": commit_id(args.base), "change": commit_id(args.change)}
     out_path = ROOT / f"BENCH_{args.topic}.json"
     runs: list[dict] = []
@@ -151,21 +168,20 @@ def main() -> None:
         previous = json.loads(out_path.read_text(encoding="utf-8"))
         if all(previous[side] == commits[side] for side in SIDES):
             runs = previous["runs"]
-    done = {r["seed"] for r in runs if r["workload"] == args.workload}
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], trees[side])
-        for seed in args.seeds:
-            if seed in done:
+        for workload, seed in [(w, s) for w in args.workload for s in args.seeds]:
+            seeds_run = {r["seed"] for r in runs if r["workload"] == workload}
+            if seed in seeds_run:
                 continue
-            k = len({r["seed"] for r in runs if r["workload"] == args.workload})
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            order = SIDES if len(seeds_run) % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                result = bench_run(trees[side], args.workload, seed)
-                runs.append({"workload": args.workload, "seed": seed, "side": side,
+                result = bench_run(trees[side], workload, seed)
+                runs.append({"workload": workload, "seed": seed, "side": side,
                              "first": position == 0, **result})
-                print(f"{args.workload} seed {seed} {side}: " + " ".join(
+                print(f"{workload} seed {seed} {side}: " + " ".join(
                     f"{n}={v:.5g}" for n, v in result["metrics"].items())
                     + f" failed={result['failed']}/{result['attempted']}", file=sys.stderr)
             report = {

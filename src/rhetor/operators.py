@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -240,12 +241,13 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
 
 def _united(registry: Registry, first: Mode, second: Mode) -> Mode:
     """``unite`` past its checks: two distinct atoms with ``first.id < second.id``."""
-    existing = registry.diatomic_for_pair(first.id, second.id)
+    a, b = first.id, second.id
+    existing = registry.diatomic_for_pair(a, b)
     if existing is not None:
         return existing
-    return Mode(f"{first.id}-{second.id}", f"{_title(first.id)}-{_title(second.id)}",
-                (first.id, second.id), Origin.generated(UNITE, (first.id, second.id)),
-                f"Generated pairing of {first.id} and {second.id}.")
+    pair = (a, b)
+    return Mode(f"{a}-{b}", f"{_title(a)}-{_title(b)}", pair,
+                Origin("generated", UNITE, pair), f"Generated pairing of {a} and {b}.")
 
 
 #: Per unary operator: the relation a :class:`NoDual` message names, and the
@@ -338,7 +340,8 @@ def closure(
 
     ``ops`` names operator kinds; a single string names one kind.  ``seed``
     restricts the starting universe to the given modes (default: the whole
-    registry).  Stops early once a depth adds nothing new.
+    registry); a single string or :class:`Mode` names one seed mode.  Stops
+    early once a depth adds nothing new.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
@@ -352,6 +355,8 @@ def closure(
     if seed is None:
         universe = {m.id: m for m in registry}
     else:
+        if isinstance(seed, (str, Mode)):
+            seed = (seed,)
         universe = {}
         for entry in seed:
             mode = _as_mode(registry, entry)
@@ -362,45 +367,48 @@ def closure(
     # The loops below pass the operators only inputs they accept: atoms to
     # unite and the unary operators, diatomics to split, distinct pairs in id
     # order.  So they call the operator cores and skip unpaired atoms by lookup.
+    # Each loop tests a result id against ``derived`` itself, so ``record``
+    # only ever sees novel results.
     fresh_ids: set[str] = set(universe)  # inputs not yet tried: all, at depth 1
     for depth in range(1, max_depth + 1):
         snapshot = sorted(universe.values(), key=lambda m: m.id)
         atoms = [m for m in snapshot if m.is_atomic]
         fresh = [m for m in snapshot if m.id in fresh_ids]
-        batch: list[Derivation] = []
+        # Each entry carries its sort key, the ids of its results, built once.
+        batch: list[tuple[tuple[str, ...], Derivation]] = []
 
-        def record(operator: str, inputs: tuple[str, ...], results: tuple[Mode, ...]) -> None:
-            novel = tuple(r for r in results if r.id not in derived)
-            if not novel:
-                return
-            derived.update(r.id for r in novel)
-            batch.append(Derivation(
-                operator=operator,
-                inputs=inputs,
-                results=novel,
-                depth=depth,
-                rediscovery=all(r.id in registry for r in novel),
-            ))
+        def record(operator: str, inputs: tuple[str, ...], results: tuple[Mode, ...],
+                   key: tuple[str, ...], rediscovery: bool) -> None:
+            """Record ``results``, whose ids ``key`` no earlier derivation reached."""
+            derived.update(key)
+            batch.append((key, Derivation(operator, inputs, results, depth, rediscovery)))
 
         for kind in kinds:
             if kind == SPLIT:
                 for mode in fresh:
-                    if mode.is_diatomic:
-                        record(SPLIT, (mode.id,), split(registry, mode))
+                    if mode.is_diatomic and not derived.issuperset(mode.constituents):
+                        novel = tuple(p for p in split(registry, mode) if p.id not in derived)
+                        key = tuple(p.id for p in novel)
+                        record(SPLIT, (mode.id,), novel, key,
+                               all(rid in registry for rid in key))
             elif kind == UNITE:
                 for a, b in _pairs_touching(atoms, fresh_ids):
-                    record(UNITE, (a.id, b.id), (_united(registry, a, b),))
+                    result = _united(registry, a, b)
+                    rid = result.id
+                    if rid not in derived:
+                        record(UNITE, (a.id, b.id), (result,), (rid,), rid in registry)
             else:
                 partner_of = rules._partner_of[kind]
                 for mode in fresh:
-                    partner_id = partner_of.get(mode.id)
-                    if partner_id is not None and mode.is_atomic:
-                        record(kind, (mode.id,), (_partner(registry, partner_id, kind, mode),))
+                    rid = partner_of.get(mode.id)
+                    if rid is not None and rid not in derived and mode.is_atomic:
+                        record(kind, (mode.id,), (_partner(registry, rid, kind, mode),),
+                               (rid,), rid in registry)
 
-        batch.sort(key=lambda d: d.result_ids)
-        out.extend(batch)
+        batch.sort(key=itemgetter(0))
         fresh_ids = set()
-        for derivation in batch:
+        for _, derivation in batch:
+            out.append(derivation)
             for result in derivation.results:
                 if result.id not in universe:
                     universe[result.id] = result

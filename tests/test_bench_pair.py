@@ -77,3 +77,12 @@ def test_bounds_follow_the_better_direction():
 def test_seed_list():
     assert bench_pair.seed_list("12-14,20") == [12, 13, 14, 20]
     assert bench_pair.seed_list("7") == [7]
+
+
+def test_workload_list():
+    assert bench_pair.workload_list("closure") == ["closure"]
+    assert bench_pair.workload_list("closure, corpus,mapping,cli,corpus") == [
+        "closure", "corpus", "mapping", "cli"]
+    for text in ("", "closure,", "closure,,cli"):
+        with pytest.raises(ValueError):
+            bench_pair.workload_list(text)

@@ -293,6 +293,14 @@ class TestClosure:
         with pytest.raises(ValueError, match="'bogus'"):
             closure(registry, rules, "bogus", 1)
 
+    def test_bare_seed_names_one_mode(self, registry, rules):
+        as_list = closure(registry, rules, "fb", 1, seed=["cause"])
+        assert [d.result_ids for d in as_list] == [("effect",)]
+        assert closure(registry, rules, "fb", 1, seed="cause") == as_list
+        assert closure(registry, rules, "fb", 1, seed=registry.get("cause")) == as_list
+        # One atom has no pair to unite; the name is not read letter by letter.
+        assert closure(registry, rules, "unite", 1, seed="narration") == ()
+
 
 class TestOperatorNames:
     def test_aliases(self):

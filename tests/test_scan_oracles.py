@@ -449,6 +449,33 @@ class TestRuleSetLaws:
                     assert operator(CLASH_REGISTRY, rules, mode_id).id == partner_id
 
 
+# CLASH_REGISTRY with an alias per mode, so that a seed can name a mode by
+# its id, a loose spelling, an alias or the Mode itself.
+CLASH_ALIASED = Registry(CLASH_REGISTRY, aliases={f"alias-{m.id}": m.id
+                                                  for m in CLASH_REGISTRY})
+
+
+def ways_to_write(mode_id):
+    return [mode_id, mode_id.upper().replace("-", " "), f"Alias {mode_id}",
+            CLASH_ALIASED.get(mode_id)]
+
+
+# Wide enough for batches of over a thousand derivations: 24 one-word atoms,
+# 23 two-word atoms built from them (so unite rediscovers registered ids),
+# diatomics over a one-word and a two-word pair, and rule partners outside the
+# registry that add new atoms at depths 1, 2 and 3.
+WIDE_WORDS = [c + v for c, v in zip("bcdfghjklmnp" * 2, "aeiou" * 5)]
+WIDE_REGISTRY = Registry(
+    [Mode(i, i.title()) for i in WIDE_WORDS
+     + ["-".join(p) for p in combinations(WIDE_WORDS, 2)][::12]]
+    + [Mode("ba-ce-pair", "Ba-Ce Pair", ("ba", "ce")),
+       Mode("hi-lo-mu", "Hi-Lo-Mu", ("hi", "lo-mu")),
+       Mode("ku-la", "Ku-La", ("ku", "la"))])
+WIDE_RULES = DualityRuleSet(
+    reversal=[("ba", "ce"), ("di", "zo"), ("gu-fa", "ra"), ("ki", "ra-ki"), ("yo", "wu")],
+    scale=[("gu", "ve"), ("ha-mu", "ha"), ("tu", "ni")],
+    orthogonal=[("je", "xa"), ("lo", "me-ni"), ("ve", "yo")])
+
 CLOSURE_CASES = dict(
     seed=st.none() | st.sets(st.sampled_from(sorted(m.id for m in CLASH_REGISTRY)),
                              min_size=1),
@@ -476,6 +503,28 @@ class TestClosureAgainstNaive:
         registry, rules = default_registry(), default_rules()
         assert (closure(registry, rules, OPERATOR_KINDS, depth)
                 == closure_naive(registry, rules, OPERATOR_KINDS, depth))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_wide_registry_matches(self, depth):
+        derivations = closure(WIDE_REGISTRY, WIDE_RULES, OPERATOR_KINDS, depth)
+        assert derivations == closure_naive(WIDE_REGISTRY, WIDE_RULES, OPERATOR_KINDS, depth)
+        # What the case is for: a batch of over a thousand, two-result split
+        # keys, rediscoveries, and a new atom at every depth.
+        assert sum(d.depth == 1 for d in derivations) > 1000
+        assert any(len(d.results) == 2 for d in derivations)
+        assert any(d.rediscovery for d in derivations)
+        assert {d.depth for d in derivations if d.results[0].id not in WIDE_REGISTRY
+                and d.results[0].is_atomic} == set(range(1, depth + 1))
+
+    @given(data=st.data(), **CLOSURE_CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_output_ignores_how_the_seed_is_written(self, data, seed, rules, ops, depth):
+        ids = sorted(seed or (m.id for m in CLASH_REGISTRY))
+        expected = closure(CLASH_ALIASED, rules, ops, depth, seed=seed)
+        entries = ids + data.draw(st.lists(st.sampled_from(ids), max_size=4))  # repeats
+        written = [data.draw(st.sampled_from(ways_to_write(mode_id))) for mode_id in entries]
+        written = data.draw(st.permutations(written))
+        assert closure(CLASH_ALIASED, rules, ops, depth, seed=written) == expected
 
 
 @given(**CLOSURE_CASES)
