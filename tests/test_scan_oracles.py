@@ -462,7 +462,7 @@ def ways_to_write(mode_id):
 
 # Wide enough for batches of over a thousand derivations: 24 one-word atoms,
 # 23 two-word atoms built from them (so unite rediscovers registered ids),
-# diatomics over a one-word and a two-word pair, and rule partners outside the
+# three diatomics (one over a two-word atom), and rule partners outside the
 # registry that add new atoms at depths 1, 2 and 3.
 WIDE_WORDS = [c + v for c, v in zip("bcdfghjklmnp" * 2, "aeiou" * 5)]
 WIDE_REGISTRY = Registry(
