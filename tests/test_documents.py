@@ -12,6 +12,7 @@ from rhetor import (
     EmptySegment,
     NotEnoughStages,
     ParseError,
+    RhetorError,
     Segment,
     StageMapping,
     UnknownMode,
@@ -148,6 +149,52 @@ class TestParsingDiagnostics:
         with pytest.raises(ParseError) as excinfo:
             parse_document(file)
         assert excinfo.value.line == 3
+
+
+# The segment-line grammar, one row per rule: the lines that follow
+# "doc t" and "stage S", and the segment they parse to or the error they
+# raise as (class, message, line, suggestions).
+SEGMENT_LINES = [
+    (["seg"],
+     (ParseError, "segment line needs '|'-separated mode names (line 3)", 3, None)),
+    (["seg narration"],
+     (ParseError, "segment line needs '|'-separated mode names (line 3)", 3, None)),
+    (["seg x | narration"],
+     (ParseError, "segment index must be an integer, got 'x' (line 3)", 3, None)),
+    (["seg 1 2 | narration"],
+     (ParseError, "unrecognized segment head 'seg 1 2' (line 3)", 3, None)),
+    (["seg 0 | narration"],
+     (BadIndex, "segment index 0 repeats or decreases (last was 0) (line 3)", 3, None)),
+    (["seg 5 | narration", "seg 2 | narration"],
+     (BadIndex, "segment index 2 repeats or decreases (last was 5) (line 4)", 4, None)),
+    (["seg | , ,"],
+     (EmptySegment, "segment lists no modes (line 3)", 3, None)),
+    (["seg | narration, nope"],
+     (UnknownMode, "no mode named 'nope' (line 3)", 3, ())),
+    (["seg | narraton, nope"],
+     (UnknownMode, "no mode named 'narraton' (line 3); did you mean: narration?", 3,
+      ("narration",))),
+    (["seg\t| narration"],
+     (ParseError, "unrecognized line 'seg\\t| narration' (line 3)", 3, None)),
+    (["segment | narration"],
+     (ParseError, "unrecognized line 'segment | narration' (line 3)", 3, None)),
+    (["seg|narration|a|b"],
+     Segment(1, "S", frozenset({"narration"}), "a|b")),
+    (["seg  3  |  narration ,, Tale |  t  "],
+     Segment(3, "S", frozenset({"narration"}), "t")),
+]
+
+
+@pytest.mark.parametrize("lines, expected", SEGMENT_LINES,
+                         ids=[repr(lines[-1]) for lines, _ in SEGMENT_LINES])
+def test_segment_line_grammar(lines, expected):
+    registry = load_registry({"aliases": {"tale": "narration"}})
+    text = "doc t\nstage S\n" + "".join(line + "\n" for line in lines)
+    try:
+        got = parse_document(text, registry).segments[-1]
+    except RhetorError as exc:
+        got = (type(exc), str(exc), exc.line, getattr(exc, "suggestions", None))
+    assert got == expected
 
 
 class TestRoundTrip:
