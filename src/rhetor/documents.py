@@ -119,9 +119,51 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
     stage: str | None = None
     segments: list[Segment] = []
     next_index = 1
+    lookup = registry._lookup
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
+        if line.startswith("seg ") or line.startswith("seg|") or line == "seg":
+            if stage is None:
+                raise ParseError("segment before any stage line", line=line_no)
+            head, bar, rest = line.partition("|")
+            if not bar:
+                raise ParseError("segment line needs '|'-separated mode names",
+                                 line=line_no)
+            index = next_index
+            head = head.strip()
+            if head != "seg":
+                head_tokens = head.split()
+                if len(head_tokens) > 2:
+                    raise ParseError(f"unrecognized segment head {head!r}", line=line_no)
+                try:
+                    index = int(head_tokens[1])
+                except ValueError:
+                    raise ParseError(f"segment index must be an integer, got "
+                                     f"{head_tokens[1]!r}", line=line_no) from None
+                if index < next_index:
+                    raise BadIndex(f"segment index {index} repeats or decreases "
+                                   f"(last was {next_index - 1})", line=line_no)
+            field, _, text = rest.partition("|")
+            modes: set[str] = set()
+            for name in field.split(","):
+                name = name.strip()
+                if not name:
+                    continue
+                mode = lookup(name)
+                if mode is None:  # a miss: resolve() raises with did-you-mean hints
+                    try:
+                        registry.resolve(name)
+                    except UnknownMode as exc:
+                        raise UnknownMode(f"no mode named {name!r}",
+                                          suggestions=exc.suggestions,
+                                          line=line_no) from None
+                modes.add(mode.id)
+            if not modes:
+                raise EmptySegment("segment lists no modes", line=line_no)
+            segments.append(Segment(index, stage, frozenset(modes), text.strip()))
+            next_index = index + 1
+            continue
         if not line or line.startswith("#"):
             continue
         keyword, _, rest = line.partition(" ")
@@ -147,73 +189,60 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
             if not rest:
                 raise ParseError("stage line needs a label", line=line_no)
             stage = rest
-        elif keyword == "seg" or line.startswith("seg|"):
-            if stage is None:
-                raise ParseError("segment before any stage line", line=line_no)
-            segments.append(_parse_segment(line, line_no, stage, next_index, registry))
-            next_index = segments[-1].index + 1
         else:
             raise ParseError(f"unrecognized line {line!r}", line=line_no)
 
     return AnnotatedDocument(doc_id, tuple(segments), declared_k)
 
 
-def _parse_segment(line: str, line_no: int, stage: str, auto_index: int,
-                   registry: Registry) -> Segment:
-    parts = [p.strip() for p in line.split("|", 2)]
-    head = parts[0]
-    if len(parts) < 2:
-        raise ParseError("segment line needs '|'-separated mode names", line=line_no)
-    head_tokens = head.split()
-    index = auto_index
-    if len(head_tokens) == 2:
-        try:
-            index = int(head_tokens[1])
-        except ValueError:
-            raise ParseError(f"segment index must be an integer, got "
-                             f"{head_tokens[1]!r}", line=line_no) from None
-    elif len(head_tokens) > 2:
-        raise ParseError(f"unrecognized segment head {head!r}", line=line_no)
-    if index < auto_index:
-        raise BadIndex(f"segment index {index} repeats or decreases "
-                       f"(last was {auto_index - 1})", line=line_no)
-
-    names = [n.strip() for n in parts[1].split(",")]
-    names = [n for n in names if n]
-    if not names:
-        raise EmptySegment("segment lists no modes", line=line_no)
-    modes: set[str] = set()
-    for name in names:
-        mode = registry._lookup(name)
-        if mode is None:  # a miss: resolve() raises with did-you-mean hints
-            try:
-                registry.resolve(name)
-            except UnknownMode as exc:
-                raise UnknownMode(f"no mode named {name!r}",
-                                  suggestions=exc.suggestions, line=line_no) from None
-        modes.add(mode.id)
-    text = parts[2] if len(parts) == 3 else ""
-    return Segment(index=index, stage=stage, modes=frozenset(modes), text=text)
-
-
 def serialize_document(doc: AnnotatedDocument) -> str:
-    """Annotation text that parses back to an equal document."""
+    """Annotation text that parses back to an equal document.
+
+    Raises :class:`ParseError` naming the field when the doc id or a stage
+    label is empty, or when one of them or a segment text has leading or
+    trailing whitespace or holds a line break: parsing would lose it.
+    """
     lines = [f"doc {doc.id}"]
+    unwritable = not doc.id or doc.id != doc.id.strip()
     if doc.declared_K is not None:
         lines.append(f"declared_K {doc.declared_K}")
     current_stage = None
     auto_index = 1
     for seg in doc.segments:
         if seg.stage != current_stage:
+            unwritable = unwritable or not seg.stage or seg.stage != seg.stage.strip()
             lines.append(f"stage {seg.stage}")
             current_stage = seg.stage
         head = "seg" if seg.index == auto_index else f"seg {seg.index}"
         auto_index = seg.index + 1
         entry = f"{head} | {', '.join(sorted(seg.modes))}"
         if seg.text:
+            unwritable = unwritable or seg.text != seg.text.strip()
             entry += f" | {seg.text}"
         lines.append(entry)
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    # One count over the whole text finds a line break in any field.
+    if unwritable or len(text.splitlines()) != len(lines):
+        raise _unwritable_field(doc)
+    return text
+
+
+def _unwritable_field(doc: AnnotatedDocument) -> ParseError:
+    """The error for the first field of ``doc`` that would not read back as written."""
+    fields = [("doc id", doc.id, True)]
+    for seg in doc.segments:
+        fields += [(f"segment {seg.index} stage", seg.stage, True),
+                   (f"segment {seg.index} text", seg.text, False),
+                   (f"segment {seg.index} modes", ", ".join(sorted(seg.modes)), True)]
+    for name, value, required in fields:
+        if not value:
+            if required:
+                return ParseError(f"{name} is empty")
+        elif value != value.strip():
+            return ParseError(f"{name} {value!r} has leading or trailing whitespace")
+        elif value.splitlines() != [value]:
+            return ParseError(f"{name} {value!r} holds a line break")
+    raise AssertionError("serialize_document found no unwritable field")
 
 
 # --- coverage ---------------------------------------------------------------

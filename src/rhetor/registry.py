@@ -253,7 +253,14 @@ class Registry:
         return mode
 
     def _lookup(self, name: str) -> Mode | None:
-        """The mode ``name`` resolves to, or ``None``: no hints are built on a miss."""
+        """The mode ``name`` resolves to, or ``None``: no hints are built on a miss.
+
+        A registered id is its own canonical form and never an alias key
+        (``_validate`` checks both), so an exact id skips ``canon``.
+        """
+        mode = self._modes.get(name)
+        if mode is not None:
+            return mode
         cid = canon(name)
         return self._modes.get(self._aliases.get(cid, cid))
 

@@ -19,6 +19,7 @@ from rhetor import (
     UnmappedStage,
     analyze_coverage,
     cone,
+    default_registry,
     default_schedule,
     estimate_rri,
     load_schedule,
@@ -211,6 +212,40 @@ class TestRoundTrip:
     def test_serialization_is_stable(self, lesson):
         text = serialize_document(lesson)
         assert serialize_document(parse_document(text)) == text
+
+    @pytest.mark.parametrize("doc_id, stage, text, message", [
+        ("d", "A\nstage B", "", "segment 2 stage 'A\\nstage B' holds a line break"),
+        ("d", "A", "one\ntwo", "segment 2 text 'one\\ntwo' holds a line break"),
+        ("d", "A", "x\u2028y", "segment 2 text 'x\\u2028y' holds a line break"),
+        ("d\x85x", "A", "", "doc id 'd\\x85x' holds a line break"),
+        ("d", " A", "", "segment 2 stage ' A' has leading or trailing whitespace"),
+        ("d", "A", " padded ", "segment 2 text ' padded ' has leading or trailing whitespace"),
+        ("", "A", "", "doc id is empty"),
+        ("d", "", "", "segment 2 stage is empty"),
+    ])
+    def test_unwritable_field_is_named(self, doc_id, stage, text, message):
+        doc = AnnotatedDocument(doc_id, (Segment(2, stage, frozenset({"narration"}), text),))
+        with pytest.raises(ParseError) as err:
+            serialize_document(doc)
+        assert str(err.value) == message
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_serialize_raises_or_round_trips(self, data):
+        """Any document over built-in modes either writes out exactly or is refused."""
+        ids = sorted(m.id for m in default_registry())
+        segments, index = [], 0
+        for _ in range(data.draw(st.integers(0, 6))):
+            index += data.draw(st.integers(1, 3))
+            modes = data.draw(st.frozensets(st.sampled_from(ids), min_size=1, max_size=3))
+            segments.append(Segment(index, data.draw(st.text(max_size=8)), modes,
+                                    data.draw(st.text(max_size=12))))
+        doc = AnnotatedDocument(data.draw(st.text(max_size=8)), tuple(segments))
+        try:
+            text = serialize_document(doc)
+        except ParseError:
+            return
+        assert parse_document(text) == doc
 
 
 class TestCoverage:

@@ -23,6 +23,10 @@ from rhetor import (
 )
 from rhetor.registry import _ID_PATTERN, _title
 
+# Canonical names: lowercase words joined by single hyphens.
+CANONICAL_NAMES = st.lists(st.text("abcnoprt", min_size=1, max_size=6),
+                           min_size=1, max_size=3).map("-".join)
+
 
 class TestCanon:
     @pytest.mark.parametrize("raw, expected", [
@@ -153,6 +157,30 @@ class TestResolve:
     def test_unknown_without_neighbors(self, registry):
         with pytest.raises(UnknownMode):
             registry.resolve("zzzzqqq")
+
+    @given(st.data())
+    def test_lookup_equals_canon_then_alias(self, data):
+        """The exact-id fast path of ``_lookup`` changes no answer."""
+        builtin = default_registry()
+        ids = sorted(m.id for m in builtin)
+        extra = data.draw(st.dictionaries(
+            CANONICAL_NAMES.filter(lambda k: k not in builtin and k not in builtin.aliases),
+            st.sampled_from(ids), max_size=4))
+        registry = load_registry({"aliases": extra})
+        aliases = registry.aliases
+        known = data.draw(st.sampled_from(ids + sorted(aliases)))
+        loose = data.draw(st.sampled_from([
+            known, known.upper(), known.title(), known.replace("-", " "),
+            known.replace("-", "–"), known.replace("-", "--"), f"  {known} "]))
+        name = data.draw(st.one_of(st.just(loose), st.text(max_size=12)))
+        cid = canon(name)
+        expected = registry._modes.get(aliases.get(cid, cid))
+        assert registry._lookup(name) is expected
+        if expected is None:
+            with pytest.raises(UnknownMode):
+                registry.resolve(name)
+        else:
+            assert registry.resolve(name) is expected
 
     def test_arity_labels(self, registry):
         assert registry.resolve("cause").arity == "atomic"

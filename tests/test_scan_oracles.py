@@ -188,9 +188,9 @@ def closure_naive(registry, rules, ops, max_depth, seed=None):
 
 
 def parse_per_tag(segments, seg_lines, registry):
-    """The document ``render`` wrote, with every tag sent through ``registry.resolve``."""
+    """The document ``rendered_documents`` wrote, every tag sent through ``registry.resolve``."""
     out = []
-    for index, ((stage, names), line) in enumerate(zip(segments, seg_lines), start=1):
+    for (stage, names, index, _, text), line in zip(segments, seg_lines):
         modes = set()
         for name in names:
             try:
@@ -198,7 +198,7 @@ def parse_per_tag(segments, seg_lines, registry):
             except UnknownMode as exc:
                 raise UnknownMode(f"no mode named {name!r}", suggestions=exc.suggestions,
                                   line=line) from None
-        out.append(Segment(index, stage, frozenset(modes)))
+        out.append(Segment(index, stage, frozenset(modes), text))
     return AnnotatedDocument("random", tuple(out))
 
 
@@ -316,27 +316,59 @@ def spellings(draw, names):
     return draw(st.sampled_from(CASES))(draw(st.sampled_from(SEPARATORS)).join(words))
 
 
+# Layouts a segment line may take: padding around "|" and "," (a tab may not
+# follow a bare "seg", that line is unrecognized), empty comma slots, and
+# texts that hold "|".
+HEAD_PADS = ["", " ", "  "]
+PADS = ["", " ", "  ", "\t"]
+EMPTY_SLOTS = ["", " ", "\t"]
+TEXTS = ["", "plain words", "a|b", "| opens with a bar", "x | y |"]
+
+
 @st.composite
 def tagged_segments(draw):
-    """Segments drawn from a small pool of spellings, so spellings repeat."""
+    """Segments drawn from a small pool of spellings, so spellings repeat.
+
+    Each is ``(stage, names, index, pinned, text)``: ``pinned`` segments
+    write their index, the others take the next one.
+    """
     pool = draw(st.lists(spellings(KNOWN), min_size=2, max_size=8))
     if draw(st.integers(0, 3)) == 0:  # an unknown name ends the parse: keep it rarer
         pool += draw(st.lists(spellings(UNKNOWN), min_size=1, max_size=2))
     stages = draw(st.lists(st.sampled_from(["S1", "S2", "S3"]), min_size=1, max_size=30))
-    return [(stage, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
-            for stage in stages]
+    segments, index = [], 0
+    for stage in stages:
+        jump = draw(st.sampled_from([1, 1, 1, 2, 7]))
+        index += jump
+        segments.append((stage, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)),
+                         index, jump != 1 or draw(st.booleans()), draw(st.sampled_from(TEXTS))))
+    return segments
 
 
-def render(segments):
-    """Annotation text for ``segments`` and the line of each ``seg``."""
+@st.composite
+def rendered_documents(draw):
+    """Annotation text for drawn segments, the segments, and the line of each ``seg``."""
+    segments = draw(tagged_segments())
     lines, seg_lines, current = ["doc random"], [], None
-    for stage, names in segments:
+    for stage, names, index, pinned, text in segments:
         if stage != current:
             lines.append(f"stage {stage}")
             current = stage
-        lines.append("seg | " + ", ".join(names))
+        slots = []
+        for name in names:
+            slots += draw(st.lists(st.sampled_from(EMPTY_SLOTS), max_size=1)) + [name]
+        slots += draw(st.lists(st.sampled_from(EMPTY_SLOTS), max_size=1))
+
+        def pad():
+            return draw(st.sampled_from(PADS))
+
+        head = f"seg {pad()}{index}{pad()}" if pinned else "seg" + draw(st.sampled_from(HEAD_PADS))
+        line = head + "|" + ",".join(pad() + slot + pad() for slot in slots)
+        if text:
+            line += f"{pad()}|{pad()}{text}{pad()}"
+        lines.append(line)
         seg_lines.append(len(lines))
-    return "\n".join(lines) + "\n", seg_lines
+    return "\n".join(lines) + "\n", segments, seg_lines
 
 
 @st.composite
@@ -355,11 +387,11 @@ def mapping_documents(draw):
 
 
 class TestNamesResolvedOncePerSpelling:
-    @given(tagged_segments())
+    @given(rendered_documents())
     @settings(max_examples=150, deadline=None)
-    def test_parse_matches_resolving_every_tag(self, segments):
+    def test_parse_matches_resolving_every_tag(self, document):
         registry = default_registry()
-        text, seg_lines = render(segments)
+        text, segments, seg_lines = document
         assert (outcome(parse_document, text, registry)
                 == outcome(parse_per_tag, segments, seg_lines, registry))
 
