@@ -349,6 +349,10 @@ def tagged_segments(draw):
 def rendered_documents(draw):
     """Annotation text for drawn segments, the segments, and the line of each ``seg``."""
     segments = draw(tagged_segments())
+
+    def pad():
+        return draw(st.sampled_from(PADS))
+
     lines, seg_lines, current = ["doc random"], [], None
     for stage, names, index, pinned, text in segments:
         if stage != current:
@@ -358,10 +362,6 @@ def rendered_documents(draw):
         for name in names:
             slots += draw(st.lists(st.sampled_from(EMPTY_SLOTS), max_size=1)) + [name]
         slots += draw(st.lists(st.sampled_from(EMPTY_SLOTS), max_size=1))
-
-        def pad():
-            return draw(st.sampled_from(PADS))
-
         head = f"seg {pad()}{index}{pad()}" if pinned else "seg" + draw(st.sampled_from(HEAD_PADS))
         line = head + "|" + ",".join(pad() + slot + pad() for slot in slots)
         if text:
