@@ -232,9 +232,14 @@ def outcome(fn, *args):
 
 # --- random graphs and documents -----------------------------------------------
 
-R_IDS = [f"r{i}" for i in range(8)]
-C_IDS = [f"c{i}" for i in range(6)]
-E_IDS = [f"e{i}" for i in range(4)]
+# Ids whose string order differs from their numeric order ("c10" < "c2"),
+# and hyphenated ids, which sort before the plain ones ("c-1" < "c1").
+R_IDS = ["r1", "r2", "r10", "r-1", "r-2-b", "r9", "r11", "rb"]
+C_IDS = ["c1", "c2", "c10", "c-1", "c-10-b", "cb"]
+E_IDS = ["e1", "e2", "e10", "e-a-b"]
+# Names no graph drawn below has in its E-layer: ids of the other layers, a
+# near miss, and names that canonicalize to nothing.
+E_MISSES = ["c1", "r10", "e3", "e1-0", "?!", ""]
 
 
 @st.composite
@@ -250,6 +255,15 @@ def graphs(draw):
 
 
 @st.composite
+def loose(draw, name):
+    """``name`` as a user may type it: either case, spaces for hyphens, padded."""
+    text = name.replace("-", draw(st.sampled_from(["-", " "])))
+    text = draw(st.sampled_from([str.lower, str.upper]))(text)
+    pad = st.sampled_from(["", " ", "  "])
+    return draw(pad) + text + draw(pad)
+
+
+@st.composite
 def documents(draw, r_ids):
     stages = draw(st.lists(st.sampled_from(["S1", "S2", "S3", "S4"]), min_size=1,
                            max_size=30))
@@ -260,14 +274,18 @@ def documents(draw, r_ids):
 
 
 class TestGraphAgainstScans:
-    @given(graphs())
+    @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_every_query_matches_the_edge_scan(self, graph):
+    def test_every_query_matches_the_edge_scan(self, data):
+        graph = data.draw(graphs())
         for node in graph.layer_nodes(C) + graph.layer_nodes(E):
-            assert graph.children(node.layer, node.id) == children_scan(
-                graph, node.layer, node.id)
-        for node in graph.layer_nodes(E):
-            assert compose_re(graph, node.id) == compose_re_scan(graph, node.id)
+            for name in (node.id, data.draw(loose(node.id))):
+                assert graph.children(node.layer, name) == children_scan(
+                    graph, node.layer, name)
+        for name in E_IDS + E_MISSES:
+            for spelling in (name, data.draw(loose(name))):
+                assert (outcome(compose_re, graph, spelling)
+                        == outcome(compose_re_scan, graph, spelling))
         assert graph.to_document() == to_document_scan(graph)
         assert branching_stats(graph) == branching_stats_scan(graph)
 
