@@ -45,6 +45,7 @@ from .registry import (
     _document_from_source,
     _json_text,
     _read_text,
+    canon,
     default_registry,
 )
 
@@ -199,9 +200,13 @@ def serialize_document(doc: AnnotatedDocument) -> str:
     """Annotation text that parses back to an equal document.
 
     Raises :class:`ParseError` naming the field when the doc id or a stage
-    label is empty, or when one of them or a segment text has leading or
-    trailing whitespace or holds a line break: parsing would lose it.
+    label is empty, when one of them or a segment text has leading or
+    trailing whitespace or holds a line break, when a mode name is not a
+    canonical mode id (empty, or holding a separator, padding or upper
+    case), or when ``declared_K`` is below 1: parsing would lose or refuse it.
     """
+    if doc.declared_K is not None and doc.declared_K < 1:
+        raise ParseError(f"declared_K must be a positive integer, got {doc.declared_K}")
     lines = [f"doc {doc.id}"]
     unwritable = not doc.id or doc.id != doc.id.strip()
     if doc.declared_K is not None:
@@ -221,20 +226,24 @@ def serialize_document(doc: AnnotatedDocument) -> str:
             entry += f" | {seg.text}"
         lines.append(entry)
     text = "\n".join(lines) + "\n"
-    # One count over the whole text finds a line break in any field.
-    if unwritable or len(text.splitlines()) != len(lines):
+    # One count over the whole text finds a line break in any field; each
+    # distinct mode name is tested once.
+    if (unwritable or len(text.splitlines()) != len(lines)
+            or any(not name or canon(name) != name for name in doc.mode_union())):
         raise _unwritable_field(doc)
     return text
 
 
 def _unwritable_field(doc: AnnotatedDocument) -> ParseError:
     """The error for the first field of ``doc`` that would not read back as written."""
-    fields = [("doc id", doc.id, True)]
+    # (field, value, required, mode names that must be canonical ids)
+    fields = [("doc id", doc.id, True, ())]
     for seg in doc.segments:
-        fields += [(f"segment {seg.index} stage", seg.stage, True),
-                   (f"segment {seg.index} text", seg.text, False),
-                   (f"segment {seg.index} modes", ", ".join(sorted(seg.modes)), True)]
-    for name, value, required in fields:
+        modes = sorted(seg.modes)
+        fields += [(f"segment {seg.index} stage", seg.stage, True, ()),
+                   (f"segment {seg.index} text", seg.text, False, ()),
+                   (f"segment {seg.index} modes", ", ".join(modes), True, modes)]
+    for name, value, required, mode_names in fields:
         if not value:
             if required:
                 return ParseError(f"{name} is empty")
@@ -242,6 +251,10 @@ def _unwritable_field(doc: AnnotatedDocument) -> ParseError:
             return ParseError(f"{name} {value!r} has leading or trailing whitespace")
         elif value.splitlines() != [value]:
             return ParseError(f"{name} {value!r} holds a line break")
+        for mode in mode_names:
+            if not mode or canon(mode) != mode:
+                return ParseError(f"{name} {value!r} holds {mode!r}, "
+                                  f"which is not a canonical mode id")
     raise AssertionError("serialize_document found no unwritable field")
 
 

@@ -241,7 +241,10 @@ class PyramidGraph:
     """Immutable three-layer graph with downward edges C→R and E→C.
 
     The sorted child ids of every C- and E-node are built once, at
-    construction, so child queries cost in proportion to their answer.
+    construction, in a table per layer that is itself in node-id order.
+    Child queries and :func:`compose_re` cost in proportion to their answer;
+    :func:`branching_stats` and :meth:`to_document` walk the tables in order
+    and sort nothing per call.
     """
 
     def __init__(
@@ -319,17 +322,21 @@ class PyramidGraph:
     def to_document(self) -> dict:
         doc: dict = {"profile": self.profile}
         for layer, key, target_key in _DOCUMENT_KEYS:
-            doc[key] = [{"id": node.id, "display_name": node.display_name,
-                         "description": node.description,
-                         target_key: list(self._child_ids[layer][node.id])}
-                        for node in self.layer_nodes(layer)]
+            nodes = self._nodes[layer]
+            doc[key] = [{"id": node_id, "display_name": nodes[node_id].display_name,
+                         "description": nodes[node_id].description,
+                         target_key: list(child_ids)}
+                        for node_id, child_ids in self._child_ids[layer].items()]
         return doc
 
 
 def _adjacency(upper_nodes: dict[str, LayerNode],
                edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
-    """Sorted child ids of every upper-layer node, from ``(upper, child)`` edges."""
-    children: dict[str, list[str]] = {node_id: [] for node_id in upper_nodes}
+    """Sorted child ids of every upper-layer node, from ``(upper, child)`` edges.
+
+    The table's keys are in sorted node-id order too.
+    """
+    children: dict[str, list[str]] = {node_id: [] for node_id in sorted(upper_nodes)}
     for upper, child in edges:
         children[upper].append(child)
     return {node_id: tuple(sorted(ids)) for node_id, ids in children.items()}
@@ -339,17 +346,17 @@ def _adjacency(upper_nodes: dict[str, LayerNode],
 
 def compose_re(graph: PyramidGraph, e_name: str) -> tuple[str, ...]:
     """All R-ids reachable from an E-node through its C-children, sorted."""
+    r_ids = graph._child_ids[C]
     reached: set[str] = set()
-    for c_node in graph.children(E, e_name):
-        reached.update(r.id for r in graph.children(C, c_node.id))
+    for c_id in graph._child_ids[E][graph.node(E, e_name).id]:
+        reached.update(r_ids[c_id])
     return tuple(sorted(reached))
 
 
 def branching_stats(graph: PyramidGraph) -> BranchingStats:
     """Out-degree of every C- and E-node, sorted by node id."""
     def degrees(layer: str) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted((node, len(kids))
-                            for node, kids in graph._child_ids[layer].items()))
+        return tuple((node, len(kids)) for node, kids in graph._child_ids[layer].items())
 
     return BranchingStats(c_degrees=degrees(C), e_degrees=degrees(E))
 

@@ -229,18 +229,47 @@ class TestRoundTrip:
             serialize_document(doc)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("modes, declared_k, message", [
+        ({"narration, contrast"}, None,
+         "segment 1 modes 'narration, contrast' holds 'narration, contrast', "
+         "which is not a canonical mode id"),
+        ({"contrast", "narration|x"}, None,
+         "segment 1 modes 'contrast, narration|x' holds 'narration|x', "
+         "which is not a canonical mode id"),
+        ({"narration", ""}, None,
+         "segment 1 modes ', narration' holds '', which is not a canonical mode id"),
+        ({"Narration"}, None,
+         "segment 1 modes 'Narration' holds 'Narration', which is not a canonical mode id"),
+        ({"cause effect"}, None,
+         "segment 1 modes 'cause effect' holds 'cause effect', "
+         "which is not a canonical mode id"),
+        ({"a\nb"}, None, "segment 1 modes 'a\\nb' holds a line break"),
+        (None, 0, "declared_K must be a positive integer, got 0"),
+    ])
+    def test_unwritable_modes_or_width_is_named(self, modes, declared_k, message):
+        segments = (Segment(1, "A", frozenset(modes)),) if modes else ()
+        with pytest.raises(ParseError) as err:
+            serialize_document(AnnotatedDocument("d", segments, declared_k))
+        assert str(err.value) == message
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_serialize_raises_or_round_trips(self, data):
         """Any document over built-in modes either writes out exactly or is refused."""
         ids = sorted(m.id for m in default_registry())
+        # Mode names that are not canonical ids: parsing would split, re-case
+        # or drop them.
+        names = ids + ["narration, contrast", "narration|x", "", "Narration",
+                       "cause effect", " narration", "a\nb", "cause--effect"]
         segments, index = [], 0
         for _ in range(data.draw(st.integers(0, 6))):
             index += data.draw(st.integers(1, 3))
-            modes = data.draw(st.frozensets(st.sampled_from(ids), min_size=1, max_size=3))
+            modes = data.draw(st.frozensets(st.sampled_from(names), min_size=1, max_size=3))
             segments.append(Segment(index, data.draw(st.text(max_size=8)), modes,
                                     data.draw(st.text(max_size=12))))
-        doc = AnnotatedDocument(data.draw(st.text(max_size=8)), tuple(segments))
+        used = len(frozenset().union(*(seg.modes for seg in segments)))
+        declared_k = data.draw(st.sampled_from([None, used, used + 2]))
+        doc = AnnotatedDocument(data.draw(st.text(max_size=8)), tuple(segments), declared_k)
         try:
             text = serialize_document(doc)
         except ParseError:
