@@ -87,8 +87,8 @@ def _emit(fmt: str, payload, *blocks) -> None:
     blocks; csv blocks follow each other directly.
     """
     if fmt == JSON:
-        from .registry import _json_text
-        sys.stdout.write(_json_text(payload))
+        from .jsontext import json_text
+        sys.stdout.write(json_text(payload))
         return
     for i, block in enumerate(blocks):
         record = isinstance(block, dict)

@@ -39,11 +39,11 @@ from .errors import (
     UnknownMode,
     UnmappedStage,
 )
+from .jsontext import json_text
 from .pyramid import C, E, PyramidGraph
 from .registry import (
     Registry,
     _document_from_source,
-    _json_text,
     _read_text,
     canon,
     default_registry,
@@ -516,7 +516,7 @@ def serialize_schedule(schedule: StageSchedule) -> str:
     """Deterministic JSON text; loads back to an equal schedule."""
     stages = [{"name": s.name, "K": s.k_cumulative, "duration": s.duration}
               for s in schedule.stages]
-    return _json_text({"stages": stages})
+    return json_text({"stages": stages})
 
 
 @dataclass(frozen=True)

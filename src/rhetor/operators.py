@@ -39,12 +39,12 @@ from .errors import (
     NotDiatomic,
     SelfUnite,
 )
+from .jsontext import json_text
 from .registry import (
     Mode,
     Origin,
     Registry,
     _document_from_source,
-    _json_text,
     _title,
     canon,
     default_registry,
@@ -184,7 +184,7 @@ def load_rules(source: "str | Path | dict | None" = None) -> DualityRuleSet:
 
 def serialize_rules(rules: DualityRuleSet) -> str:
     """Deterministic JSON text; loads back to an equal rule set."""
-    return _json_text(rules.to_document())
+    return json_text(rules.to_document())
 
 
 # --- operator application ---------------------------------------------------

@@ -37,13 +37,13 @@ from .errors import (
     UnknownNode,
     UnknownProfile,
 )
+from .jsontext import json_text
 from .registry import (
     Mode,
     Origin,
     Registry,
     _ID_PATTERN,
     _document_from_source,
-    _json_text,
     _text_field,
     _title,
     canon,
@@ -475,7 +475,7 @@ def load_pyramid(
 
 def serialize_pyramid(graph: PyramidGraph) -> str:
     """Deterministic JSON text; loads back to an equal graph."""
-    return _json_text(graph.to_document())
+    return json_text(graph.to_document())
 
 
 # --- academic-function composition ------------------------------------------

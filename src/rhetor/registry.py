@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import BadConstituent, DuplicateMode, ParseError, UnknownMode
+from .jsontext import json_text
 
 _ID_PATTERN = re.compile(r"[a-z][a-z0-9]*(?:-[a-z0-9]+)*\Z")
 _SEPARATORS = re.compile(r"[–—/\s]+")  # en/em dash, slash, whitespace
@@ -458,11 +459,6 @@ def _document_from_source(source: "str | Path | dict | list", kind: str,
     return source
 
 
-def _json_text(payload) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, sets sorted."""
-    return json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\n"
-
-
 def load_registry(source: "str | Path | dict | None" = None) -> Registry:
     """Registry from a document, layered on top of the built-in modes.
 
@@ -513,4 +509,4 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
 
 def serialize_registry(registry: Registry) -> str:
     """Deterministic JSON text for a registry; loads back to an equal registry."""
-    return _json_text(registry.to_document())
+    return json_text(registry.to_document())

@@ -65,8 +65,12 @@ def _loaded_after(code: str) -> set[str]:
                    ["capacity", "--k", "14", "--ln", "1", "--used", "5"],
                    ["entropy", "--k", "18"],
                    ["entropy", "--k", "20", "--layers", "4,4", "--flat", "20",
-                    "--format", "csv"])),
-], ids=["import", "tables", "tables-csv", "capacity", "entropy", "entropy-layered-csv"])
+                    "--format", "csv"],
+                   ["tables", "--max-k", "12", "--format", "json"],
+                   ["capacity", "--k", "14", "--ln", "1", "--used", "5", "--format", "json"],
+                   ["entropy", "--k", "18", "--format", "json"])),
+], ids=["import", "tables", "tables-csv", "capacity", "entropy", "entropy-layered-csv",
+        "tables-json", "capacity-json", "entropy-json"])
 def test_light_calls_load_no_unused_module(code):
     loaded = _loaded_after(code)
     assert "rhetor.cli" in loaded
