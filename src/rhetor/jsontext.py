@@ -89,10 +89,7 @@ def json_text(payload) -> str:
         for item in items:
             write(lead)
             lead = separator
-            if isinstance(item, str):
-                write(_encode(item))
-            else:
-                value(item, inner)
+            value(item, inner)
         write(newline + "]")
 
     def obj(mapping, newline: str) -> None:
