@@ -75,14 +75,3 @@ def test_raises_type_error_where_json_dumps_does(value):
     else:
         assert json_text(value) == want
 
-
-def test_coerced_keys_do_not_share_a_cached_prefix():
-    text = json_text([{True: 1}, {1: 2}, {1.0: 3}, {None: 4}, {"true": 5}])
-    assert [line.strip() for line in text.splitlines() if ":" in line] == [
-        '"true": 1', '"1": 2', '"1.0": 3', '"null": 4', '"true": 5']
-
-
-def test_special_floats_and_sets():
-    assert json_text({"s": {"b", "a"}, "f": [float("nan"), float("inf"), -float("inf")]}) == (
-        '{\n  "f": [\n    NaN,\n    Infinity,\n    -Infinity\n  ],\n'
-        '  "s": [\n    "a",\n    "b"\n  ]\n}\n')
