@@ -42,12 +42,13 @@ from .errors import (
 from .jsontext import json_text
 from .registry import (
     Mode,
-    Origin,
     Registry,
+    _ID_PATTERN,
     _document_from_source,
     _title,
     canon,
     default_registry,
+    generated_mode,
 )
 
 SPLIT = "split"
@@ -117,6 +118,10 @@ class DualityRuleSet:
                 raise BadRuleSet(f"{relation} pair {tuple(pair)!r} must name two modes")
             if members[0] == members[1]:
                 raise BadRuleSet(f"{relation} pair repeats {members[0]!r}")
+            for member in members:
+                if not _ID_PATTERN.match(member):
+                    raise BadRuleSet(f"{relation} pair {tuple(pair)!r}: "
+                                     f"{member!r} is not a mode id")
             if not ordered:
                 members.sort()
             out.append(tuple(members))
@@ -189,10 +194,6 @@ def serialize_rules(rules: DualityRuleSet) -> str:
 
 # --- operator application ---------------------------------------------------
 
-def _as_mode(registry: Registry, m: "str | Mode") -> Mode:
-    return m if isinstance(m, Mode) else registry.resolve(m)
-
-
 def _rule_mode(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mode:
     """Resolve against the registry, falling back to rule-known generated atoms."""
     if isinstance(m, Mode):
@@ -202,22 +203,21 @@ def _rule_mode(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mo
         return mode
     cid = canon(m)
     if cid in rules.members():
-        return Mode(cid, _title(cid), (), Origin.generated("rules", ()),
-                    f"Duality partner named by the active rule set ({cid}).")
+        return generated_mode(cid, "rules", (),
+                              f"Duality partner named by the active rule set ({cid}).")
     return registry.resolve(m)  # raises UnknownMode with did-you-mean hints
 
 
 def split(registry: Registry, m: "str | Mode") -> tuple[Mode, Mode]:
     """The two constituent atoms of a diatomic mode, in stored order."""
-    mode = _as_mode(registry, m)
+    mode = registry.resolve(m)
     if not mode.is_diatomic:
         raise NotDiatomic(f"cannot split {mode.id!r}: arity is {mode.arity}")
     parts = []
     for cid in mode.constituents:
         part = registry.get(cid)
         if part is None:
-            part = Mode(cid, _title(cid), (), Origin.generated(SPLIT, (mode.id,)),
-                        f"Constituent of {mode.id}.")
+            part = generated_mode(cid, SPLIT, (mode.id,), f"Constituent of {mode.id}.")
         parts.append(part)
     return (parts[0], parts[1])
 
@@ -229,7 +229,7 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
     otherwise a generated mode whose id joins the two atom ids in
     lexicographic order.  Commutative either way.
     """
-    ma, mb = _as_mode(registry, a), _as_mode(registry, b)
+    ma, mb = registry.resolve(a), registry.resolve(b)
     if ma.id == mb.id:
         raise SelfUnite(f"cannot unite {ma.id!r} with itself")
     for mode in (ma, mb):
@@ -246,8 +246,8 @@ def _united(registry: Registry, first: Mode, second: Mode) -> Mode:
     if existing is not None:
         return existing
     pair = (a, b)
-    return Mode(f"{a}-{b}", f"{_title(a)}-{_title(b)}", pair,
-                Origin("generated", UNITE, pair), f"Generated pairing of {a} and {b}.")
+    return generated_mode(f"{a}-{b}", UNITE, pair, f"Generated pairing of {a} and {b}.",
+                          pair, f"{_title(a)}-{_title(b)}")
 
 
 #: Per unary operator: the relation a :class:`NoDual` message names, and the
@@ -279,8 +279,8 @@ def _partner(registry: Registry, partner_id: str, operator: str, source: Mode) -
     existing = registry.get(partner_id)
     if existing is not None:
         return existing
-    return Mode(partner_id, _title(partner_id), (), Origin.generated(operator, (source.id,)),
-                _DESCRIPTION[operator].format(source.id))
+    return generated_mode(partner_id, operator, (source.id,),
+                          _DESCRIPTION[operator].format(source.id))
 
 
 def forward_backward(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mode:
@@ -359,7 +359,7 @@ def closure(
             seed = (seed,)
         universe = {}
         for entry in seed:
-            mode = _as_mode(registry, entry)
+            mode = registry.resolve(entry)
             universe[mode.id] = mode
 
     derived: set[str] = set()

@@ -40,7 +40,6 @@ from .errors import (
 from .jsontext import json_text
 from .registry import (
     Mode,
-    Origin,
     Registry,
     _ID_PATTERN,
     _document_from_source,
@@ -48,6 +47,7 @@ from .registry import (
     _title,
     canon,
     default_registry,
+    generated_mode,
 )
 
 R = "R"
@@ -374,8 +374,8 @@ def _resolve_target(registry: Registry, name: str, profile: str,
     if mode is None:
         if not _ID_PATTERN.match(cid):
             raise ParseError(f"invalid mode name {name!r} in {profile} mapping")
-        mode = Mode(cid, _title(cid), (), Origin.generated("academic-profile", ()),
-                    f"Writing move declared by the {profile} mapping profile.")
+        mode = generated_mode(cid, "academic-profile", (),
+                              f"Writing move declared by the {profile} mapping profile.")
         extras[cid] = mode
     return mode
 
@@ -498,14 +498,10 @@ def compose_academic(registry: Registry, f: AcademicFunction) -> Mode:
     name_id = canon(f.name)
     if not _ID_PATTERN.match(name_id):
         raise BadComposition(f"cannot form an id from function name {f.name!r}")
-    return Mode(
-        id=f"af-{name_id}",
-        display_name=_title(name_id),
-        constituents=constituents,
-        origin=Origin.generated("academic-composition", constituents),
-        description=f"Academic function anchored on {core.id} with "
-                    f"{len(supplements)} supporting modes.",
-    )
+    return generated_mode(
+        f"af-{name_id}", "academic-composition", constituents,
+        f"Academic function anchored on {core.id} with {len(supplements)} supporting modes.",
+        constituents, _title(name_id))
 
 
 def academic_function_examples() -> tuple[AcademicFunction, AcademicFunction]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -67,17 +67,9 @@ class Origin:
     operator: str | None = None
     inputs: tuple[str, ...] = ()
 
-    @classmethod
-    def base(cls) -> "Origin":
-        return cls("base")
 
-    @classmethod
-    def decomposed(cls) -> "Origin":
-        return cls("decomposed")
-
-    @classmethod
-    def generated(cls, operator: str, inputs: Iterable[str] = ()) -> "Origin":
-        return cls("generated", operator, tuple(inputs))
+_BASE_ORIGIN = Origin("base")
+_DECOMPOSED_ORIGIN = Origin("decomposed")
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,7 @@ class Mode:
     id: str
     display_name: str
     constituents: tuple[str, ...] = ()
-    origin: Origin = field(default_factory=Origin.base)
+    origin: Origin = _BASE_ORIGIN
     description: str = ""
 
     @property
@@ -116,6 +108,18 @@ class Mode:
 @lru_cache(maxsize=_NAME_CACHE_SIZE)
 def _title(mode_id: str) -> str:
     return " ".join(part.capitalize() for part in mode_id.split("-"))
+
+
+def generated_mode(mode_id: str, operator: str, inputs: tuple[str, ...], description: str,
+                   constituents: tuple[str, ...] = (), display_name: str = "") -> Mode:
+    """A mode made by ``operator`` from ``inputs``, titled from its id by default.
+
+    ``mode_id`` must already be a canonical id: the id pattern is not checked
+    here, but where each caller's names entered, and ``Registry`` checks it
+    again on registration.
+    """
+    return Mode(mode_id, display_name or _title(mode_id), constituents,
+                Origin("generated", operator, inputs), description)
 
 
 # --- built-in tables --------------------------------------------------------
@@ -337,9 +341,9 @@ class Registry:
 def _build_default() -> Registry:
     modes = []
     for mode_id, display, constituents, description in _CANONICAL:
-        modes.append(Mode(mode_id, display, constituents, Origin.base(), description))
+        modes.append(Mode(mode_id, display, constituents, description=description))
     for mode_id, display, description in _DECOMPOSED:
-        modes.append(Mode(mode_id, display, (), Origin.decomposed(), description))
+        modes.append(Mode(mode_id, display, (), _DECOMPOSED_ORIGIN, description))
     return Registry(modes, version=DEFAULT_VERSION, aliases=DEFAULT_ALIASES)
 
 
@@ -360,7 +364,7 @@ def base_registry() -> Registry:
     Constituent links of the diatomics are left unresolved here; this view
     exists for working with the canonical table alone (7 atoms, 7 diatomics).
     """
-    modes = [Mode(mode_id, display, constituents, Origin.base(), description)
+    modes = [Mode(mode_id, display, constituents, description=description)
              for mode_id, display, constituents, description in _CANONICAL]
     return Registry(modes, version="builtin-canonical-1", aliases={},
                     require_constituents=False)
@@ -375,15 +379,13 @@ def base_atoms() -> frozenset[Mode]:
 # --- document parsing -------------------------------------------------------
 
 def _parse_origin(raw: object, where: str) -> Origin:
-    if raw is None:
-        return Origin.generated("user")
+    if raw is None or raw == "generated":
+        return Origin("generated", "user")
     if isinstance(raw, str):
         if raw == "base":
-            return Origin.base()
+            return _BASE_ORIGIN
         if raw == "decomposed":
-            return Origin.decomposed()
-        if raw == "generated":
-            return Origin.generated("user")
+            return _DECOMPOSED_ORIGIN
         raise ParseError(f"{where}: unknown origin {raw!r}")
     if isinstance(raw, dict):
         operator = raw.get("operator")
@@ -392,7 +394,7 @@ def _parse_origin(raw: object, where: str) -> Origin:
         inputs = raw.get("inputs", [])
         if not isinstance(inputs, list) or not all(isinstance(i, str) for i in inputs):
             raise ParseError(f"{where}: origin inputs must be a list of ids")
-        return Origin.generated(operator, inputs)
+        return Origin("generated", operator, tuple(inputs))
     raise ParseError(f"{where}: origin must be a string or an object")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,13 @@ class TestRuleSet:
     def test_wrong_pair_size_rejected(self):
         with pytest.raises(BadRuleSet):
             DualityRuleSet(reversal=[("a", "b", "c")])
+
+    @pytest.mark.parametrize("member", ["9 lives", "2nd"])
+    def test_member_that_is_no_mode_id_rejected(self, member):
+        # canon keeps a leading digit, so these names would come back from
+        # the operators as modes no registry accepts.
+        with pytest.raises(BadRuleSet, match=re.escape(f"reversal pair ('cause', {member!r})")):
+            load_rules({"reversal": [["cause", member]]})
 
     def test_unknown_section_rejected(self):
         with pytest.raises(BadRuleSet):

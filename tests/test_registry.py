@@ -21,7 +21,7 @@ from rhetor import (
     parse_document,
     serialize_registry,
 )
-from rhetor.registry import _ID_PATTERN, _title
+from rhetor.registry import _ID_PATTERN, _title, generated_mode
 
 # Canonical names: lowercase words joined by single hyphens.
 CANONICAL_NAMES = st.lists(st.text("abcnoprt", min_size=1, max_size=6),
@@ -364,9 +364,13 @@ class TestModeValue:
         with pytest.raises(AttributeError):
             mode.id = "other"
 
-    def test_origin_constructors(self):
-        assert Origin.base().kind == "base"
-        assert Origin.decomposed().kind == "decomposed"
-        generated = Origin.generated("unite", ("a", "b"))
-        assert generated.operator == "unite"
-        assert generated.inputs == ("a", "b")
+    def test_generated_mode(self):
+        atom = generated_mode("process-step", "reduce", ("process-analysis",), "One step.")
+        assert atom.origin == Origin("generated", "reduce", ("process-analysis",))
+        assert atom.display_name == "Process Step"
+        assert atom.constituents == ()
+        assert atom.description == "One step."
+        pair = generated_mode("a-b", "unite", ("a", "b"), "Both.", ("a", "b"), "A-B")
+        assert pair.display_name == "A-B"
+        assert pair.constituents == ("a", "b")
+        assert Mode("a", "A").origin == Origin("base")

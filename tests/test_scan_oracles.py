@@ -27,20 +27,24 @@ from rhetor import (
     StageMapping,
     UnknownMode,
     UnmappedStage,
+    academic_function_examples,
     base_atoms,
     branching_stats,
     canon,
     closure,
+    compose_academic,
     compose_re,
     default_registry,
     default_rules,
     expand,
     forward_backward,
     load_pyramid,
+    load_registry,
     load_rules,
     orthogonal,
     parse_document,
     reduce,
+    serialize_registry,
     serialize_rules,
     split,
     trace_layers,
@@ -49,7 +53,7 @@ from rhetor import (
 from rhetor import operators, pyramid
 from rhetor.documents import LayerTrace, StageTrace
 from rhetor.operators import OPERATOR_KINDS, operator_kind
-from rhetor.pyramid import C, E, R, BranchingStats
+from rhetor.pyramid import BUILTIN_PROFILES, C, E, R, BranchingStats
 
 # --- oracles: the scans -------------------------------------------------------
 
@@ -594,6 +598,34 @@ def test_every_derivation_replays_through_the_public_operator(seed, rules, ops, 
             assert UNARY[d.operator](CLASH_REGISTRY, rules, *inputs) == d.results[0]
         for result in d.results:
             universe.setdefault(result.id, result)
+
+
+def assert_registers_and_loads_back(registry, modes):
+    """``modes`` extend ``registry``, and the extended registry loads back equal."""
+    extended = registry.with_modes(modes)
+    assert load_registry(serialize_registry(extended)) == extended
+
+
+@given(seed=st.none() | st.sets(st.sampled_from(sorted(m.id for m in default_registry().atoms())),
+                                min_size=1),
+       ops=st.sets(st.sampled_from(OPERATOR_KINDS), min_size=1), depth=st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_generated_modes_register_and_load_back(seed, ops, depth):
+    registry = default_registry()
+    derivations = closure(registry, default_rules(), ops, depth, seed=seed)
+    new = {r.id: r for d in derivations for r in d.results if r.id not in registry}
+    assert_registers_and_loads_back(registry, new.values())
+
+
+@pytest.mark.parametrize("profile", BUILTIN_PROFILES)
+def test_minted_atoms_load_back(profile):
+    assert_registers_and_loads_back(load_pyramid(profile).registry, ())
+
+
+@pytest.mark.parametrize("function", academic_function_examples(), ids=lambda f: f.name)
+def test_academic_compositions_register_and_load_back(function):
+    registry = default_registry()
+    assert_registers_and_loads_back(registry, [compose_academic(registry, function)])
 
 
 def test_depth_two_unites_only_pairs_touching_a_new_atom(monkeypatch):
