@@ -344,6 +344,7 @@ def trace_layers(
     declared C-functions; ``mismatch`` is whatever was observed outside it.
     """
     by_stage = {m.stage: m for m in stage_map}
+    r_ids = graph._child_ids[C]
     observed_by_stage: dict[str, set[str]] = {}  # first-appearance order
     for seg in doc.segments:
         observed_by_stage.setdefault(seg.stage, set()).update(seg.modes)
@@ -356,9 +357,9 @@ def trace_layers(
         expected: set[str] = set()
         c_resolved = []
         for c_name in mapping.c_ids:
-            c_node = graph.node(C, c_name)
-            c_resolved.append(c_node.id)
-            expected.update(r.id for r in graph.children(C, c_node.id))
+            c_id = graph.node(C, c_name).id
+            c_resolved.append(c_id)
+            expected.update(r_ids[c_id])
         observed = frozenset(modes)
         traces.append(StageTrace(
             stage=stage,

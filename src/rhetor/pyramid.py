@@ -240,11 +240,14 @@ class BranchingStats:
 class PyramidGraph:
     """Immutable three-layer graph with downward edges C→R and E→C.
 
+    ``profile``, ``edges_cr``, ``edges_ec`` and ``registry`` are read-only.
     The sorted child ids of every C- and E-node are built once, at
-    construction, in a table per layer that is itself in node-id order.
-    Child queries and :func:`compose_re` cost in proportion to their answer;
-    :func:`branching_stats` and :meth:`to_document` walk the tables in order
-    and sort nothing per call.
+    construction, in a table per layer that is itself in node-id order;
+    beside it, a second table holds each node's children as a tuple of
+    :class:`LayerNode`, so :meth:`children` returns a tuple stored at load.
+    :func:`compose_re` costs in proportion to its answer;
+    :func:`branching_stats` and :meth:`to_document` walk the id tables in
+    order and sort nothing per call.
     """
 
     def __init__(
@@ -255,7 +258,7 @@ class PyramidGraph:
         edges_ec: Iterable[tuple[str, str]],
         registry: Registry | None = None,
     ):
-        self.profile = profile
+        self._profile = profile
         self._nodes: dict[str, dict[str, LayerNode]] = {R: {}, C: {}, E: {}}
         for node in nodes:
             if node.layer not in LAYERS:
@@ -264,16 +267,25 @@ class PyramidGraph:
             if node.id in layer:
                 raise ParseError(f"node {node.id!r} duplicated in layer {node.layer}")
             layer[node.id] = node
-        self.edges_cr = frozenset(edges_cr)
-        self.edges_ec = frozenset(edges_ec)
-        self.registry = registry if registry is not None else default_registry()
+        self._edges_cr = frozenset(edges_cr)
+        self._edges_ec = frozenset(edges_ec)
+        self._registry = registry if registry is not None else default_registry()
         self._check_edges()
         self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {
             upper: _adjacency(self._nodes[upper], edges)
-            for upper, edges in ((C, self.edges_cr), (E, self.edges_ec))}
+            for upper, edges in ((C, self._edges_cr), (E, self._edges_ec))}
+        self._children: dict[str, dict[str, tuple[LayerNode, ...]]] = {
+            upper: {node_id: tuple(map(self._nodes[lower].__getitem__, child_ids))
+                    for node_id, child_ids in self._child_ids[upper].items()}
+            for upper, lower in ((C, R), (E, C))}
+
+    profile = property(lambda self: self._profile)
+    edges_cr = property(lambda self: self._edges_cr)
+    edges_ec = property(lambda self: self._edges_ec)
+    registry = property(lambda self: self._registry)
 
     def _check_edges(self) -> None:
-        for upper, lower, edges in ((C, R, self.edges_cr), (E, C, self.edges_ec)):
+        for upper, lower, edges in ((C, R, self._edges_cr), (E, C, self._edges_ec)):
             upper_ids, lower_ids = self._nodes[upper], self._nodes[lower]
             for up_id, low_id in edges:
                 if up_id not in upper_ids:
@@ -302,25 +314,24 @@ class PyramidGraph:
         return found
 
     def children(self, layer: str, name: str) -> tuple[LayerNode, ...]:
-        """Directly connected nodes one layer down, sorted by id."""
+        """Directly connected nodes one layer down, sorted by id; stored at load."""
         node = self.node(layer, name)
         if node.layer == R:
             raise UnknownNode("R-layer nodes have no lower layer")
-        lower = self._nodes[R if node.layer == C else C]
-        return tuple(lower[child] for child in self._child_ids[node.layer][node.id])
+        return self._children[node.layer][node.id]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PyramidGraph):
             return NotImplemented
-        return (self.profile == other.profile and self._nodes == other._nodes
-                and self.edges_cr == other.edges_cr and self.edges_ec == other.edges_ec)
+        return (self._profile == other._profile and self._nodes == other._nodes
+                and self._edges_cr == other._edges_cr and self._edges_ec == other._edges_ec)
 
     def __repr__(self) -> str:
-        return (f"PyramidGraph({self.profile!r}, R={len(self._nodes[R])}, "
+        return (f"PyramidGraph({self._profile!r}, R={len(self._nodes[R])}, "
                 f"C={len(self._nodes[C])}, E={len(self._nodes[E])})")
 
     def to_document(self) -> dict:
-        doc: dict = {"profile": self.profile}
+        doc: dict = {"profile": self._profile}
         for layer, key, target_key in _DOCUMENT_KEYS:
             nodes = self._nodes[layer]
             doc[key] = [{"id": node_id, "display_name": nodes[node_id].display_name,
@@ -356,7 +367,8 @@ def compose_re(graph: PyramidGraph, e_name: str) -> tuple[str, ...]:
 def branching_stats(graph: PyramidGraph) -> BranchingStats:
     """Out-degree of every C- and E-node, sorted by node id."""
     def degrees(layer: str) -> tuple[tuple[str, int], ...]:
-        return tuple((node, len(kids)) for node, kids in graph._child_ids[layer].items())
+        table = graph._child_ids[layer]
+        return tuple(zip(table, map(len, table.values())))
 
     return BranchingStats(c_degrees=degrees(C), e_degrees=degrees(E))
 

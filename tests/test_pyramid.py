@@ -50,6 +50,16 @@ class TestDefaultShape:
         reached = {c for _, c in graph.edges_ec}
         assert reached == {n.id for n in graph.layer_nodes(C)}
 
+    def test_attributes_are_read_only(self):
+        graph = load_pyramid()
+        for name, value in (("profile", "other"), ("edges_cr", frozenset()),
+                            ("edges_ec", frozenset()), ("registry", None)):
+            with pytest.raises(AttributeError):
+                setattr(graph, name, value)
+        assert graph == load_pyramid()
+        assert len(graph.edges_cr) == 46
+        assert graph.registry.get("narration") is not None
+
 
 class TestLookup:
     def test_node_by_display_name(self, graph):

@@ -286,12 +286,31 @@ class TestGraphAgainstScans:
             for name in (node.id, data.draw(loose(node.id))):
                 assert graph.children(node.layer, name) == children_scan(
                     graph, node.layer, name)
+            assert_children_stored(graph, node)
         for name in E_IDS + E_MISSES:
             for spelling in (name, data.draw(loose(name))):
                 assert (outcome(compose_re, graph, spelling)
                         == outcome(compose_re_scan, graph, spelling))
         assert graph.to_document() == to_document_scan(graph)
         assert branching_stats(graph) == branching_stats_scan(graph)
+
+
+    @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
+    def test_builtin_children_are_stored(self, profile):
+        graph = load_pyramid(profile)
+        for node in graph.layer_nodes(C) + graph.layer_nodes(E):
+            assert graph.children(node.layer, node.id) == children_scan(
+                graph, node.layer, node.id)
+            assert_children_stored(graph, node)
+
+
+def assert_children_stored(graph, node):
+    """``children`` returns one stored tuple of the graph's own nodes."""
+    kids = graph.children(node.layer, node.id)
+    assert graph.children(node.layer, node.id) is kids
+    lower = R if node.layer == C else C
+    for child in kids:
+        assert graph.node(lower, child.id) is child
 
 
 class TestDocumentsAgainstScans:
