@@ -57,7 +57,6 @@ class TestDefaultShape:
             with pytest.raises(AttributeError):
                 setattr(graph, name, value)
         assert graph == load_pyramid()
-        assert len(graph.edges_cr) == 46
         assert graph.registry.get("narration") is not None
 
 
