@@ -39,15 +39,9 @@ from .errors import (
     UnknownMode,
     UnmappedStage,
 )
-from .jsontext import json_text
+from .jsontext import entries, json_text, names_field, read_document, read_text, text_field
 from .pyramid import C, E, PyramidGraph
-from .registry import (
-    Registry,
-    _document_from_source,
-    _read_text,
-    canon,
-    default_registry,
-)
+from .registry import Registry, canon, default_registry
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
     registry so alias spellings are accepted.
     """
     if isinstance(source, Path):
-        source = _read_text(source, "annotation file")
+        source = read_text(source, "annotation file")
     registry = registry if registry is not None else default_registry()
 
     doc_id = "untitled"
@@ -304,33 +298,13 @@ class LayerTrace:
     e_ids: tuple[str, ...]
 
 
-def load_stage_map(source: "str | Path | dict | list") -> list[StageMapping]:
-    """Stage map from JSON: {"stages": [{"stage", "c": [...], "e"}, ...]}.
-
-    The bare list of stage entries is accepted as well.
-    """
-    source = _document_from_source(source, "stage map", allow_list=True)
-    if isinstance(source, dict):
-        source = source.get("stages", [])
-    if not isinstance(source, list):
-        raise ParseError("stage map 'stages' must be a list")
-    out = []
-    for position, entry in enumerate(source):
-        where = f"stages[{position}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: entries must be objects")
-        stage = entry.get("stage")
-        c_ids = entry.get("c")
-        e_id = entry.get("e")
-        if not isinstance(stage, str) or not stage:
-            raise ParseError(f"{where}: 'stage' must be a non-empty string")
-        if not isinstance(c_ids, list) or not c_ids or not all(
-                isinstance(c, str) for c in c_ids):
-            raise ParseError(f"{where}: 'c' must be a non-empty list of names")
-        if not isinstance(e_id, str) or not e_id:
-            raise ParseError(f"{where}: 'e' must be a non-empty string")
-        out.append(StageMapping(stage, tuple(c_ids), e_id))
-    return out
+def load_stage_map(source: "str | Path | dict") -> list[StageMapping]:
+    """Stage map from JSON: {"stages": [{"stage", "c": [...], "e"}, ...]}."""
+    doc = read_document(source, "stage map")
+    return [StageMapping(text_field(entry, "stage", where, required=True),
+                         names_field(entry, "c", where, required=True),
+                         text_field(entry, "e", where, required=True))
+            for where, entry in entries(doc, "stages", "stage map")]
 
 
 def trace_layers(
@@ -455,26 +429,25 @@ _DEFAULT_SCHEDULE_ROWS = (
 
 
 def _build_schedule(rows: Sequence[tuple[str, int, float]]) -> StageSchedule:
+    """Schedule from ``(name, width, duration)`` rows of names, ints and real numbers."""
     steps = []
     previous_k = 0
-    for name, k, duration in rows:
-        if not name:
-            raise BadSchedule("stage name must be non-empty")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise BadSchedule(f"stage {name!r} needs a positive integer width, got {k!r}")
+    for position, (name, k, duration) in enumerate(rows):
+        where = f"stages[{position}]: stage {name!r}"
+        if k < 1:
+            raise BadSchedule(f"{where} needs a positive integer width, got {k!r}")
         if k < previous_k:
-            raise BadSchedule(f"cumulative width decreases at stage {name!r} "
+            raise BadSchedule(f"{where}: cumulative width decreases "
                               f"({previous_k} then {k})")
         if not 0 < duration < math.inf:
-            raise BadSchedule(f"stage {name!r} needs a positive finite duration, "
-                              f"got {duration!r}")
+            raise BadSchedule(f"{where} needs a positive finite duration, got {duration!r}")
         try:
             duration = float(duration)
             l_n = (k - previous_k) / duration
         except OverflowError:
             l_n = math.inf
         if not math.isfinite(l_n):
-            raise BadSchedule(f"stage {name!r} is out of floating-point range")
+            raise BadSchedule(f"{where} is out of floating-point range")
         steps.append(StageStep(name=name, k_cumulative=k, duration=duration, l_n=l_n))
         previous_k = k
     return StageSchedule(tuple(steps))
@@ -492,19 +465,14 @@ def load_schedule(source: "str | Path | dict | None" = None) -> StageSchedule:
     """
     if source is None:
         return default_schedule()
-    source = _document_from_source(source, "schedule")
-    if not isinstance(source.get("stages"), list):
+    doc = read_document(source, "schedule")
+    if "stages" not in doc:
         raise ParseError("schedule must carry a 'stages' list")
     rows = []
-    for position, entry in enumerate(source["stages"]):
-        where = f"stages[{position}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: entries must be objects")
-        name = entry.get("name")
+    for where, entry in entries(doc, "stages", "schedule"):
+        name = text_field(entry, "name", where, required=True)
         k = entry.get("K")
         duration = entry.get("duration", 1.0)
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"{where}: 'name' must be a non-empty string")
         if not isinstance(k, int) or isinstance(k, bool):
             raise ParseError(f"{where}: 'K' must be an integer")
         if not isinstance(duration, (int, float)) or isinstance(duration, bool):

@@ -1,7 +1,8 @@
-"""Deterministic JSON text: the one writer behind every serializer and every
-``--format json`` call.
+"""Deterministic JSON text and JSON documents: the one writer and the one
+reader.
 
-:func:`json_text` returns the same text as
+:func:`json_text` is the one writer, behind every serializer and every
+``--format json`` call.  It returns the same text as
 ``json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\\n"``:
 keys sorted (before int, float, bool and ``None`` keys are coerced to
 strings), two-space indent, ASCII-escaped strings, tuples as lists, and any
@@ -9,14 +10,23 @@ other value (a set, say) written as its sorted list.  ``json.dumps`` with an
 indent runs the pure-Python generator encoder on CPython before 3.14; this
 writer appends the pieces to one list and joins them once, encodes strings
 with the C ``encode_basestring_ascii``, and writes a list of strings with a
-single ``join``.
+single ``join``.  Unlike ``json.dumps`` it does not look for cycles: a
+self-containing value raises ``RecursionError`` instead of ``ValueError``.
 
-Unlike ``json.dumps`` it does not look for cycles: a self-containing value
-raises ``RecursionError`` instead of ``ValueError``.
+:func:`read_document` is the one reader, behind every JSON loader: it turns
+a path, JSON text or parsed value into a JSON object, and :func:`read_text`
+reads a file as UTF-8 for it and for ``.rma`` parsing.  :func:`entries`,
+:func:`text_field` and :func:`names_field` walk a document's sections, so
+every loader reports a malformed entry as ``<key>[<i>]: '<field>' must be
+...``.
 """
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _encode
+from pathlib import Path
+
+from .errors import ParseError
 
 _INFINITY = float("inf")
 
@@ -116,3 +126,65 @@ def json_text(payload) -> str:
     value(payload, "\n")
     write("\n")
     return "".join(parts)
+
+
+def read_text(path: Path, kind: str) -> str:
+    """UTF-8 contents of ``path``; ``OSError`` propagates to the caller."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{kind} is not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def read_document(source: "str | Path | dict", kind: str) -> dict:
+    """The JSON object of a ``kind`` document given as a path, JSON text or parsed value."""
+    if isinstance(source, Path):
+        source = read_text(source, f"{kind} document")
+    if isinstance(source, str):
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed {kind} document: {exc.msg}",
+                             line=exc.lineno, column=exc.colno) from exc
+        except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+            raise ParseError(f"malformed {kind} document: {exc}") from None
+    if not isinstance(source, dict):
+        raise ParseError(f"{kind} document must be a JSON object")
+    return source
+
+
+def entries(doc: dict, key: str, kind: str):
+    """``(where, entry)`` for each object of the list ``doc[key]``, ``where``
+    like ``modes[3]``; an absent ``key`` holds no entries."""
+    section = doc.get(key, [])
+    if not isinstance(section, list):
+        raise ParseError(f"{kind} {key!r} must be a list")
+    for position, entry in enumerate(section):
+        where = f"{key}[{position}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: entries must be objects")
+        yield where, entry
+
+
+def text_field(entry: dict, key: str, where: str, required: bool = False) -> str:
+    """String field ``key`` of the entry at ``where``; ``""`` when absent,
+    which a ``required`` field may not be."""
+    value = entry.get(key, "")
+    if not isinstance(value, str) or required and not value:
+        raise ParseError(f"{where}: {key!r} must be a "
+                         f"{'non-empty ' if required else ''}string")
+    return value
+
+
+def names_field(entry: dict, key: str, where: str,
+                required: bool = False) -> tuple[str, ...]:
+    """List-of-strings field ``key`` of the entry at ``where``, as a tuple;
+    ``()`` when absent, which a ``required`` field may not be."""
+    value = entry.get(key, [])
+    if (not isinstance(value, list) or required and not value
+            or not all(isinstance(name, str) for name in value)):
+        raise ParseError(f"{where}: {key!r} must be a "
+                         f"{'non-empty ' if required else ''}list of names")
+    return tuple(value)

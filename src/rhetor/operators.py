@@ -39,12 +39,11 @@ from .errors import (
     NotDiatomic,
     SelfUnite,
 )
-from .jsontext import json_text
+from .jsontext import json_text, read_document
 from .registry import (
     Mode,
     Registry,
     _ID_PATTERN,
-    _document_from_source,
     _title,
     canon,
     default_registry,
@@ -96,12 +95,11 @@ class DualityRuleSet:
             relation: self._canon_pairs(pairs, relation, ordered=relation == "scale")
             for relation, pairs in zip(_RELATIONS, (reversal, scale, orthogonal))}
         self._partner_of = {
-            FORWARD_BACKWARD: self._symmetric_map(self.reversal_pairs, "reversal"),
-            ORTHOGONAL: self._symmetric_map(self.orthogonal_pairs, "orthogonal"),
+            FORWARD_BACKWARD: _symmetric_map(self.reversal_pairs),
+            ORTHOGONAL: _symmetric_map(self.orthogonal_pairs),
+            REDUCE: dict(self.scale_pairs),
+            EXPAND: {reduced: expanded for expanded, reduced in self.scale_pairs},
         }
-        self._symmetric_map(self.scale_pairs, "scale")  # one scale pair per mode
-        self._partner_of[REDUCE] = dict(self.scale_pairs)
-        self._partner_of[EXPAND] = {reduced: expanded for expanded, reduced in self.scale_pairs}
         self._members = frozenset().union(*self._partner_of.values())
 
     # The sorted canonical pairs of each relation; read-only, like the partner map.
@@ -111,31 +109,29 @@ class DualityRuleSet:
 
     @staticmethod
     def _canon_pairs(pairs, relation: str, ordered: bool) -> tuple[tuple[str, str], ...]:
+        """The sorted canonical pairs; each mode in at most one pair of ``relation``."""
         out = []
-        for pair in pairs:
+        seen: set[str] = set()
+        for position, pair in enumerate(pairs):
+            where = f"{relation}[{position}]: {relation} pair"
+            if not isinstance(pair, (list, tuple)) or not all(isinstance(p, str) for p in pair):
+                raise BadRuleSet(f"{where} {pair!r} must be a list of names")
             members = [canon(p) for p in pair]
             if len(members) != 2 or not all(members):
-                raise BadRuleSet(f"{relation} pair {tuple(pair)!r} must name two modes")
+                raise BadRuleSet(f"{where} {tuple(pair)!r} must name two modes")
             if members[0] == members[1]:
-                raise BadRuleSet(f"{relation} pair repeats {members[0]!r}")
+                raise BadRuleSet(f"{where} repeats {members[0]!r}")
             for member in members:
                 if not _ID_PATTERN.match(member):
-                    raise BadRuleSet(f"{relation} pair {tuple(pair)!r}: "
-                                     f"{member!r} is not a mode id")
+                    raise BadRuleSet(f"{where} {tuple(pair)!r}: {member!r} is not a mode id")
+                if member in seen:
+                    raise BadRuleSet(f"{where} {tuple(pair)!r}: mode {member!r} "
+                                     f"appears in two {relation} pairs")
+                seen.add(member)
             if not ordered:
                 members.sort()
             out.append(tuple(members))
         return tuple(sorted(out))
-
-    @staticmethod
-    def _symmetric_map(pairs, relation: str) -> dict[str, str]:
-        partner: dict[str, str] = {}
-        for a, b in pairs:
-            for x, y in ((a, b), (b, a)):
-                if x in partner:
-                    raise BadRuleSet(f"mode {x!r} appears in two {relation} pairs")
-                partner[x] = y
-        return partner
 
     def partner(self, operator: str, mode_id: str) -> str | None:
         """The mode the unary ``operator`` maps ``mode_id`` to; ``None`` when unpaired.
@@ -162,6 +158,10 @@ class DualityRuleSet:
         return {relation: [list(p) for p in pairs] for relation, pairs in self._pairs.items()}
 
 
+def _symmetric_map(pairs) -> dict[str, str]:
+    return {**dict(pairs), **{b: a for a, b in pairs}}
+
+
 def default_rules() -> DualityRuleSet:
     """The duality pairs the built-in modes are known to participate in."""
     return DualityRuleSet(
@@ -176,15 +176,13 @@ def load_rules(source: "str | Path | dict | None" = None) -> DualityRuleSet:
     """Rule set from a JSON document (path, text, or parsed dict)."""
     if source is None:
         return default_rules()
-    source = _document_from_source(source, "rules")
-    for key, section in source.items():
+    doc = read_document(source, "rules")
+    for key, section in doc.items():
         if key not in _RELATIONS:
             raise BadRuleSet(f"unknown rules section {key!r}")
-        if not isinstance(section, list) or not all(
-                isinstance(p, (list, tuple)) and all(isinstance(m, str) for m in p)
-                for p in section):
+        if not isinstance(section, list):
             raise BadRuleSet(f"rules section {key!r} must be a list of name pairs")
-    return DualityRuleSet(**source)
+    return DualityRuleSet(**doc)
 
 
 def serialize_rules(rules: DualityRuleSet) -> str:
@@ -262,12 +260,28 @@ _DESCRIPTION = {
 }
 
 
+def _partners(registry: Registry, rules: DualityRuleSet, operator: str) -> dict[str, str]:
+    """The rules' partner map of ``operator``, each member read through the
+    registry's aliases, so a rule that names an alias acts on its mode."""
+    aliases, relation = registry._aliases, _RELATION_OF[operator]
+    out: dict[str, str] = {}
+    for member, partner in rules._partner_of[operator].items():
+        mode_id, partner_id = aliases.get(member, member), aliases.get(partner, partner)
+        if mode_id == partner_id:
+            raise BadRuleSet(f"{relation} pair ({member!r}, {partner!r}) names one mode, "
+                             f"{mode_id!r}, under the registry's aliases")
+        if out.setdefault(mode_id, partner_id) != partner_id:
+            raise BadRuleSet(f"mode {mode_id!r} appears in two {relation} pairs "
+                             "under the registry's aliases")
+    return out
+
+
 def _unary(registry: Registry, rules: DualityRuleSet, m: "str | Mode",
            operator: str) -> Mode:
     mode = _rule_mode(registry, rules, m)
     if not mode.is_atomic:
         raise NotAtomic(f"cannot apply {operator} to {mode.id!r}: arity is {mode.arity}")
-    partner_id = rules.partner(operator, mode.id)
+    partner_id = _partners(registry, rules, operator).get(mode.id)
     if partner_id is None:
         raise NoDual(f"{mode.id!r} has no {_RELATION_OF[operator]} partner "
                      "under the active rules")
@@ -362,6 +376,8 @@ def closure(
             mode = registry.resolve(entry)
             universe[mode.id] = mode
 
+    partner_maps = {kind: _partners(registry, rules, kind)
+                    for kind in kinds if kind in _RELATION_OF}
     derived: set[str] = set()
     out: list[Derivation] = []
     # The loops below pass the operators only inputs they accept: atoms to
@@ -398,7 +414,7 @@ def closure(
                     if rid not in derived:
                         record(UNITE, (a.id, b.id), (result,), (rid,), rid in registry)
             else:
-                partner_of = rules._partner_of[kind]
+                partner_of = partner_maps[kind]
                 for mode in fresh:
                     rid = partner_of.get(mode.id)
                     if rid is not None and rid not in derived and mode.is_atomic:

@@ -37,13 +37,11 @@ from .errors import (
     UnknownNode,
     UnknownProfile,
 )
-from .jsontext import json_text
+from .jsontext import entries, json_text, names_field, read_document, text_field
 from .registry import (
     Mode,
     Registry,
     _ID_PATTERN,
-    _document_from_source,
-    _text_field,
     _title,
     canon,
     default_registry,
@@ -376,8 +374,9 @@ def branching_stats(graph: PyramidGraph) -> BranchingStats:
 # --- construction -----------------------------------------------------------
 
 def _resolve_target(registry: Registry, name: str, profile: str,
-                    extras: dict[str, Mode]) -> Mode:
-    """Resolve an R-layer target, minting a generated atom when unknown."""
+                    extras: dict[str, Mode]) -> Mode | None:
+    """Resolve an R-layer target, minting a generated atom when unknown;
+    ``None`` when the name cannot be a mode id."""
     mode = registry._lookup(name)
     if mode is not None:
         return mode
@@ -385,7 +384,7 @@ def _resolve_target(registry: Registry, name: str, profile: str,
     mode = extras.get(cid)
     if mode is None:
         if not _ID_PATTERN.match(cid):
-            raise ParseError(f"invalid mode name {name!r} in {profile} mapping")
+            return None
         mode = generated_mode(cid, "academic-profile", (),
                               f"Writing move declared by the {profile} mapping profile.")
         extras[cid] = mode
@@ -405,24 +404,28 @@ def _build_graph(
     r_seen: dict[str, Mode] = {}
     c_ids: set[str] = set()
 
-    for c_id, display, description, targets in c_rows:
+    for i, (c_id, display, description, targets) in enumerate(c_rows):
         if not targets:
             raise BadEdge(f"C-node {c_id!r} lists no modes")
         nodes.append(LayerNode(C, c_id, display, description))
         c_ids.add(c_id)
-        for name in targets:
+        for j, name in enumerate(targets):
             mode = _resolve_target(registry, name, profile, extras)
+            if mode is None:
+                raise ParseError(f"c_nodes[{i}].modes[{j}]: invalid mode name {name!r} "
+                                 f"in {profile} mapping")
             r_seen.setdefault(mode.id, mode)
             edges_cr.add((c_id, mode.id))
 
-    for e_id, display, description, targets in e_rows:
+    for i, (e_id, display, description, targets) in enumerate(e_rows):
         if not targets:
             raise BadEdge(f"E-node {e_id!r} lists no cognitive functions")
         nodes.append(LayerNode(E, e_id, display, description))
-        for name in targets:
+        for j, name in enumerate(targets):
             cid = canon(name)
             if cid not in c_ids:
-                raise BadEdge(f"E-node {e_id!r} references unknown C-node {name!r}")
+                raise BadEdge(f"e_nodes[{i}].cognitive[{j}]: E-node {e_id!r} references "
+                              f"unknown C-node {name!r}")
             edges_ec.add((e_id, cid))
 
     for mode in r_seen.values():
@@ -432,27 +435,18 @@ def _build_graph(
 
 
 def _rows_from_document(doc: dict, key: str, target_key: str):
-    raw = doc.get(key, [])
-    if not isinstance(raw, list):
-        raise ParseError(f"mapping {key!r} must be a list")
     rows = []
     seen: set[str] = set()
-    for position, entry in enumerate(raw):
-        where = f"{key}[{position}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where}: node entries must be objects")
-        node_id = canon(_text_field(entry, "id", where))
+    for where, entry in entries(doc, key, "mapping"):
+        node_id = canon(text_field(entry, "id", where))
         if not _ID_PATTERN.match(node_id):
             raise ParseError(f"{where}: missing or invalid id {entry.get('id')!r}")
         if node_id in seen:
             raise ParseError(f"{where}: node {node_id!r} duplicated")
         seen.add(node_id)
-        targets = entry.get(target_key, [])
-        if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets):
-            raise ParseError(f"{where}: {target_key!r} must be a list of names")
-        display = _text_field(entry, "display_name", where) or _title(node_id)
-        description = _text_field(entry, "description", where)
-        rows.append((node_id, display, description, tuple(targets)))
+        rows.append((node_id, text_field(entry, "display_name", where) or _title(node_id),
+                     text_field(entry, "description", where),
+                     names_field(entry, target_key, where)))
     return rows
 
 
@@ -469,11 +463,11 @@ def load_pyramid(
     """
     registry = registry if registry is not None else default_registry()
     if source is not None:
-        source = _document_from_source(source, "mapping")
-        name = source.get("profile", "custom")
+        doc = read_document(source, "mapping")
+        name = doc.get("profile", "custom")
         if not isinstance(name, str) or not name:
             raise ParseError("mapping 'profile' must be a non-empty string")
-        c_rows, e_rows = (_rows_from_document(source, key, target_key)
+        c_rows, e_rows = (_rows_from_document(doc, key, target_key)
                           for _, key, target_key in _DOCUMENT_KEYS)
         return _build_graph(name, c_rows, e_rows, registry)
     if profile == DEFAULT_PROFILE:

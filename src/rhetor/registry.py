@@ -13,13 +13,13 @@ Registry documents are JSON::
                 "origin": "base", "description": "..."}, ...],
      "aliases": {"narrative": "narration"}}
 
-``load_registry`` treats a document as an *extension* of the default
-registry; entries that restate a built-in mode verbatim are accepted, so a
-serialized registry always loads back.
+``load_registry`` reads a document through :mod:`rhetor.jsontext`, the one
+JSON reader, and treats it as an *extension* of the default registry;
+entries that restate a built-in mode verbatim are accepted, so a serialized
+registry always loads back.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import BadConstituent, DuplicateMode, ParseError, UnknownMode
-from .jsontext import json_text
+from .jsontext import entries, json_text, names_field, read_document, text_field
 
 _ID_PATTERN = re.compile(r"[a-z][a-z0-9]*(?:-[a-z0-9]+)*\Z")
 _SEPARATORS = re.compile(r"[–—/\s]+")  # en/em dash, slash, whitespace
@@ -388,77 +388,25 @@ def _parse_origin(raw: object, where: str) -> Origin:
             return _DECOMPOSED_ORIGIN
         raise ParseError(f"{where}: unknown origin {raw!r}")
     if isinstance(raw, dict):
-        operator = raw.get("operator")
-        if not isinstance(operator, str) or not operator:
-            raise ParseError(f"{where}: generated origin needs an operator name")
-        inputs = raw.get("inputs", [])
-        if not isinstance(inputs, list) or not all(isinstance(i, str) for i in inputs):
-            raise ParseError(f"{where}: origin inputs must be a list of ids")
-        return Origin("generated", operator, tuple(inputs))
+        where += ".origin"
+        return Origin("generated", text_field(raw, "operator", where, required=True),
+                      names_field(raw, "inputs", where))
     raise ParseError(f"{where}: origin must be a string or an object")
 
 
-def _mode_from_entry(entry: object, position: int) -> Mode:
-    where = f"modes[{position}]"
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: mode entries must be objects")
+def _mode_from_entry(entry: dict, where: str) -> Mode:
     mode_id = entry.get("id")
     if not isinstance(mode_id, str) or not _ID_PATTERN.match(mode_id):
         raise ParseError(f"{where}: missing or invalid id {mode_id!r}")
-    constituents = entry.get("constituents", [])
-    if not isinstance(constituents, list) or not all(isinstance(c, str) for c in constituents):
-        raise ParseError(f"{where}: constituents must be a list of ids")
-    constituents = tuple(canon(c) for c in constituents)
+    mode = Mode(mode_id, text_field(entry, "display_name", where) or _title(mode_id),
+                tuple(map(canon, names_field(entry, "constituents", where))),
+                _parse_origin(entry.get("origin"), where),
+                text_field(entry, "description", where))
     arity = entry.get("arity")
-    if arity is not None:
-        expected = ATOMIC if not constituents else DIATOMIC if len(constituents) == 2 else COMPOUND
-        if arity != expected:
-            raise ParseError(f"{where}: arity {arity!r} does not match "
-                             f"{len(constituents)} constituents")
-    display = _text_field(entry, "display_name", where) or _title(mode_id)
-    description = _text_field(entry, "description", where)
-    origin = _parse_origin(entry.get("origin"), where)
-    return Mode(mode_id, display, constituents, origin, description)
-
-
-def _text_field(entry: dict, key: str, where: str) -> str:
-    """Optional string field of a document entry; ``""`` when absent."""
-    value = entry.get(key, "")
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: {key} must be a string")
-    return value
-
-
-def _read_text(path: Path, kind: str) -> str:
-    """UTF-8 contents of ``path``; ``OSError`` propagates to the caller."""
-    data = path.read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{kind} is not UTF-8 text (byte 0x{data[exc.start]:02x})",
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
-
-
-def _document_from_source(source: "str | Path | dict | list", kind: str,
-                          allow_list: bool = False) -> "dict | list":
-    """Normalize path / JSON text / parsed value into a JSON object document.
-
-    With ``allow_list`` a top-level JSON list is accepted as well.
-    """
-    if isinstance(source, Path):
-        source = _read_text(source, f"{kind} document")
-    if isinstance(source, str):
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed {kind} document: {exc.msg}",
-                             line=exc.lineno, column=exc.colno) from exc
-        except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
-            raise ParseError(f"malformed {kind} document: {exc}") from None
-    if not (isinstance(source, dict) or allow_list and isinstance(source, list)):
-        raise ParseError(f"{kind} document must be a JSON object"
-                         + (" or list" if allow_list else ""))
-    return source
+    if arity is not None and arity != mode.arity:
+        raise ParseError(f"{where}: arity {arity!r} does not match "
+                         f"{len(mode.constituents)} constituents")
+    return mode
 
 
 def load_registry(source: "str | Path | dict | None" = None) -> Registry:
@@ -472,23 +420,18 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
     """
     if source is None:
         return default_registry()
-    doc = _document_from_source(source, "registry")
-    modes_raw = doc.get("modes", [])
-    if not isinstance(modes_raw, list):
-        raise ParseError("registry 'modes' must be a list")
-    seen: dict[str, Mode] = {}
-    for position, entry in enumerate(modes_raw):
-        mode = _mode_from_entry(entry, position)
+    doc = read_document(source, "registry")
+    merged = {m.id: m for m in default_registry()}
+    seen: set[str] = set()
+    for where, entry in entries(doc, "modes", "registry"):
+        mode = _mode_from_entry(entry, where)
         if mode.id in seen:
-            raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
-        seen[mode.id] = mode
-    base = default_registry()
-    merged = {m.id: m for m in base}
-    for mode in seen.values():
+            raise DuplicateMode(f"{where}: mode id {mode.id!r} defined more than once")
+        seen.add(mode.id)
         existing = merged.get(mode.id)
         if existing is not None and existing != mode:
             raise DuplicateMode(
-                f"mode id {mode.id!r} conflicts with an existing definition")
+                f"{where}: mode id {mode.id!r} conflicts with an existing definition")
         merged[mode.id] = mode
     aliases = dict(DEFAULT_ALIASES)
     extra = doc.get("aliases", {})

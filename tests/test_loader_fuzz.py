@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhetor import (
+    BadEdge,
+    BadRuleSet,
+    BadSchedule,
+    DuplicateMode,
     ParseError,
     RhetorError,
     load_pyramid,
@@ -71,3 +75,79 @@ def test_loaders_raise_only_domain_errors(scratch_file, kind, source):
 def test_json_beyond_parser_limits(kind, text):
     with pytest.raises(ParseError):
         LOADERS[kind](text)
+
+
+# For each JSON loader: a section that is not a list, an entry that is not an
+# object, a text field and a names field of the wrong type, an empty required
+# field, and the errors that name where in the document they happened.
+ERROR_TABLE = [
+    ("registry", {"modes": {}}, ParseError, "registry 'modes' must be a list"),
+    ("registry", {"modes": [{"id": "story"}, "x"]}, ParseError,
+     "modes[1]: entries must be objects"),
+    ("registry", {"modes": [{"id": "story", "display_name": 5}]}, ParseError,
+     "modes[0]: 'display_name' must be a string"),
+    ("registry", {"modes": [{"id": "story", "constituents": "cause"}]}, ParseError,
+     "modes[0]: 'constituents' must be a list of names"),
+    ("registry", {"modes": [{"id": "story", "origin": {"operator": ""}}]}, ParseError,
+     "modes[0].origin: 'operator' must be a non-empty string"),
+    ("registry", {"modes": [{"id": "story", "origin": {"operator": "x", "inputs": [1]}}]},
+     ParseError, "modes[0].origin: 'inputs' must be a list of names"),
+    ("registry", {"modes": [{"id": "story"}, {"id": "narration", "description": "?"}]},
+     DuplicateMode, "modes[1]: mode id 'narration' conflicts with an existing definition"),
+    ("registry", {"modes": [{"id": "story"}, {"id": "story"}]}, DuplicateMode,
+     "modes[1]: mode id 'story' defined more than once"),
+    ("rules", {"reversal": {}}, BadRuleSet,
+     "rules section 'reversal' must be a list of name pairs"),
+    ("rules", {"reversal": [["cause", "effect"], "ab"]}, BadRuleSet,
+     "reversal[1]: reversal pair 'ab' must be a list of names"),
+    ("rules", {"scale": [["exposition", 5]]}, BadRuleSet,
+     "scale[0]: scale pair ['exposition', 5] must be a list of names"),
+    ("rules", {"orthogonal": [["a", "b"], ["c"]]}, BadRuleSet,
+     "orthogonal[1]: orthogonal pair ('c',) must name two modes"),
+    ("rules", {"reversal": [["a", "b"], ["A", "a"]]}, BadRuleSet,
+     "reversal[1]: reversal pair repeats 'a'"),
+    ("rules", {"scale": [["a", "b"], ["c", "b"]]}, BadRuleSet,
+     "scale[1]: scale pair ('c', 'b'): mode 'b' appears in two scale pairs"),
+    ("mapping", {"c_nodes": "observe"}, ParseError, "mapping 'c_nodes' must be a list"),
+    ("mapping", {"e_nodes": [None]}, ParseError, "e_nodes[0]: entries must be objects"),
+    ("mapping", {"c_nodes": [{"id": "c", "description": 1, "modes": ["narration"]}]},
+     ParseError, "c_nodes[0]: 'description' must be a string"),
+    ("mapping", {"c_nodes": [{"id": "c", "modes": "narration"}]}, ParseError,
+     "c_nodes[0]: 'modes' must be a list of names"),
+    ("mapping", {"c_nodes": [{"id": "", "modes": ["narration"]}]}, ParseError,
+     "c_nodes[0]: missing or invalid id ''"),
+    ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration"]},
+                             {"id": "b", "modes": ["cause", "effect", "!!!"]}]},
+     ParseError, "c_nodes[1].modes[2]: invalid mode name '!!!' in custom mapping"),
+    ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration"]}],
+                 "e_nodes": [{"id": "e0", "cognitive": ["a"]},
+                             {"id": "e1", "cognitive": ["a", "nope"]}]},
+     BadEdge, "e_nodes[1].cognitive[1]: E-node 'e1' references unknown C-node 'nope'"),
+    ("stage map", {"stages": "S"}, ParseError, "stage map 'stages' must be a list"),
+    ("stage map", {"stages": [["S"]]}, ParseError, "stages[0]: entries must be objects"),
+    ("stage map", {"stages": [{"stage": 1, "c": ["observe"], "e": "x"}]}, ParseError,
+     "stages[0]: 'stage' must be a non-empty string"),
+    ("stage map", {"stages": [{"stage": "S", "c": "observe", "e": "x"}]}, ParseError,
+     "stages[0]: 'c' must be a non-empty list of names"),
+    ("stage map", {"stages": [{"stage": "S", "c": ["observe"], "e": ""}]}, ParseError,
+     "stages[0]: 'e' must be a non-empty string"),
+    ("stage map", [{"stage": "S", "c": ["observe"], "e": "x"}], ParseError,
+     "stage map document must be a JSON object"),
+    ("schedule", {"stages": {}}, ParseError, "schedule 'stages' must be a list"),
+    ("schedule", {"stages": [{"name": "a", "K": 2}, 3]}, ParseError,
+     "stages[1]: entries must be objects"),
+    ("schedule", {"stages": [{"name": 1, "K": 2}]}, ParseError,
+     "stages[0]: 'name' must be a non-empty string"),
+    ("schedule", {"stages": [{"name": "", "K": 2}]}, ParseError,
+     "stages[0]: 'name' must be a non-empty string"),
+    ("schedule", {"stages": [{"name": "a", "K": 5}, {"name": "b", "K": 3}]}, BadSchedule,
+     "stages[1]: stage 'b': cumulative width decreases (5 then 3)"),
+]
+
+
+@pytest.mark.parametrize("kind, source, error, message", ERROR_TABLE,
+                         ids=[f"{row[0]}-{n}" for n, row in enumerate(ERROR_TABLE)])
+def test_loader_error_names_where(kind, source, error, message):
+    with pytest.raises(RhetorError) as caught:
+        LOADERS[kind](source)
+    assert (type(caught.value), str(caught.value)) == (error, message)

@@ -153,6 +153,23 @@ class TestUnaryDualities:
         with pytest.raises(UnknownMode):
             forward_backward(registry, rules, "no-such-mode")
 
+    def test_rule_member_that_is_an_alias_names_its_mode(self, registry):
+        rules = load_rules({"reversal": [["narrative", "tale"]]})  # narrative → narration
+        assert forward_backward(registry, rules, "tale") is registry.get("narration")
+        tale = forward_backward(registry, rules, "narrative")
+        assert tale.id == "tale"
+        assert forward_backward(registry, rules, "narration") == tale
+        assert registry.with_modes([tale]).get("tale") == tale
+        derived = closure(registry, rules, "forward_backward", seed=["narration"])
+        assert [d.result_ids for d in derived] == [("tale",)]
+
+    def test_pair_naming_one_mode_through_an_alias_rejected(self, registry):
+        rules = load_rules({"reversal": [["narration", "narrative"]]})
+        with pytest.raises(BadRuleSet, match="names one mode, 'narration'"):
+            forward_backward(registry, rules, "narration")
+        with pytest.raises(BadRuleSet):
+            closure(registry, rules, "forward_backward")
+
 
 class TestRuleSet:
     def test_default_pairs(self, rules):

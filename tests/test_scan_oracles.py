@@ -19,6 +19,7 @@ from rhetor import (
     NoDual,
     NotAtomic,
     NotDiatomic,
+    ParseError,
     PyramidGraph,
     Registry,
     RhetorError,
@@ -214,9 +215,12 @@ def load_pyramid_per_occurrence(doc, registry):
     extras, r_seen, edges_cr = {}, {}, set()
     nodes = [LayerNode(C, c_id, display, text) for c_id, display, text, _ in c_rows]
     nodes += [LayerNode(E, e_id, display, text) for e_id, display, text, _ in e_rows]
-    for c_id, _, _, names in c_rows:
-        for name in names:
+    for i, (c_id, _, _, names) in enumerate(c_rows):
+        for j, name in enumerate(names):
             mode = pyramid._resolve_target(registry, name, profile, extras)
+            if mode is None:
+                raise ParseError(f"c_nodes[{i}].modes[{j}]: invalid mode name {name!r} "
+                                 f"in {profile} mapping")
             r_seen.setdefault(mode.id, mode)
             edges_cr.add((c_id, mode.id))
     nodes += [LayerNode(R, m.id, m.display_name, m.description) for m in r_seen.values()]
@@ -531,6 +535,35 @@ CLASH_ALIASED = Registry(CLASH_REGISTRY, aliases={f"alias-{m.id}": m.id
 def ways_to_write(mode_id):
     return [mode_id, mode_id.upper().replace("-", " "), f"Alias {mode_id}",
             CLASH_ALIASED.get(mode_id)]
+
+
+# Rule members that may name a mode of CLASH_ALIASED through its alias, at
+# most one spelling per mode and relation, so every drawn rule set holds.
+ALIASED_RULE_NAMES = RULE_NAMES + [f"alias-{i}" for i in ONE_WORD + TWO_WORD]
+
+
+@st.composite
+def aliased_rule_sets(draw):
+    relations = [pairs_of(draw(st.lists(st.sampled_from(ALIASED_RULE_NAMES), max_size=8,
+                                        unique_by=lambda n: n.removeprefix("alias-"))))
+                 for _ in range(3)]
+    return DualityRuleSet(*relations)
+
+
+@given(aliased_rule_sets())
+@settings(max_examples=150, deadline=None)
+def test_rules_that_name_aliases_act_on_the_mode(rules):
+    """Each unary operator gives one result for every spelling of its input,
+    and each result registers."""
+    for mode_id in {name.removeprefix("alias-") for name in rules.members()}:
+        spellings = (ways_to_write(mode_id) if mode_id in CLASH_ALIASED
+                     else [mode_id, mode_id.upper()])
+        for operator in UNARY.values():
+            results = {outcome(operator, CLASH_ALIASED, rules, s) for s in spellings}
+            assert len(results) == 1, (mode_id, operator.__name__, results)
+            result = results.pop()
+            if isinstance(result, Mode):
+                assert CLASH_ALIASED.with_modes([result]).get(result.id) == result
 
 
 # Wide enough for batches of over a thousand derivations: 24 one-word atoms,
