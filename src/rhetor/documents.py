@@ -433,21 +433,21 @@ def _build_schedule(rows: Sequence[tuple[str, int, float]]) -> StageSchedule:
     steps = []
     previous_k = 0
     for position, (name, k, duration) in enumerate(rows):
-        where = f"stages[{position}]: stage {name!r}"
+        prefix = f"stages[{position}]: stage {name!r}"
         if k < 1:
-            raise BadSchedule(f"{where} needs a positive integer width, got {k!r}")
+            raise BadSchedule(f"{prefix} needs a positive integer width, got {k!r}")
         if k < previous_k:
-            raise BadSchedule(f"{where}: cumulative width decreases "
+            raise BadSchedule(f"{prefix}: cumulative width decreases "
                               f"({previous_k} then {k})")
         if not 0 < duration < math.inf:
-            raise BadSchedule(f"{where} needs a positive finite duration, got {duration!r}")
+            raise BadSchedule(f"{prefix} needs a positive finite duration, got {duration!r}")
         try:
             duration = float(duration)
             l_n = (k - previous_k) / duration
         except OverflowError:
             l_n = math.inf
         if not math.isfinite(l_n):
-            raise BadSchedule(f"{where} is out of floating-point range")
+            raise BadSchedule(f"{prefix} is out of floating-point range")
         steps.append(StageStep(name=name, k_cumulative=k, duration=duration, l_n=l_n))
         previous_k = k
     return StageSchedule(tuple(steps))

@@ -113,19 +113,19 @@ class DualityRuleSet:
         out = []
         seen: set[str] = set()
         for position, pair in enumerate(pairs):
-            where = f"{relation}[{position}]: {relation} pair"
+            prefix = f"{relation}[{position}]: {relation} pair"
             if not isinstance(pair, (list, tuple)) or not all(isinstance(p, str) for p in pair):
-                raise BadRuleSet(f"{where} {pair!r} must be a list of names")
+                raise BadRuleSet(f"{prefix} {pair!r} must be a list of names")
             members = [canon(p) for p in pair]
             if len(members) != 2 or not all(members):
-                raise BadRuleSet(f"{where} {tuple(pair)!r} must name two modes")
+                raise BadRuleSet(f"{prefix} {tuple(pair)!r} must name two modes")
             if members[0] == members[1]:
-                raise BadRuleSet(f"{where} repeats {members[0]!r}")
+                raise BadRuleSet(f"{prefix} repeats {members[0]!r}")
             for member in members:
                 if not _ID_PATTERN.match(member):
-                    raise BadRuleSet(f"{where} {tuple(pair)!r}: {member!r} is not a mode id")
+                    raise BadRuleSet(f"{prefix} {tuple(pair)!r}: {member!r} is not a mode id")
                 if member in seen:
-                    raise BadRuleSet(f"{where} {tuple(pair)!r}: mode {member!r} "
+                    raise BadRuleSet(f"{prefix} {tuple(pair)!r}: mode {member!r} "
                                      f"appears in two {relation} pairs")
                 seen.add(member)
             if not ordered:

@@ -78,14 +78,6 @@ def test_child_tables_are_built_only_at_load(monkeypatch, profile, lesson, lesso
     assert adjacency == []
 
 
-def test_mapping_document_builds_one_table_per_upper_layer(monkeypatch):
-    adjacency = counting(monkeypatch, pyramid, "_adjacency")
-    load_pyramid(source={"profile": "p",
-                         "c_nodes": [{"id": "c", "modes": ["narration", "cause"]}],
-                         "e_nodes": [{"id": "e", "cognitive": ["c"]}]})
-    assert len(adjacency) == 2
-
-
 def test_trace_layers_makes_no_children_call(monkeypatch, graph, lesson, lesson_map_path):
     stage_map = load_stage_map(lesson_map_path)
     children = counting(monkeypatch, PyramidGraph, "children")
