@@ -41,7 +41,7 @@ from .errors import (
 )
 from .jsontext import entries, json_text, names_field, read_document, read_text, text_field
 from .pyramid import C, E, PyramidGraph
-from .registry import Registry, canon, default_registry
+from .registry import Registry, _ID_PATTERN, default_registry
 
 
 @dataclass(frozen=True)
@@ -196,60 +196,48 @@ def serialize_document(doc: AnnotatedDocument) -> str:
     Raises :class:`ParseError` naming the field when the doc id or a stage
     label is empty, when one of them or a segment text has leading or
     trailing whitespace or holds a line break, when a mode name is not a
-    canonical mode id (empty, or holding a separator, padding or upper
-    case), or when ``declared_K`` is below 1: parsing would lose or refuse it.
+    mode id (empty, or holding a separator, padding or upper case), or when
+    ``declared_K`` is below 1: parsing would lose or refuse it.
     """
     if doc.declared_K is not None and doc.declared_K < 1:
         raise ParseError(f"declared_K must be a positive integer, got {doc.declared_K}")
-    lines = [f"doc {doc.id}"]
-    unwritable = not doc.id or doc.id != doc.id.strip()
+    lines = [f"doc {_written('doc id', doc.id)}"]
     if doc.declared_K is not None:
         lines.append(f"declared_K {doc.declared_K}")
+    # Each distinct mode name is tested once; only a segment holding one
+    # that fails has its mode field checked.
+    bad_modes = {name for name in doc.mode_union() if not _ID_PATTERN.match(name)}
     current_stage = None
     auto_index = 1
     for seg in doc.segments:
         if seg.stage != current_stage:
-            unwritable = unwritable or not seg.stage or seg.stage != seg.stage.strip()
-            lines.append(f"stage {seg.stage}")
+            lines.append(f"stage {_written(f'segment {seg.index} stage', seg.stage)}")
             current_stage = seg.stage
         head = "seg" if seg.index == auto_index else f"seg {seg.index}"
         auto_index = seg.index + 1
-        entry = f"{head} | {', '.join(sorted(seg.modes))}"
-        if seg.text:
-            unwritable = unwritable or seg.text != seg.text.strip()
-            entry += f" | {seg.text}"
-        lines.append(entry)
-    text = "\n".join(lines) + "\n"
-    # One count over the whole text finds a line break in any field; each
-    # distinct mode name is tested once.
-    if (unwritable or len(text.splitlines()) != len(lines)
-            or any(not name or canon(name) != name for name in doc.mode_union())):
-        raise _unwritable_field(doc)
-    return text
+        modes = ", ".join(sorted(seg.modes))
+        # Every separator str.splitlines honours is unprintable, so only
+        # padded or unprintable text needs the full check.
+        if seg.text != seg.text.strip() or not seg.text.isprintable():
+            _written(f"segment {seg.index} text", seg.text, required=False)
+        if not bad_modes.isdisjoint(seg.modes):
+            field = f"segment {seg.index} modes"
+            raise ParseError(f"{field} {_written(field, modes)!r} holds "
+                             f"{min(bad_modes & seg.modes)!r}, which is not a canonical mode id")
+        lines.append(f"{head} | {modes} | {seg.text}" if seg.text else f"{head} | {modes}")
+    return "\n".join(lines) + "\n"
 
 
-def _unwritable_field(doc: AnnotatedDocument) -> ParseError:
-    """The error for the first field of ``doc`` that would not read back as written."""
-    # (field, value, required, mode names that must be canonical ids)
-    fields = [("doc id", doc.id, True, ())]
-    for seg in doc.segments:
-        modes = sorted(seg.modes)
-        fields += [(f"segment {seg.index} stage", seg.stage, True, ()),
-                   (f"segment {seg.index} text", seg.text, False, ()),
-                   (f"segment {seg.index} modes", ", ".join(modes), True, modes)]
-    for name, value, required, mode_names in fields:
-        if not value:
-            if required:
-                return ParseError(f"{name} is empty")
-        elif value != value.strip():
-            return ParseError(f"{name} {value!r} has leading or trailing whitespace")
-        elif value.splitlines() != [value]:
-            return ParseError(f"{name} {value!r} holds a line break")
-        for mode in mode_names:
-            if not mode or canon(mode) != mode:
-                return ParseError(f"{name} {value!r} holds {mode!r}, "
-                                  f"which is not a canonical mode id")
-    raise AssertionError("serialize_document found no unwritable field")
+def _written(field: str, value: str, required: bool = True) -> str:
+    """``value`` when it reads back as written, else the error naming ``field``."""
+    if not value:
+        if required:
+            raise ParseError(f"{field} is empty")
+    elif value != value.strip():
+        raise ParseError(f"{field} {value!r} has leading or trailing whitespace")
+    elif value.splitlines() != [value]:
+        raise ParseError(f"{field} {value!r} holds a line break")
+    return value
 
 
 # --- coverage ---------------------------------------------------------------

@@ -224,8 +224,8 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
     """Diatomic mode joining two distinct atoms.
 
     If the pair matches a registered diatomic, that mode is returned;
-    otherwise a generated mode whose id joins the two atom ids in
-    lexicographic order.  Commutative either way.
+    otherwise a generated mode whose id joins the two atom ids with ``--``,
+    in lexicographic order.  Commutative either way.
     """
     ma, mb = registry.resolve(a), registry.resolve(b)
     if ma.id == mb.id:
@@ -244,7 +244,7 @@ def _united(registry: Registry, first: Mode, second: Mode) -> Mode:
     if existing is not None:
         return existing
     pair = (a, b)
-    return generated_mode(f"{a}-{b}", UNITE, pair, f"Generated pairing of {a} and {b}.",
+    return generated_mode(f"{a}--{b}", UNITE, pair, f"Generated pairing of {a} and {b}.",
                           pair, f"{_title(a)}-{_title(b)}")
 
 

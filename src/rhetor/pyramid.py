@@ -406,7 +406,7 @@ def _build_graph(
 
     for i, (c_id, display, description, targets) in enumerate(c_rows):
         if not targets:
-            raise BadEdge(f"C-node {c_id!r} lists no modes")
+            raise BadEdge(f"c_nodes[{i}]: C-node {c_id!r} lists no modes")
         nodes.append(LayerNode(C, c_id, display, description))
         c_ids.add(c_id)
         for j, name in enumerate(targets):
@@ -419,7 +419,7 @@ def _build_graph(
 
     for i, (e_id, display, description, targets) in enumerate(e_rows):
         if not targets:
-            raise BadEdge(f"E-node {e_id!r} lists no cognitive functions")
+            raise BadEdge(f"e_nodes[{i}]: E-node {e_id!r} lists no cognitive functions")
         nodes.append(LayerNode(E, e_id, display, description))
         for j, name in enumerate(targets):
             cid = canon(name)

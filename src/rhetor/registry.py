@@ -29,7 +29,8 @@ from typing import Iterable, Iterator
 from .errors import BadConstituent, DuplicateMode, ParseError, UnknownMode
 from .jsontext import entries, json_text, names_field, read_document, text_field
 
-_ID_PATTERN = re.compile(r"[a-z][a-z0-9]*(?:-[a-z0-9]+)*\Z")
+_ATOM = r"[a-z][a-z0-9]*(?:-[a-z0-9]+)*"
+_ID_PATTERN = re.compile(rf"{_ATOM}(?:--{_ATOM})?\Z")  # one name, or two joined by "--"
 _SEPARATORS = re.compile(r"[–—/\s]+")  # en/em dash, slash, whitespace
 _DISALLOWED = re.compile(r"[^a-z0-9-]")
 _HYPHEN_RUNS = re.compile(r"-{2,}")
@@ -122,6 +123,14 @@ def generated_mode(mode_id: str, operator: str, inputs: tuple[str, ...], descrip
                 Origin("generated", operator, inputs), description)
 
 
+def _check_join(mode: Mode, prefix: str = "") -> None:
+    """Keep a ``--`` id for the diatomic of the two ids it joins, as ``unite`` makes it."""
+    if "--" in mode.id and mode.constituents != tuple(mode.id.split("--")):
+        a, b = mode.id.split("--")
+        raise ParseError(f"{prefix}mode id {mode.id!r} is reserved for the diatomic "
+                         f"of {a!r} and {b!r}")
+
+
 # --- built-in tables --------------------------------------------------------
 # (id, display name, constituents, description); the 14 canonical modes.
 _CANONICAL = (
@@ -212,6 +221,7 @@ class Registry:
         for mode in self._modes.values():
             if not _ID_PATTERN.match(mode.id):
                 raise ParseError(f"mode id {mode.id!r} is not a valid identifier")
+            _check_join(mode)
             n = len(mode.constituents)
             if n == 1:
                 raise BadConstituent(f"mode {mode.id!r} has a single constituent; "
@@ -260,8 +270,8 @@ class Registry:
     def _lookup(self, name: str) -> Mode | None:
         """The mode ``name`` resolves to, or ``None``: no hints are built on a miss.
 
-        A registered id is its own canonical form and never an alias key
-        (``_validate`` checks both), so an exact id skips ``canon``.
+        An exact id is tried first and skips ``canon``, which would collapse
+        the ``--`` of a joined id; no alias key is a registered id (``_validate``).
         """
         mode = self._modes.get(name)
         if mode is not None:
@@ -399,9 +409,11 @@ def _mode_from_entry(entry: dict, where: str) -> Mode:
     if not isinstance(mode_id, str) or not _ID_PATTERN.match(mode_id):
         raise ParseError(f"{where}: missing or invalid id {mode_id!r}")
     mode = Mode(mode_id, text_field(entry, "display_name", where) or _title(mode_id),
-                tuple(map(canon, names_field(entry, "constituents", where))),
+                tuple(name if _ID_PATTERN.match(name) else canon(name)  # keep a -- join
+                      for name in names_field(entry, "constituents", where)),
                 _parse_origin(entry.get("origin"), where),
                 text_field(entry, "description", where))
+    _check_join(mode, f"{where}: ")
     arity = entry.get("arity")
     if arity is not None and arity != mode.arity:
         raise ParseError(f"{where}: arity {arity!r} does not match "
@@ -439,7 +451,7 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
         raise ParseError("registry 'aliases' must be an object")
     for alias, target in extra.items():
         if not isinstance(target, str):
-            raise ParseError(f"registry alias {alias!r} must name a mode")
+            raise ParseError(f"aliases[{alias!r}]: alias must name a mode")
         key = canon(alias)
         if not key:
             raise ParseError(f"aliases[{alias!r}]: alias has no letters or digits")

@@ -1,22 +1,30 @@
-"""Cost contracts: operation counts that guard the parsing and graph-query speed-ups.
+"""Cost contracts: operation counts that guard the parsing, graph-query and closure speed-ups.
 
 Each bound counts calls by wrapping a function with ``monkeypatch``, so it
 holds on any machine and fails when a change brings back the work it saved.
 """
+from collections import Counter
+
 import pytest
 
 from rhetor import (
+    DualityRuleSet,
     branching_stats,
+    closure,
     compose_re,
+    default_registry,
+    default_rules,
     load_pyramid,
     load_registry,
     load_stage_map,
     parse_document,
     trace_layers,
 )
-from rhetor import pyramid
+from rhetor import operators, pyramid
+from rhetor.operators import OPERATOR_KINDS
 from rhetor.pyramid import BUILTIN_PROFILES, C, E, PyramidGraph
 from rhetor.registry import Registry
+from test_scan_oracles import CLASH_REGISTRY, WIDE_REGISTRY, WIDE_RULES
 
 
 def counting(monkeypatch, owner, name):
@@ -84,3 +92,43 @@ def test_trace_layers_makes_no_children_call(monkeypatch, graph, lesson, lesson_
     trace = trace_layers(lesson, graph, stage_map)
     assert trace.stages  # the trace did read the graph
     assert children == []
+
+
+# Registries and rules under which closure runs to depth 3 or 4; on the
+# clash and wide ones, rule partners outside the registry add new atoms at
+# depths 1, 2 and 3.
+CLOSURE_CASES = {
+    "builtin": (default_registry(), default_rules()),
+    "clash": (CLASH_REGISTRY, DualityRuleSet(reversal=[("ka", "zo")], orthogonal=[("zo", "pe")],
+                                             scale=[("pe", "zo-ka")])),
+    "wide": (WIDE_REGISTRY, WIDE_RULES),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+def test_closure_tries_each_fresh_combination_once_per_depth(monkeypatch, case):
+    """At each depth, ``_united`` runs at most once per atom pair with a member
+    the previous depth added (at depth 1, every mode), and ``_partner`` at most
+    once per such atom and unary operator."""
+    registry, rules = CLOSURE_CASES[case]
+    united = counting(monkeypatch, operators, "_united")
+    partners = counting(monkeypatch, operators, "_partner")
+    shallower_united, shallower_partners = [], []
+    for depth in range(1, 5):
+        united.clear()
+        partners.clear()
+        derivations = closure(registry, rules, OPERATOR_KINDS, depth)
+        # The run one depth shallower made the same calls first.
+        assert united[:len(shallower_united)] == shallower_united
+        assert partners[:len(shallower_partners)] == shallower_partners
+        known = {m.id for m in registry} | {r.id for d in derivations if d.depth < depth - 1
+                                            for r in d.results}
+        fresh = known if depth == 1 else {r.id for d in derivations if d.depth == depth - 1
+                                          for r in d.results} - known
+        pairs = Counter(frozenset((a.id, b.id)) for _, a, b in united[len(shallower_united):])
+        unary = Counter((operator, source.id)
+                        for _, _, operator, source in partners[len(shallower_partners):])
+        assert all(n == 1 and pair & fresh for pair, n in pairs.items())
+        assert all(n == 1 and source in fresh for (_, source), n in unary.items())
+        shallower_united, shallower_partners = united[:], partners[:]
+    assert shallower_united and shallower_partners  # the bound saw calls to count

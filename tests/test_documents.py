@@ -29,6 +29,7 @@ from rhetor import (
     serialize_document,
     serialize_schedule,
     trace_layers,
+    unite,
 )
 from rhetor.pyramid import C
 
@@ -213,6 +214,14 @@ class TestRoundTrip:
         text = serialize_document(lesson)
         assert serialize_document(parse_document(text)) == text
 
+    def test_generated_unite_id_round_trips(self, registry):
+        mode = unite(registry, "narration", "analogy")
+        extended = registry.with_modes([mode])
+        doc = AnnotatedDocument("d", (Segment(1, "A", frozenset({mode.id, "cause"})),))
+        text = serialize_document(doc)
+        assert "seg | analogy--narration, cause" in text
+        assert parse_document(text, extended) == doc
+
     @pytest.mark.parametrize("doc_id, stage, text, message", [
         ("d", "A\nstage B", "", "segment 2 stage 'A\\nstage B' holds a line break"),
         ("d", "A", "one\ntwo", "segment 2 text 'one\\ntwo' holds a line break"),
@@ -244,6 +253,8 @@ class TestRoundTrip:
          "segment 1 modes 'cause effect' holds 'cause effect', "
          "which is not a canonical mode id"),
         ({"a\nb"}, None, "segment 1 modes 'a\\nb' holds a line break"),
+        ({"9lives"}, None,
+         "segment 1 modes '9lives' holds '9lives', which is not a canonical mode id"),
         (None, 0, "declared_K must be a positive integer, got 0"),
     ])
     def test_unwritable_modes_or_width_is_named(self, modes, declared_k, message):
@@ -260,7 +271,7 @@ class TestRoundTrip:
         # Mode names that are not canonical ids: parsing would split, re-case
         # or drop them.
         names = ids + ["narration, contrast", "narration|x", "", "Narration",
-                       "cause effect", " narration", "a\nb", "cause--effect"]
+                       "cause effect", " narration", "a\nb", "cause---effect", "9lives"]
         segments, index = [], 0
         for _ in range(data.draw(st.integers(0, 6))):
             index += data.draw(st.integers(1, 3))

@@ -142,6 +142,16 @@ ERROR_TABLE = [
      "stages[0]: 'name' must be a non-empty string"),
     ("schedule", {"stages": [{"name": "a", "K": 5}, {"name": "b", "K": 3}]}, BadSchedule,
      "stages[1]: stage 'b': cumulative width decreases (5 then 3)"),
+    # Rows are numbered in the test ids, so later rows go at the end.
+    ("registry", {"aliases": {"tale": "narration", "story": 3}}, ParseError,
+     "aliases['story']: alias must name a mode"),
+    ("registry", {"modes": [{"id": "aa"}, {"id": "bb"}, {"id": "aa--bb"}]}, ParseError,
+     "modes[2]: mode id 'aa--bb' is reserved for the diatomic of 'aa' and 'bb'"),
+    ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration"]}, {"id": "b", "modes": []}]},
+     BadEdge, "c_nodes[1]: C-node 'b' lists no modes"),
+    ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration"]}],
+                 "e_nodes": [{"id": "e0", "cognitive": ["a"]}, {"id": "e1", "cognitive": []}]},
+     BadEdge, "e_nodes[1]: E-node 'e1' lists no cognitive functions"),
 ]
 
 

@@ -57,7 +57,8 @@ class TestSplit:
 class TestUnite:
     def test_new_pair_is_generated_with_sorted_id(self, registry):
         mode = unite(registry, "narration", "description")
-        assert mode.id == "description-narration"
+        assert mode.id == "description--narration"
+        assert mode.display_name == "Description-Narration"
         assert mode.origin.kind == "generated"
         assert mode.origin.operator == "unite"
         assert mode.constituents == ("description", "narration")

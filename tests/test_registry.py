@@ -20,6 +20,7 @@ from rhetor import (
     load_registry,
     parse_document,
     serialize_registry,
+    unite,
 )
 from rhetor.registry import _ID_PATTERN, _title, generated_mode
 
@@ -266,13 +267,39 @@ class TestSerializeLoad:
         with pytest.raises(ParseError):
             load_registry(doc)
 
-    @pytest.mark.parametrize("bad_id", ["a--b", "ab-", "1ab"])
-    def test_non_canonical_id_rejected_with_position(self, bad_id):
+    @pytest.mark.parametrize("bad_id, reason", [
+        ("a--b", "is reserved for the diatomic of 'a' and 'b'"),  # an atom may not take it
+        ("a---b", "is not a valid identifier"),
+        ("a--b--c", "is not a valid identifier"),
+        ("ab-", "is not a valid identifier"),
+        ("1ab", "is not a valid identifier"),
+    ], ids=["a--b", "a---b", "a--b--c", "ab-", "1ab"])
+    def test_non_canonical_id_rejected_with_position(self, bad_id, reason):
         doc = {"modes": [{"id": "story"}, {"id": bad_id}]}
         with pytest.raises(ParseError, match=r"modes\[1\]"):
             load_registry(doc)
-        with pytest.raises(ParseError, match="not a valid identifier"):
+        with pytest.raises(ParseError, match=reason):
             Registry([Mode(bad_id, "Bad")])
+
+    def test_joined_id_is_reserved_for_its_diatomic(self):
+        atoms = [{"id": "aa"}, {"id": "bb"}]
+        registry = load_registry({"modes": atoms + [{"id": "aa--bb",
+                                                      "constituents": ["aa", "bb"]}]})
+        assert unite(registry, "bb", "aa") is registry.get("aa--bb")
+        for constituents in ([], ["bb", "aa"], ["aa", "bb", "cause"]):
+            with pytest.raises(ParseError, match=r"modes\[2\]: mode id 'aa--bb' is reserved"):
+                load_registry({"modes": atoms + [{"id": "aa--bb",
+                                                  "constituents": constituents}]})
+
+    def test_compound_over_a_joined_id_loads_back(self):
+        registry = default_registry()
+        pair = unite(registry, "narration", "analogy")
+        extended = registry.with_modes([pair, Mode("story-frame", "Story Frame",
+                                                   (pair.id, "cause", "effect"))])
+        assert load_registry(serialize_registry(extended)) == extended
+        loose = {"modes": [{"id": "frame", "constituents": ["Cause Effect", "analogy", "cause"]}]}
+        assert load_registry(loose).get("frame").constituents == ("cause-effect", "analogy",
+                                                                  "cause")
 
     def test_arity_mismatch_rejected(self):
         doc = {"modes": [{"id": "x", "arity": "diatomic", "constituents": [],

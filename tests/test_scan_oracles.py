@@ -7,6 +7,7 @@ that resolve every name occurrence on its own.  The properties assert that
 the indexed and memoized code returns exactly what the scans return.
 """
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,8 +467,10 @@ class TestNamesResolvedOncePerSpelling:
 
 ONE_WORD = ["ka", "lo", "mi", "nu"]
 TWO_WORD = ["ka-lo", "lo-mi", "mi-nu", "nu-ka"]
-# unite(ka, lo) takes the id of the atom ka-lo, and unite(ka, lo-mi) and
-# unite(ka-lo, mi) both take the id ka-lo-mi: generated ids clash.
+# Two-word atoms that read like two one-word ids joined by a hyphen, so a
+# one-hyphen join would clash: unite(ka, lo) must not take the atom ka-lo's
+# id, and unite(ka, lo-mi) and unite(ka-lo, mi) must differ.  The "--" join
+# gives them ka--lo, ka--lo-mi and ka-lo--mi.
 CLASH_REGISTRY = Registry(
     [Mode(i, i.title()) for i in ONE_WORD + TWO_WORD]
     + [Mode("ka-mi-pair", "Ka-Mi Pair", ("ka", "mi")),
@@ -567,9 +570,9 @@ def test_rules_that_name_aliases_act_on_the_mode(rules):
 
 
 # Wide enough for batches of over a thousand derivations: 24 one-word atoms,
-# 23 two-word atoms built from them (so unite rediscovers registered ids),
-# three diatomics (one over a two-word atom), and rule partners outside the
-# registry that add new atoms at depths 1, 2 and 3.
+# 23 two-word atoms built from them, three diatomics (so unite rediscovers
+# registered modes; one is over a two-word atom), and rule partners outside
+# the registry that add new atoms at depths 1, 2 and 3.
 WIDE_WORDS = [c + v for c, v in zip("bcdfghjklmnp" * 2, "aeiou" * 5)]
 WIDE_REGISTRY = Registry(
     [Mode(i, i.title()) for i in WIDE_WORDS
@@ -598,11 +601,14 @@ class TestClosureAgainstNaive:
                 == closure_naive(CLASH_REGISTRY, rules, ops, depth, seed=seed))
 
     def test_clashing_ids_are_reached(self):
+        """Pairs whose one-hyphen joins would clash each reach an id of their own."""
         derivations = closure(CLASH_REGISTRY, DualityRuleSet(), ["unite"], 1)
         inputs = {d.result_ids[0]: d.inputs for d in derivations}
-        assert inputs["ka-lo-mi"] == ("ka", "lo-mi")   # not ("ka-lo", "mi")
-        assert inputs["ka-lo"] == ("ka", "lo")
-        assert next(d for d in derivations if d.inputs == ("ka", "lo")).rediscovery
+        assert inputs["ka--lo-mi"] == ("ka", "lo-mi")
+        assert inputs["ka-lo--mi"] == ("ka-lo", "mi")
+        assert inputs["ka--lo"] == ("ka", "lo")  # a new diatomic, not the atom ka-lo
+        assert inputs["ka-mi-pair"] == ("ka", "mi")
+        assert [d.inputs for d in derivations if d.rediscovery] == [("ka", "mi"), ("lo", "nu")]
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_builtin_registry_matches(self, depth):
@@ -631,6 +637,32 @@ class TestClosureAgainstNaive:
         written = [data.draw(st.sampled_from(ways_to_write(mode_id))) for mode_id in entries]
         written = data.draw(st.permutations(written))
         assert closure(CLASH_ALIASED, rules, ops, depth, seed=written) == expected
+
+
+# --- unite ids: one per unordered atom pair (the split-unite duality) -----------
+
+UNITE_REGISTRIES = {"builtin": default_registry(), "clash": CLASH_REGISTRY,
+                    "wide": WIDE_REGISTRY}
+
+
+@pytest.mark.parametrize("name", sorted(UNITE_REGISTRIES))
+def test_unite_is_injective_on_atom_pairs(name):
+    registry = UNITE_REGISTRIES[name]
+    pairs = list(combinations(sorted(m.id for m in registry.atoms()), 2))
+    ids = {unite(registry, a, b).id for a, b in pairs}
+    assert len(ids) == len(pairs)
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(UNITE_REGISTRIES)))
+@settings(max_examples=100, deadline=None)
+def test_uniting_n_atoms_derives_n_choose_2_modes(data, name):
+    """closure(..., "unite", 1) over n seed atoms derives C(n, 2) distinct ids."""
+    registry = UNITE_REGISTRIES[name]
+    seed = data.draw(st.sets(st.sampled_from(sorted(m.id for m in registry.atoms()))))
+    derivations = closure(registry, DualityRuleSet(), ["unite"], 1, seed=seed)
+    assert len(derivations) == len({d.result_ids for d in derivations}) == comb(len(seed), 2)
+    assert {frozenset(d.inputs) for d in derivations} == {
+        frozenset(pair) for pair in combinations(seed, 2)}
 
 
 @given(**CLOSURE_CASES)
