@@ -204,8 +204,7 @@ def serialize_document(doc: AnnotatedDocument) -> str:
     lines = [f"doc {_written('doc id', doc.id)}"]
     if doc.declared_K is not None:
         lines.append(f"declared_K {doc.declared_K}")
-    # Each distinct mode name is tested once; only a segment holding one
-    # that fails has its mode field checked.
+    # Each distinct mode name is tested once.
     bad_modes = {name for name in doc.mode_union() if not _ID_PATTERN.match(name)}
     current_stage = None
     auto_index = 1
@@ -216,10 +215,7 @@ def serialize_document(doc: AnnotatedDocument) -> str:
         head = "seg" if seg.index == auto_index else f"seg {seg.index}"
         auto_index = seg.index + 1
         modes = ", ".join(sorted(seg.modes))
-        # Every separator str.splitlines honours is unprintable, so only
-        # padded or unprintable text needs the full check.
-        if seg.text != seg.text.strip() or not seg.text.isprintable():
-            _written(f"segment {seg.index} text", seg.text, required=False)
+        _written(f"segment {seg.index} text", seg.text, required=False)
         if not bad_modes.isdisjoint(seg.modes):
             field = f"segment {seg.index} modes"
             raise ParseError(f"{field} {_written(field, modes)!r} holds "

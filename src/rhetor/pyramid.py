@@ -376,14 +376,14 @@ def branching_stats(graph: PyramidGraph) -> BranchingStats:
 def _resolve_target(registry: Registry, name: str, profile: str,
                     extras: dict[str, Mode]) -> Mode | None:
     """Resolve an R-layer target, minting a generated atom when unknown;
-    ``None`` when the name cannot be a mode id."""
+    ``None`` when the name cannot be an atom's id (a ``--`` id names a pair)."""
     mode = registry._lookup(name)
     if mode is not None:
         return mode
     cid = canon(name)
     mode = extras.get(cid)
     if mode is None:
-        if not _ID_PATTERN.match(cid):
+        if not _ID_PATTERN.match(cid) or "--" in cid:
             return None
         mode = generated_mode(cid, "academic-profile", (),
                               f"Writing move declared by the {profile} mapping profile.")

@@ -49,11 +49,13 @@ _NAME_CACHE_SIZE = 8192
 def canon(name: str) -> str:
     """Canonical id form of a mode name.
 
-    Lowercases, turns dash variants / slashes / whitespace into single
-    hyphens and drops other punctuation.  Idempotent: ``canon(canon(s)) ==
-    canon(s)``.  Results come from one bounded process-wide cache, so
-    callers keep no memo of their own.
+    A mode id, ``--`` join included, comes back as it is.  Any other name is
+    lowercased, its dash variants, slashes, whitespace and hyphen runs become
+    single hyphens, and other punctuation goes.  Idempotent; results come from
+    one bounded process-wide cache, so callers keep no memo of their own.
     """
+    if _ID_PATTERN.match(name):
+        return name
     s = _SEPARATORS.sub("-", name.strip().lower())
     s = _DISALLOWED.sub("", s)
     s = _HYPHEN_RUNS.sub("-", s)
@@ -108,7 +110,8 @@ class Mode:
 
 @lru_cache(maxsize=_NAME_CACHE_SIZE)
 def _title(mode_id: str) -> str:
-    return " ".join(part.capitalize() for part in mode_id.split("-"))
+    return "-".join(" ".join(map(str.capitalize, half.split("-")))  # Aa Bb-Cc for aa-bb--cc
+                    for half in mode_id.split("--"))
 
 
 def generated_mode(mode_id: str, operator: str, inputs: tuple[str, ...], description: str,
@@ -117,18 +120,19 @@ def generated_mode(mode_id: str, operator: str, inputs: tuple[str, ...], descrip
 
     ``mode_id`` must already be a canonical id: the id pattern is not checked
     here, but where each caller's names entered, and ``Registry`` checks it
-    again on registration.
+    again on registration.  An atom may not take a ``--`` id.
     """
+    if not constituents:
+        _check_join(mode_id)
     return Mode(mode_id, display_name or _title(mode_id), constituents,
                 Origin("generated", operator, inputs), description)
 
 
-def _check_join(mode: Mode, prefix: str = "") -> None:
-    """Keep a ``--`` id for the diatomic of the two ids it joins, as ``unite`` makes it."""
-    if "--" in mode.id and mode.constituents != tuple(mode.id.split("--")):
-        a, b = mode.id.split("--")
-        raise ParseError(f"{prefix}mode id {mode.id!r} is reserved for the diatomic "
-                         f"of {a!r} and {b!r}")
+def _check_join(name: str, constituents: tuple[str, ...] = (), what: str = "mode id") -> None:
+    """Keep a ``--`` name for the diatomic of the two ids it joins, as ``unite`` makes it."""
+    if "--" in name and constituents != tuple(name.split("--")):
+        a, _, b = name.partition("--")
+        raise ParseError(f"{what} {name!r} is reserved for the diatomic of {a!r} and {b!r}")
 
 
 # --- built-in tables --------------------------------------------------------
@@ -221,7 +225,7 @@ class Registry:
         for mode in self._modes.values():
             if not _ID_PATTERN.match(mode.id):
                 raise ParseError(f"mode id {mode.id!r} is not a valid identifier")
-            _check_join(mode)
+            _check_join(mode.id, mode.constituents)
             n = len(mode.constituents)
             if n == 1:
                 raise BadConstituent(f"mode {mode.id!r} has a single constituent; "
@@ -244,6 +248,7 @@ class Registry:
         for alias, target in self._aliases.items():
             if not alias or alias != canon(alias):
                 raise ParseError(f"alias {alias!r} is not a canonical name")
+            _check_join(alias, what="alias")
             if alias in self._modes:
                 raise DuplicateMode(f"alias {alias!r} shadows the registered mode {alias!r}")
             if target not in self._modes:
@@ -270,8 +275,8 @@ class Registry:
     def _lookup(self, name: str) -> Mode | None:
         """The mode ``name`` resolves to, or ``None``: no hints are built on a miss.
 
-        An exact id is tried first and skips ``canon``, which would collapse
-        the ``--`` of a joined id; no alias key is a registered id (``_validate``).
+        An exact id skips ``canon``, which would return it unchanged; no alias
+        key is a registered id (``_validate``).
         """
         mode = self._modes.get(name)
         if mode is not None:
@@ -409,11 +414,10 @@ def _mode_from_entry(entry: dict, where: str) -> Mode:
     if not isinstance(mode_id, str) or not _ID_PATTERN.match(mode_id):
         raise ParseError(f"{where}: missing or invalid id {mode_id!r}")
     mode = Mode(mode_id, text_field(entry, "display_name", where) or _title(mode_id),
-                tuple(name if _ID_PATTERN.match(name) else canon(name)  # keep a -- join
-                      for name in names_field(entry, "constituents", where)),
+                tuple(map(canon, names_field(entry, "constituents", where))),
                 _parse_origin(entry.get("origin"), where),
                 text_field(entry, "description", where))
-    _check_join(mode, f"{where}: ")
+    _check_join(mode.id, mode.constituents, f"{where}: mode id")
     arity = entry.get("arity")
     if arity is not None and arity != mode.arity:
         raise ParseError(f"{where}: arity {arity!r} does not match "
@@ -455,6 +459,7 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
         key = canon(alias)
         if not key:
             raise ParseError(f"aliases[{alias!r}]: alias has no letters or digits")
+        _check_join(key, what=f"aliases[{alias!r}]: alias")
         if aliases.setdefault(key, canon(target)) != canon(target):
             raise DuplicateMode(
                 f"aliases[{alias!r}]: alias {key!r} already points at {aliases[key]!r}")

@@ -222,6 +222,14 @@ class TestRoundTrip:
         assert "seg | analogy--narration, cause" in text
         assert parse_document(text, extended) == doc
 
+    def test_unregistered_joined_id_is_refused_not_respelled(self, registry):
+        """A mode id is looked up as written: ``cause--effect`` is not ``cause-effect``."""
+        doc = AnnotatedDocument("d", (Segment(1, "A", frozenset({"cause--effect"})),))
+        text = serialize_document(doc)
+        assert text == "doc d\nstage A\nseg | cause--effect\n"
+        with pytest.raises(UnknownMode, match="no mode named 'cause--effect'"):
+            parse_document(text, registry)
+
     @pytest.mark.parametrize("doc_id, stage, text, message", [
         ("d", "A\nstage B", "", "segment 2 stage 'A\\nstage B' holds a line break"),
         ("d", "A", "one\ntwo", "segment 2 text 'one\\ntwo' holds a line break"),
@@ -266,12 +274,15 @@ class TestRoundTrip:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_serialize_raises_or_round_trips(self, data):
-        """Any document over built-in modes either writes out exactly or is refused."""
+        """Any document over built-in modes either writes out exactly or is
+        refused; one that names an unregistered mode id is refused on parse."""
         ids = sorted(m.id for m in default_registry())
-        # Mode names that are not canonical ids: parsing would split, re-case
-        # or drop them.
-        names = ids + ["narration, contrast", "narration|x", "", "Narration",
-                       "cause effect", " narration", "a\nb", "cause--effect"]
+        unregistered = {"cause--effect", "zz"}  # mode ids no built-in mode has
+        # Mode names that are not mode ids: parsing would split, re-case or
+        # drop them.
+        names = ids + sorted(unregistered) + ["narration, contrast", "narration|x", "",
+                                              "Narration", "cause effect", " narration",
+                                              "a\nb", "9lives"]
         segments, index = [], 0
         for _ in range(data.draw(st.integers(0, 6))):
             index += data.draw(st.integers(1, 3))
@@ -285,7 +296,11 @@ class TestRoundTrip:
             text = serialize_document(doc)
         except ParseError:
             return
-        assert parse_document(text) == doc
+        if unregistered.isdisjoint(doc.mode_union()):
+            assert parse_document(text) == doc
+        else:
+            with pytest.raises(UnknownMode):
+                parse_document(text)
 
 
 class TestCoverage:

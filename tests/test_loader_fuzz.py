@@ -152,6 +152,10 @@ ERROR_TABLE = [
     ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration"]}],
                  "e_nodes": [{"id": "e0", "cognitive": ["a"]}, {"id": "e1", "cognitive": []}]},
      BadEdge, "e_nodes[1]: E-node 'e1' lists no cognitive functions"),
+    ("registry", {"aliases": {"tale": "narration", "aa--bb": "narration"}}, ParseError,
+     "aliases['aa--bb']: alias 'aa--bb' is reserved for the diatomic of 'aa' and 'bb'"),
+    ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration", "xx--yy"]}]}, ParseError,
+     "c_nodes[0].modes[1]: invalid mode name 'xx--yy' in custom mapping"),
 ]
 
 

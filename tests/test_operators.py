@@ -225,6 +225,17 @@ class TestRuleSet:
         assert rules.to_document()["scale"] == [["exposition", "summary"]]
         assert rules.partner("reduce", "exposition") == "summary"
 
+    def test_joined_member_is_kept(self):
+        rules = load_rules({"reversal": [["analogy--narration", "cc"]]})
+        assert rules.to_document()["reversal"] == [["analogy--narration", "cc"]]
+        assert load_rules(serialize_rules(rules)) == rules
+        registry = default_registry()
+        pair = unite(registry, "narration", "analogy")
+        assert forward_backward(registry.with_modes([pair]), rules, "cc") == pair
+        # Unregistered, the joined member is no atom the operators may make.
+        with pytest.raises(ParseError, match="mode id 'analogy--narration' is reserved"):
+            forward_backward(registry, rules, "cc")
+
     def test_pairs_canonicalized(self):
         ruleset = DualityRuleSet(reversal=[("Cause", "Effect ")])
         assert ruleset.partner("forward_backward", "cause") == "effect"

@@ -41,6 +41,8 @@ class TestCanon:
         ("définition!?", "dfinition"),
         ("a  -  b", "a-b"),
         ("-edge-hyphens-", "edge-hyphens"),
+        ("analogy--narration", "analogy--narration"),  # a mode id comes back as it is
+        ("Analogy--Narration", "analogy-narration"),
     ])
     def test_examples(self, raw, expected):
         assert canon(raw) == expected
@@ -52,7 +54,8 @@ class TestCanon:
     @given(st.text(max_size=40))
     def test_output_shape(self, s):
         c = canon(s)
-        assert c == "" or (c[0] != "-" and c[-1] != "-" and "--" not in c)
+        assert c == "" or (c[0] != "-" and c[-1] != "-"
+                           and ("--" not in c or _ID_PATTERN.match(c)))
 
 
 class TestNameCaches:
@@ -290,6 +293,20 @@ class TestSerializeLoad:
             with pytest.raises(ParseError, match=r"modes\[2\]: mode id 'aa--bb' is reserved"):
                 load_registry({"modes": atoms + [{"id": "aa--bb",
                                                   "constituents": constituents}]})
+
+    def test_joined_id_is_titled_like_unite(self):
+        atoms = [{"id": "aa-cc"}, {"id": "bb"}]
+        loaded = load_registry({"modes": atoms + [{"id": "aa-cc--bb",
+                                                    "constituents": ["aa-cc", "bb"]}]})
+        generated = unite(load_registry({"modes": atoms}), "bb", "aa-cc")
+        assert generated.id == "aa-cc--bb"
+        assert loaded.get("aa-cc--bb").display_name == generated.display_name == "Aa Cc-Bb"
+
+    def test_unregistered_joined_id_does_not_resolve(self, registry):
+        with pytest.raises(UnknownMode):
+            registry.resolve("cause--effect")
+        with pytest.raises(ParseError, match="alias 'cause--effect' is reserved"):
+            Registry(list(registry), aliases={"cause--effect": "cause-effect"})
 
     def test_compound_over_a_joined_id_loads_back(self):
         registry = default_registry()
