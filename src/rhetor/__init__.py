@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 _SUBMODULE = {name: module for module, names in {
     "capacity": """MAX_WIDTH MRB CapacityReport CoverageReport GrowthParams
         capacity capacity_ratio capacity_table coverage coverage_band growth""",
-    "documents": """AnnotatedDocument ConeRow IntervalRate LayerTrace RriEstimate
-        Segment StageMapping StageSchedule StageStep StageTrace analyze_coverage
-        cone default_schedule estimate_rri load_schedule load_stage_map
-        parse_document serialize_document serialize_schedule trace_layers""",
+    "documents": """AnnotatedDocument IntervalRate LayerTrace RriEstimate Segment
+        StageMapping StageTrace analyze_coverage estimate_rri load_stage_map
+        parse_document serialize_document trace_layers""",
     "entropy": """MAX_ENTROPY_WIDTH EntropyReport LayeredEntropyReport
         asymptotic_subset_entropy entropy_flat entropy_layered entropy_subset_sizes
         subset_entropy_exact subset_entropy_logspace uniform""",
@@ -36,6 +35,8 @@ _SUBMODULE = {name: module for module, names in {
         compose_academic compose_re load_pyramid serialize_pyramid""",
     "registry": """Mode Origin Registry base_atoms base_registry canon
         default_registry load_registry serialize_registry""",
+    "schedule": """ConeRow StageSchedule StageStep cone default_schedule
+        load_schedule serialize_schedule""",
 }.items() for name in names.split()}
 
 __all__ = sorted(_SUBMODULE)

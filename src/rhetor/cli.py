@@ -243,7 +243,7 @@ def cmd_analyze(args, parser) -> int:
 
 
 def cmd_cone(args, parser) -> int:
-    from .documents import cone, load_schedule
+    from .schedule import cone, load_schedule
     records = [asdict(r) for r in cone(load_schedule(args.schedule), args.c0)]
     headers = ["stage", "K", "K_NRC", "K_RC", "R_scale", "R_scale_norm"]
     _emit(args.format, records, (headers, records))

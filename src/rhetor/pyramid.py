@@ -42,6 +42,7 @@ from .registry import (
     Mode,
     Registry,
     _ID_PATTERN,
+    _hints,
     _title,
     canon,
     default_registry,
@@ -301,12 +302,9 @@ class PyramidGraph:
     def node(self, layer: str, name: str) -> LayerNode:
         if layer not in LAYERS:
             raise UnknownNode(f"unknown layer {layer!r}")
-        nid = canon(name)
-        found = self._nodes[layer].get(nid)
+        found = self._nodes[layer].get(canon(name))
         if found is None:
-            import difflib  # only a miss that reaches the user needs hints
-            pool = sorted(self._nodes[layer])
-            hints = difflib.get_close_matches(nid, pool, n=2, cutoff=0.6)
+            hints = _hints(name, self._nodes[layer])
             raise UnknownNode(f"no {layer}-layer node named {name!r}"
                               + (f"; did you mean: {', '.join(hints)}?" if hints else ""))
         return found

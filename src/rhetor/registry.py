@@ -62,6 +62,12 @@ def canon(name: str) -> str:
     return s.strip("-")
 
 
+def _hints(name: str, ids: Iterable[str]) -> tuple[str, ...]:
+    """The did-you-mean of a miss: up to two of ``ids`` close to ``canon(name)``."""
+    import difflib  # only a miss that reaches the user needs hints
+    return tuple(difflib.get_close_matches(canon(name), sorted(ids), n=2, cutoff=0.6))
+
+
 @dataclass(frozen=True)
 class Origin:
     """Provenance of a mode: built-in table, decomposition, or one operator application."""
@@ -93,11 +99,6 @@ class Mode:
         if n == 2:
             return DIATOMIC
         return COMPOUND
-
-    @property
-    def k(self) -> int:
-        """Number of atomic-level slots: 1 for atoms, len(constituents) otherwise."""
-        return len(self.constituents) or 1
 
     @property
     def is_atomic(self) -> bool:
@@ -266,10 +267,7 @@ class Registry:
             return name
         mode = self._lookup(name)
         if mode is None:
-            import difflib  # only a miss that reaches the user needs hints
-            suggestions = tuple(
-                difflib.get_close_matches(canon(name), sorted(self._modes), n=2, cutoff=0.6))
-            raise UnknownMode(f"no mode named {name!r}", suggestions=suggestions)
+            raise UnknownMode(f"no mode named {name!r}", suggestions=_hints(name, self._modes))
         return mode
 
     def _lookup(self, name: str) -> Mode | None:

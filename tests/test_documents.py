@@ -429,6 +429,16 @@ class TestRriEstimation:
         with pytest.raises(BadIndex):
             estimate_rri(docs)
 
+    @pytest.mark.parametrize("indices, named", [
+        ((math.nan, 1.0), "nan"),
+        ((0.0, math.inf), "inf"),
+        ((-math.inf, 0.0, math.nan), "-inf, nan"),
+    ])
+    def test_non_finite_indices(self, indices, named):
+        docs = [(i, make_doc(("S", {"narration"}))) for i in indices]
+        with pytest.raises(BadIndex, match=f"^stage indices must be finite, got {named}$"):
+            estimate_rri(docs)
+
 
 class TestSchedules:
     def test_default_rows(self):

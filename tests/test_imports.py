@@ -13,6 +13,7 @@ import pytest
 import rhetor
 
 SRC = str(Path(rhetor.__file__).resolve().parent.parent)
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # Modules that building the parser and the capacity and entropy commands
 # never use.
@@ -75,6 +76,44 @@ def test_light_calls_load_no_unused_module(code):
     loaded = _loaded_after(code)
     assert "rhetor.cli" in loaded
     assert loaded.isdisjoint(UNUSED_BY_LIGHT_CALLS), loaded & set(UNUSED_BY_LIGHT_CALLS)
+
+
+# The exact rhetor modules each subcommand loads, beyond the four every call
+# loads.
+LOADED_BY_SUBCOMMAND = [
+    (["tables", "--max-k", "12"], ""),
+    (["capacity", "--k", "14"], ""),
+    (["entropy", "--k", "18"], ""),
+    (["derive", "--ops", "split,fb", "--depth", "2"], "jsontext operators registry"),
+    (["map"], "jsontext pyramid registry"),
+    (["analyze", str(FIXTURES / "lesson_nature_of_memory.rma")],
+     "documents jsontext pyramid registry"),
+    *((["cone", *schedule, "--format", fmt], "jsontext schedule")
+      for schedule in ([], ["--schedule", str(FIXTURES / "empty_schedule.json")])
+      for fmt in ("table", "csv", "json")),
+]
+
+
+@pytest.mark.parametrize("argv, extra", LOADED_BY_SUBCOMMAND,
+                         ids=["-".join(a.lstrip("-") for a in argv if not a.startswith("/"))
+                              for argv, _ in LOADED_BY_SUBCOMMAND])
+def test_each_subcommand_loads_exactly_its_modules(argv, extra):
+    loaded = _loaded_after(f"import contextlib, io\nfrom rhetor.cli import main\n"
+                           f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    assert main({argv!r}) == 0")
+    want = {f"rhetor.{m}" for m in f"capacity cli entropy errors {extra}".split()}
+    assert {m for m in loaded if m.startswith("rhetor.")} == want
+
+
+def test_schedule_names_live_only_in_the_schedule_module():
+    import rhetor.documents
+    import rhetor.schedule
+    names = {n for n, module in rhetor._SUBMODULE.items() if module == "schedule"}
+    assert names == {"ConeRow", "StageSchedule", "StageStep", "cone", "default_schedule",
+                     "load_schedule", "serialize_schedule"}
+    assert all(hasattr(rhetor.schedule, n) for n in names)
+    assert not hasattr(rhetor.documents, "cone")
+    assert not any(hasattr(rhetor.documents, n) for n in names)
 
 
 def test_import_loads_submodules_on_first_use():

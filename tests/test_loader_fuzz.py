@@ -156,6 +156,9 @@ ERROR_TABLE = [
      "aliases['aa--bb']: alias 'aa--bb' is reserved for the diatomic of 'aa' and 'bb'"),
     ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration", "xx--yy"]}]}, ParseError,
      "c_nodes[0].modes[1]: invalid mode name 'xx--yy' in custom mapping"),
+    ("stage map", {"stages": [{"stage": "s", "c": ["observe"], "e": "teaching-learning"},
+                              {"stage": "s", "c": ["infer"], "e": "scientific-discovery"}]},
+     ParseError, "stages[1]: stage 's' is mapped twice"),
 ]
 
 
