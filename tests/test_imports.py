@@ -112,7 +112,6 @@ def test_schedule_names_live_only_in_the_schedule_module():
     assert names == {"ConeRow", "StageSchedule", "StageStep", "cone", "default_schedule",
                      "load_schedule", "serialize_schedule"}
     assert all(hasattr(rhetor.schedule, n) for n in names)
-    assert not hasattr(rhetor.documents, "cone")
     assert not any(hasattr(rhetor.documents, n) for n in names)
 
 
