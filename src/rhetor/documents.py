@@ -282,14 +282,20 @@ def load_stage_map(source: "str | Path | dict") -> list[StageMapping]:
     Each stage is mapped at most once.
     """
     doc = read_document(source, "stage map")
+    return list(_by_stage(
+        StageMapping(text_field(entry, "stage", where, required=True),
+                     names_field(entry, "c", where, required=True),
+                     text_field(entry, "e", where, required=True))
+        for where, entry in entries(doc, "stages", "stage map")).values())
+
+
+def _by_stage(stage_map: Iterable[StageMapping]) -> dict[str, StageMapping]:
+    """Each mapping under its stage, in order; a stage mapped twice is refused."""
     by_stage: dict[str, StageMapping] = {}
-    for where, entry in entries(doc, "stages", "stage map"):
-        mapping = StageMapping(text_field(entry, "stage", where, required=True),
-                               names_field(entry, "c", where, required=True),
-                               text_field(entry, "e", where, required=True))
+    for position, mapping in enumerate(stage_map):
         if by_stage.setdefault(mapping.stage, mapping) is not mapping:
-            raise ParseError(f"{where}: stage {mapping.stage!r} is mapped twice")
-    return list(by_stage.values())
+            raise ParseError(f"stages[{position}]: stage {mapping.stage!r} is mapped twice")
+    return by_stage
 
 
 def trace_layers(
@@ -301,8 +307,9 @@ def trace_layers(
 
     ``expected`` is the union of the graph's R-targets over the stage's
     declared C-functions; ``mismatch`` is whatever was observed outside it.
+    A stage mapped twice is refused, as :func:`load_stage_map` refuses it.
     """
-    by_stage = {m.stage: m for m in stage_map}
+    by_stage = _by_stage(stage_map)
     r_ids = graph._child_ids[C]
     observed_by_stage: dict[str, set[str]] = {}  # first-appearance order
     for seg in doc.segments:

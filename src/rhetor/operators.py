@@ -81,8 +81,7 @@ class DualityRuleSet:
 
     ``reversal`` and ``orthogonal`` pairs are unordered; ``scale`` pairs are
     ordered ``(expanded, reduced)``.  A mode may appear in at most one pair
-    per relation so each operator stays a function: :meth:`partner` names
-    the one mode a unary operator maps a mode to.
+    per relation so each unary operator stays a function.
     """
 
     def __init__(
@@ -94,15 +93,10 @@ class DualityRuleSet:
         self._pairs = {
             relation: self._canon_pairs(pairs, relation, ordered=relation == "scale")
             for relation, pairs in zip(_RELATIONS, (reversal, scale, orthogonal))}
-        self._partner_of = {
-            FORWARD_BACKWARD: _symmetric_map(self.reversal_pairs),
-            ORTHOGONAL: _symmetric_map(self.orthogonal_pairs),
-            REDUCE: dict(self.scale_pairs),
-            EXPAND: {reduced: expanded for expanded, reduced in self.scale_pairs},
-        }
-        self._members = frozenset().union(*self._partner_of.values())
+        self._members = frozenset(m for pairs in self._pairs.values()
+                                  for pair in pairs for m in pair)
 
-    # The sorted canonical pairs of each relation; read-only, like the partner map.
+    # The sorted canonical pairs of each relation; read-only.
     reversal_pairs = property(lambda self: self._pairs["reversal"])
     scale_pairs = property(lambda self: self._pairs["scale"])
     orthogonal_pairs = property(lambda self: self._pairs["orthogonal"])
@@ -133,15 +127,8 @@ class DualityRuleSet:
             out.append(tuple(members))
         return tuple(sorted(out))
 
-    def partner(self, operator: str, mode_id: str) -> str | None:
-        """The mode the unary ``operator`` maps ``mode_id`` to; ``None`` when unpaired.
-
-        ``reduce`` is defined on expanded members only, ``expand`` on reduced ones.
-        """
-        return self._partner_of[operator].get(mode_id)
-
     def members(self) -> frozenset[str]:
-        """Every mode id mentioned by any pair of any relation."""
+        """The rule set's own names, as its pairs hold them (an alias stays an alias)."""
         return self._members
 
     def __eq__(self, other: object) -> bool:
@@ -156,10 +143,6 @@ class DualityRuleSet:
 
     def to_document(self) -> dict:
         return {relation: [list(p) for p in pairs] for relation, pairs in self._pairs.items()}
-
-
-def _symmetric_map(pairs) -> dict[str, str]:
-    return {**dict(pairs), **{b: a for a, b in pairs}}
 
 
 def default_rules() -> DualityRuleSet:
@@ -248,8 +231,8 @@ def _united(registry: Registry, first: Mode, second: Mode) -> Mode:
                           pair, f"{_title(a)}-{_title(b)}")
 
 
-#: Per unary operator: the relation a :class:`NoDual` message names, and the
-#: description of a partner the rules name but the registry lacks.
+#: Per unary operator: the relation whose pairs it reads, and the description
+#: of a partner the rules name but the registry lacks.
 _RELATION_OF = {FORWARD_BACKWARD: "reversal", EXPAND: "scale", REDUCE: "scale",
                 ORTHOGONAL: "orthogonal"}
 _DESCRIPTION = {
@@ -261,11 +244,14 @@ _DESCRIPTION = {
 
 
 def _partners(registry: Registry, rules: DualityRuleSet, operator: str) -> dict[str, str]:
-    """The rules' partner map of ``operator``, each member read through the
-    registry's aliases, so a rule that names an alias acts on its mode."""
+    """The partner map of ``operator``, each member read through the registry's
+    aliases, so a rule that names an alias acts on its mode.  ``reduce`` maps
+    expanded to reduced, ``expand`` the reverse; other pairs map both ways."""
     aliases, relation = registry._aliases, _RELATION_OF[operator]
+    pairs = rules._pairs[relation]
+    flipped = [(b, a) for a, b in pairs]
     out: dict[str, str] = {}
-    for member, partner in rules._partner_of[operator].items():
+    for member, partner in {REDUCE: pairs, EXPAND: flipped}.get(operator, [*pairs, *flipped]):
         mode_id, partner_id = aliases.get(member, member), aliases.get(partner, partner)
         if mode_id == partner_id:
             raise BadRuleSet(f"{relation} pair ({member!r}, {partner!r}) names one mode, "

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .capacity import capacity, growth
+from .capacity import MAX_WIDTH, capacity, growth
 from .errors import BadSchedule, ParseError
 from .jsontext import entries, json_text, read_document, text_field
 
@@ -49,6 +49,8 @@ def _build_schedule(rows: Sequence[tuple[str, int, float]]) -> StageSchedule:
         prefix = f"stages[{position}]: stage {name!r}"
         if k < 1:
             raise BadSchedule(f"{prefix} needs a positive integer width, got {k!r}")
+        if k > MAX_WIDTH:
+            raise BadSchedule(f"{prefix} needs a width of at most {MAX_WIDTH}, got {k!r}")
         if k < previous_k:
             raise BadSchedule(f"{prefix}: cumulative width decreases "
                               f"({previous_k} then {k})")

@@ -354,6 +354,14 @@ class TestLayerTrace:
             trace_layers(lesson, graph, load_stage_map({"stages": [
                 {"stage": "Part I", "c": ["observe"], "e": "teaching-learning"}]}))
 
+    def test_stage_mapped_twice_in_code(self, graph):
+        # A map built in code goes through the loader's rule: no last entry wins.
+        doc = make_doc(("s", {"narration"}))
+        with pytest.raises(ParseError, match=r"^stages\[1\]: stage 's' is mapped twice$"):
+            trace_layers(doc, graph, [
+                StageMapping("s", ("observe",), "teaching-learning"),
+                StageMapping("s", ("infer",), "scientific-discovery")])
+
     def test_stage_map_validation(self):
         with pytest.raises(ParseError):
             load_stage_map({"stages": [{"stage": "S", "c": [], "e": "x"}]})

@@ -159,6 +159,8 @@ ERROR_TABLE = [
     ("stage map", {"stages": [{"stage": "s", "c": ["observe"], "e": "teaching-learning"},
                               {"stage": "s", "c": ["infer"], "e": "scientific-discovery"}]},
      ParseError, "stages[1]: stage 's' is mapped twice"),
+    ("schedule", {"stages": [{"name": "a", "K": 5}, {"name": "b", "K": 121}]}, BadSchedule,
+     "stages[1]: stage 'b' needs a width of at most 120, got 121"),
 ]
 
 

@@ -9,11 +9,13 @@ from rhetor import (
     DualityRuleSet,
     NoDual,
     NotAtomic,
+    Origin,
     NotDiatomic,
     ParseError,
     SelfUnite,
     UnknownMode,
     base_atoms,
+    base_registry,
     closure,
     default_registry,
     default_rules,
@@ -52,6 +54,16 @@ class TestSplit:
     def test_split_of_generated_diatomic(self, registry):
         generated = unite(registry, "narration", "analogy")
         assert {m.id for m in split(registry, generated)} == {"narration", "analogy"}
+
+    def test_parts_the_registry_lacks_are_generated(self):
+        registry = base_registry()
+        assert "cause" not in registry and "effect" not in registry
+        parts = split(registry, "cause-effect")
+        assert [m.id for m in parts] == ["cause", "effect"]
+        for part in parts:
+            assert part.is_atomic
+            assert part.origin == Origin("generated", "split", ("cause-effect",))
+            assert part.description == "Constituent of cause-effect."
 
 
 class TestUnite:
@@ -223,7 +235,7 @@ class TestRuleSet:
                 setattr(rules, f"{relation}_pairs", ())
         assert rules == default_rules()
         assert rules.to_document()["scale"] == [["exposition", "summary"]]
-        assert rules.partner("reduce", "exposition") == "summary"
+        assert reduce(default_registry(), rules, "exposition").id == "summary"
 
     def test_joined_member_is_kept(self):
         rules = load_rules({"reversal": [["analogy--narration", "cc"]]})
@@ -238,7 +250,7 @@ class TestRuleSet:
 
     def test_pairs_canonicalized(self):
         ruleset = DualityRuleSet(reversal=[("Cause", "Effect ")])
-        assert ruleset.partner("forward_backward", "cause") == "effect"
+        assert forward_backward(default_registry(), ruleset, "cause").id == "effect"
 
 
 class TestClosure:
