@@ -249,9 +249,11 @@ def _partners(registry: Registry, rules: DualityRuleSet, operator: str) -> dict[
     expanded to reduced, ``expand`` the reverse; other pairs map both ways."""
     aliases, relation = registry._aliases, _RELATION_OF[operator]
     pairs = rules._pairs[relation]
-    flipped = [(b, a) for a, b in pairs]
+    if operator != REDUCE:
+        flipped = [(b, a) for a, b in pairs]
+        pairs = flipped if operator == EXPAND else [*pairs, *flipped]
     out: dict[str, str] = {}
-    for member, partner in {REDUCE: pairs, EXPAND: flipped}.get(operator, [*pairs, *flipped]):
+    for member, partner in pairs:
         mode_id, partner_id = aliases.get(member, member), aliases.get(partner, partner)
         if mode_id == partner_id:
             raise BadRuleSet(f"{relation} pair ({member!r}, {partner!r}) names one mode, "
