@@ -9,8 +9,8 @@ from rhetor import (
     DualityRuleSet,
     NoDual,
     NotAtomic,
-    Origin,
     NotDiatomic,
+    Origin,
     ParseError,
     SelfUnite,
     UnknownMode,
