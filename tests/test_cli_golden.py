@@ -31,6 +31,7 @@ CASES = {
     "map-realizers": ["map", "--realizers", "C:observe"],
     "map-compose": ["map", "--compose", "knowledge-formation"],
     "map-stats": ["map", "--stats"],
+    "map-academic": ["map", "--profile", "academic-writing"],
     "analyze": ["analyze", LESSON],
     "analyze-map": ["analyze", LESSON, "--map", LESSON_MAP],
     "cone": ["cone"],
