@@ -240,13 +240,13 @@ class PyramidGraph:
     """Immutable three-layer graph with downward edges C→R and E→C.
 
     ``profile``, ``edges_cr``, ``edges_ec`` and ``registry`` are read-only.
-    The sorted child ids of every C- and E-node are built once, at
-    construction, in a table per layer that is itself in node-id order;
-    beside it, a second table holds each node's children as a tuple of
-    :class:`LayerNode`, so :meth:`children` returns a tuple stored at load.
-    :func:`compose_re` costs in proportion to its answer;
-    :func:`branching_stats` and :meth:`to_document` walk the id tables in
-    order and sort nothing per call.
+    Node ids must be canonical.  The edges are stored once: one checking pass
+    per upper layer keeps each node's sorted, distinct child ids in a table
+    that is itself in node-id order.  ``edges_cr`` and ``edges_ec`` build a
+    frozenset from it on each access; no query reads them.  Beside it, a
+    table of :class:`LayerNode` tuples lets :meth:`children` return a tuple
+    stored at load.  :func:`compose_re` costs in proportion to its answer;
+    :func:`branching_stats` and :meth:`to_document` sort nothing per call.
     """
 
     def __init__(
@@ -262,35 +262,34 @@ class PyramidGraph:
         for node in nodes:
             if node.layer not in LAYERS:
                 raise BadEdge(f"node {node.id!r} has unknown layer {node.layer!r}")
+            if not isinstance(node.id, str) or not _ID_PATTERN.match(node.id):
+                raise ParseError(f"node {node.id!r} in layer {node.layer} "
+                                 f"is not a canonical id")
             layer = self._nodes[node.layer]
             if node.id in layer:
                 raise ParseError(f"node {node.id!r} duplicated in layer {node.layer}")
             layer[node.id] = node
-        self._edges_cr = frozenset(edges_cr)
-        self._edges_ec = frozenset(edges_ec)
         self._registry = registry if registry is not None else default_registry()
-        self._check_edges()
-        self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {
-            upper: _adjacency(self._nodes[upper], edges)
-            for upper, edges in ((C, self._edges_cr), (E, self._edges_ec))}
-        self._children: dict[str, dict[str, tuple[LayerNode, ...]]] = {
-            upper: {node_id: tuple(map(self._nodes[lower].__getitem__, child_ids))
-                    for node_id, child_ids in self._child_ids[upper].items()}
-            for upper, lower in ((C, R), (E, C))}
-
-    profile = property(lambda self: self._profile)
-    edges_cr = property(lambda self: self._edges_cr)
-    edges_ec = property(lambda self: self._edges_ec)
-    registry = property(lambda self: self._registry)
-
-    def _check_edges(self) -> None:
-        for upper, lower, edges in ((C, R, self._edges_cr), (E, C, self._edges_ec)):
+        self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {}
+        self._children: dict[str, dict[str, tuple[LayerNode, ...]]] = {}
+        for upper, lower, edges in ((C, R, edges_cr), (E, C, edges_ec)):
             upper_ids, lower_ids = self._nodes[upper], self._nodes[lower]
+            grouped: dict[str, list[str]] = {node_id: [] for node_id in sorted(upper_ids)}
             for up_id, low_id in edges:
                 if up_id not in upper_ids:
                     raise BadEdge(f"edge references unknown {upper}-node {up_id!r}")
                 if low_id not in lower_ids:
                     raise BadEdge(f"edge references unknown {lower}-node {low_id!r}")
+                grouped[up_id].append(low_id)
+            self._child_ids[upper] = table = {
+                node_id: tuple(sorted(set(ids))) for node_id, ids in grouped.items()}
+            self._children[upper] = {node_id: tuple(map(lower_ids.__getitem__, ids))
+                                     for node_id, ids in table.items()}
+
+    profile = property(lambda self: self._profile)
+    edges_cr = property(lambda self: _edge_view(self._child_ids[C]))
+    edges_ec = property(lambda self: _edge_view(self._child_ids[E]))
+    registry = property(lambda self: self._registry)
 
     # -- access --------------------------------------------------------------
 
@@ -320,7 +319,7 @@ class PyramidGraph:
         if not isinstance(other, PyramidGraph):
             return NotImplemented
         return (self._profile == other._profile and self._nodes == other._nodes
-                and self._edges_cr == other._edges_cr and self._edges_ec == other._edges_ec)
+                and self._child_ids == other._child_ids)
 
     def __repr__(self) -> str:
         return (f"PyramidGraph({self._profile!r}, R={len(self._nodes[R])}, "
@@ -337,16 +336,9 @@ class PyramidGraph:
         return doc
 
 
-def _adjacency(upper_nodes: dict[str, LayerNode],
-               edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
-    """Sorted child ids of every upper-layer node, from ``(upper, child)`` edges.
-
-    The table's keys are in sorted node-id order too.
-    """
-    children: dict[str, list[str]] = {node_id: [] for node_id in sorted(upper_nodes)}
-    for upper, child in edges:
-        children[upper].append(child)
-    return {node_id: tuple(sorted(ids)) for node_id, ids in children.items()}
+def _edge_view(child_ids: dict[str, tuple[str, ...]]) -> frozenset[tuple[str, str]]:
+    """The ``(upper, child)`` edges of one layer's child-id table."""
+    return frozenset((node_id, child) for node_id, ids in child_ids.items() for child in ids)
 
 
 # --- graph queries -----------------------------------------------------------
@@ -397,8 +389,8 @@ def _build_graph(
 ) -> PyramidGraph:
     extras: dict[str, Mode] = {}
     nodes: list[LayerNode] = []
-    edges_cr: set[tuple[str, str]] = set()
-    edges_ec: set[tuple[str, str]] = set()
+    edges_cr: list[tuple[str, str]] = []
+    edges_ec: list[tuple[str, str]] = []
     r_seen: dict[str, Mode] = {}
     c_ids: set[str] = set()
 
@@ -413,7 +405,7 @@ def _build_graph(
                 raise ParseError(f"c_nodes[{i}].modes[{j}]: invalid mode name {name!r} "
                                  f"in {profile} mapping")
             r_seen.setdefault(mode.id, mode)
-            edges_cr.add((c_id, mode.id))
+            edges_cr.append((c_id, mode.id))
 
     for i, (e_id, display, description, targets) in enumerate(e_rows):
         if not targets:
@@ -424,7 +416,7 @@ def _build_graph(
             if cid not in c_ids:
                 raise BadEdge(f"e_nodes[{i}].cognitive[{j}]: E-node {e_id!r} references "
                               f"unknown C-node {name!r}")
-            edges_ec.add((e_id, cid))
+            edges_ec.append((e_id, cid))
 
     for mode in r_seen.values():
         nodes.append(LayerNode(R, mode.id, mode.display_name, mode.description))
@@ -473,6 +465,8 @@ def load_pyramid(
     if profile == ACADEMIC_PROFILE:
         return _build_graph(ACADEMIC_PROFILE, _ACADEMIC_C_NODES, _ACADEMIC_E_NODES,
                             registry)
+    if not isinstance(profile, str):
+        raise UnknownProfile(f"profile must be a str, got {type(profile).__name__}")
     raise UnknownProfile(
         f"unknown profile {profile!r}; built-in profiles: {', '.join(BUILTIN_PROFILES)}")
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 from .capacity import MAX_WIDTH, capacity, growth
 from .errors import BadSchedule, ParseError
@@ -41,7 +41,7 @@ _DEFAULT_SCHEDULE_ROWS = (
 )
 
 
-def _build_schedule(rows: Sequence[tuple[str, int, float]]) -> StageSchedule:
+def _build_schedule(rows: Iterable[tuple[str, int, float]]) -> StageSchedule:
     """Schedule from ``(name, width, duration)`` rows of names, ints and real numbers."""
     steps = []
     previous_k = 0
@@ -119,10 +119,12 @@ def cone(schedule: StageSchedule, c_0: float = 1.0) -> list[ConeRow]:
     """Per-stage capacity growth along a schedule: the widening of reach.
 
     Each row pairs the stage's cumulative-width capacity metrics with its
-    introduction rate normalized against learner capacity ``c_0``.
+    introduction rate normalized against learner capacity ``c_0``.  The steps
+    pass the loader's checks again, so each rate comes from the widths.
     """
+    checked = _build_schedule((s.name, s.k_cumulative, s.duration) for s in schedule.stages)
     rows = []
-    for step in schedule.stages:
+    for step in checked.stages:
         report = capacity(step.k_cumulative)
         params = growth(step.l_n, c_0)
         rows.append(ConeRow(

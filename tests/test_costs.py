@@ -18,6 +18,7 @@ from rhetor import (
     load_registry,
     load_stage_map,
     parse_document,
+    serialize_pyramid,
     trace_layers,
 )
 from rhetor import operators, pyramid
@@ -71,19 +72,22 @@ def test_parse_looks_up_each_name_occurrence_once_and_resolves_none(
 
 @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
 def test_child_tables_are_built_only_at_load(monkeypatch, profile, lesson, lesson_map_path):
-    adjacency = counting(monkeypatch, pyramid, "_adjacency")
+    """The child tables are the graph's only edge store: neither load nor any
+    query builds the ``edges_cr``/``edges_ec`` views, and ``children`` hands
+    out the tuple stored at load."""
+    views = counting(monkeypatch, pyramid, "_edge_view")
     graph = load_pyramid(profile)
-    assert len(adjacency) == 2  # one table per upper layer
-    adjacency.clear()
-    for layer in (C, E):
-        for node in graph.layer_nodes(layer):
-            graph.children(layer, node.id)
+    stored = {(layer, node.id): graph._children[layer][node.id]
+              for layer in (C, E) for node in graph.layer_nodes(layer)}
+    for (layer, node_id), kids in stored.items():
+        assert graph.children(layer, node_id) is kids
     for node in graph.layer_nodes(E):
         compose_re(graph, node.id)
     branching_stats(graph)
+    serialize_pyramid(graph)
     if profile == "default":
         trace_layers(lesson, graph, load_stage_map(lesson_map_path))
-    assert adjacency == []
+    assert views == []
 
 
 def test_trace_layers_makes_no_children_call(monkeypatch, graph, lesson, lesson_map_path):

@@ -15,6 +15,8 @@ from rhetor import (
     RhetorError,
     Segment,
     StageMapping,
+    StageSchedule,
+    StageStep,
     UnknownMode,
     UnmappedStage,
     analyze_coverage,
@@ -533,6 +535,21 @@ class TestCone:
     def test_widths_capacity_consistent(self):
         for row in cone(default_schedule()):
             assert row.K_NRC == 2 ** row.K - 1
+
+    @pytest.mark.parametrize("steps, message", [
+        ((StageStep("b", 121, 1.0, 121.0),),
+         "stages[0]: stage 'b' needs a width of at most 120, got 121"),
+        ((StageStep("a", 5, 1.0, 5.0), StageStep("b", 3, 1.0, 1.0)),
+         "stages[1]: stage 'b': cumulative width decreases (5 then 3)"),
+    ], ids=["too-wide", "falling"])
+    def test_schedule_built_in_code_is_checked(self, steps, message):
+        with pytest.raises(BadSchedule) as caught:
+            cone(StageSchedule(steps))
+        assert str(caught.value) == message
+
+    def test_rate_comes_from_the_widths(self):
+        [row] = cone(StageSchedule((StageStep("a", 5, 1.0, 99.0),)))
+        assert row.R_scale == 5.0
 
 
 @pytest.mark.parametrize("error, text, line", [

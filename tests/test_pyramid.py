@@ -205,6 +205,14 @@ class TestLoading:
         with pytest.raises(UnknownProfile):
             load_pyramid("no-such-profile")
 
+    def test_document_passed_as_profile_is_refused_briefly(self):
+        doc = {"profile": "big", "e_nodes": [],
+               "c_nodes": [{"id": f"c{i}", "modes": ["narration"]} for i in range(2000)]}
+        with pytest.raises(UnknownProfile) as caught:
+            load_pyramid(doc)
+        assert str(caught.value) == "profile must be a str, got dict"
+        assert len(str(caught.value)) < 100
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             load_pyramid(source="{oops")
@@ -260,6 +268,17 @@ class TestLoading:
     def test_direct_construction_validates_edges(self):
         with pytest.raises(BadEdge):
             PyramidGraph("p", [], [("c", "r")], [])
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([LayerNode(R, "Narration", "N"), LayerNode(C, "Obs", "O")],
+         "node 'Narration' in layer R is not a canonical id"),
+        ([LayerNode(R, "narration", "N"), LayerNode(C, 7, "O")],
+         "node 7 in layer C is not a canonical id"),
+    ], ids=["mixed-case", "not-a-str"])
+    def test_node_ids_must_be_canonical(self, nodes, message):
+        with pytest.raises(ParseError) as caught:
+            PyramidGraph("p", nodes, [(nodes[1].id, nodes[0].id)], [])
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("edges_cr, edges_ec, message", [
         ([("c", "r")], [], "edge references unknown C-node 'c'"),

@@ -60,38 +60,45 @@ from rhetor.pyramid import BUILTIN_PROFILES, C, E, R, BranchingStats
 # --- oracles: the scans -------------------------------------------------------
 
 
-def children_scan(graph, layer, name):
+# The graph scans take the edges the graph was built from as ``edges``, a
+# ``(C→R edges, E→C edges)`` pair of sets, never the graph's own edge views:
+# those are built from the very tables the scans check.
+
+def children_scan(graph, edges, layer, name):
+    edges_cr, edges_ec = edges
     node = graph.node(layer, name)
     if node.layer == C:
-        ids = sorted(r for c, r in graph.edges_cr if c == node.id)
+        ids = sorted(r for c, r in edges_cr if c == node.id)
         return tuple(graph.node(R, r) for r in ids)
-    ids = sorted(c for e, c in graph.edges_ec if e == node.id)
+    ids = sorted(c for e, c in edges_ec if e == node.id)
     return tuple(graph.node(C, c) for c in ids)
 
 
-def compose_re_scan(graph, e_name):
+def compose_re_scan(graph, edges, e_name):
     reached = set()
-    for c_node in children_scan(graph, E, e_name):
-        reached.update(r.id for r in children_scan(graph, C, c_node.id))
+    for c_node in children_scan(graph, edges, E, e_name):
+        reached.update(r.id for r in children_scan(graph, edges, C, c_node.id))
     return tuple(sorted(reached))
 
 
-def to_document_scan(graph):
+def to_document_scan(graph, edges):
+    edges_cr, edges_ec = edges
     c_nodes = [{"id": n.id, "display_name": n.display_name, "description": n.description,
-                "modes": sorted(r for c, r in graph.edges_cr if c == n.id)}
+                "modes": sorted(r for c, r in edges_cr if c == n.id)}
                for n in graph.layer_nodes(C)]
     e_nodes = [{"id": n.id, "display_name": n.display_name, "description": n.description,
-                "cognitive": sorted(c for e, c in graph.edges_ec if e == n.id)}
+                "cognitive": sorted(c for e, c in edges_ec if e == n.id)}
                for n in graph.layer_nodes(E)]
     return {"profile": graph.profile, "c_nodes": c_nodes, "e_nodes": e_nodes}
 
 
-def branching_stats_scan(graph):
+def branching_stats_scan(graph, edges):
+    edges_cr, edges_ec = edges
     c_counts = {node.id: 0 for node in graph.layer_nodes(C)}
-    for c_id, _ in graph.edges_cr:
+    for c_id, _ in edges_cr:
         c_counts[c_id] += 1
     e_counts = {node.id: 0 for node in graph.layer_nodes(E)}
-    for e_id, _ in graph.edges_ec:
+    for e_id, _ in edges_ec:
         e_counts[e_id] += 1
     return BranchingStats(c_degrees=tuple(sorted(c_counts.items())),
                           e_degrees=tuple(sorted(e_counts.items())))
@@ -113,7 +120,7 @@ def stage_modes_scan(doc, stage):
     return frozenset(out)
 
 
-def trace_layers_scan(doc, graph, stage_map):
+def trace_layers_scan(doc, graph, edges, stage_map):
     by_stage = {m.stage: m for m in stage_map}
     traces, e_ids = [], []
     for stage in stages_scan(doc):
@@ -125,7 +132,7 @@ def trace_layers_scan(doc, graph, stage_map):
         for c_name in mapping.c_ids:
             c_node = graph.node(C, c_name)
             c_resolved.append(c_node.id)
-            expected.update(r.id for r in children_scan(graph, C, c_node.id))
+            expected.update(r.id for r in children_scan(graph, edges, C, c_node.id))
         observed = stage_modes_scan(doc, stage)
         traces.append(StageTrace(stage, tuple(c_resolved), e_node.id, observed,
                                  frozenset(expected), observed & expected,
@@ -260,10 +267,16 @@ E_IDS = ["e1", "e2", "e10", "e-a-b"]
 # Names no graph drawn below has in its E-layer: ids of the other layers, a
 # near miss, and names that canonicalize to nothing.
 E_MISSES = ["c1", "r10", "e3", "e1-0", "?!", ""]
+# Each built-in profile's (C rows, E rows): (id, display name, description, targets).
+BUILTIN_ROWS = {
+    pyramid.DEFAULT_PROFILE: (pyramid._DEFAULT_C_NODES, pyramid._DEFAULT_E_NODES),
+    pyramid.ACADEMIC_PROFILE: (pyramid._ACADEMIC_C_NODES, pyramid._ACADEMIC_E_NODES),
+}
 
 
 @st.composite
 def graphs(draw):
+    """A graph, and the C→R and E→C edge sets drawn for it."""
     r_ids = draw(st.lists(st.sampled_from(R_IDS), min_size=1, unique=True))
     c_ids = draw(st.lists(st.sampled_from(C_IDS), min_size=1, unique=True))
     e_ids = draw(st.lists(st.sampled_from(E_IDS), min_size=1, unique=True))
@@ -271,7 +284,8 @@ def graphs(draw):
     edges_ec = draw(st.sets(st.tuples(st.sampled_from(e_ids), st.sampled_from(c_ids))))
     nodes = [LayerNode(layer, node_id, node_id.upper())
              for layer, ids in ((R, r_ids), (C, c_ids), (E, e_ids)) for node_id in ids]
-    return PyramidGraph("random", draw(st.permutations(nodes)), edges_cr, edges_ec)
+    return (PyramidGraph("random", draw(st.permutations(nodes)), edges_cr, edges_ec),
+            edges_cr, edges_ec)
 
 
 @st.composite
@@ -297,26 +311,33 @@ class TestGraphAgainstScans:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_every_query_matches_the_edge_scan(self, data):
-        graph = data.draw(graphs())
+        graph, drawn_cr, drawn_ec = data.draw(graphs())
+        edges = (drawn_cr, drawn_ec)
         for node in graph.layer_nodes(C) + graph.layer_nodes(E):
             for name in (node.id, data.draw(loose(node.id))):
                 assert graph.children(node.layer, name) == children_scan(
-                    graph, node.layer, name)
+                    graph, edges, node.layer, name)
             assert_children_stored(graph, node)
         for name in E_IDS + E_MISSES:
             for spelling in (name, data.draw(loose(name))):
                 assert (outcome(compose_re, graph, spelling)
-                        == outcome(compose_re_scan, graph, spelling))
-        assert graph.to_document() == to_document_scan(graph)
-        assert branching_stats(graph) == branching_stats_scan(graph)
+                        == outcome(compose_re_scan, graph, edges, spelling))
+        assert graph.to_document() == to_document_scan(graph, edges)
+        assert branching_stats(graph) == branching_stats_scan(graph, edges)
+        assert graph.edges_cr == drawn_cr
+        assert graph.edges_ec == drawn_ec
 
 
     @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
     def test_builtin_children_are_stored(self, profile):
         graph = load_pyramid(profile)
+        c_rows, e_rows = BUILTIN_ROWS[profile]
+        edges = ({(c_id, graph.registry.resolve(name).id)
+                  for c_id, _, _, names in c_rows for name in names},
+                 {(e_id, c_id) for e_id, _, _, c_ids in e_rows for c_id in c_ids})
         for node in graph.layer_nodes(C) + graph.layer_nodes(E):
             assert graph.children(node.layer, node.id) == children_scan(
-                graph, node.layer, node.id)
+                graph, edges, node.layer, node.id)
             assert_children_stored(graph, node)
 
 
@@ -333,7 +354,7 @@ class TestDocumentsAgainstScans:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_trace_matches_the_per_stage_scan(self, data):
-        graph = data.draw(graphs())
+        graph, drawn_cr, drawn_ec = data.draw(graphs())
         r_ids = [n.id for n in graph.layer_nodes(R)]
         c_ids = [n.id for n in graph.layer_nodes(C)]
         e_ids = [n.id for n in graph.layer_nodes(E)]
@@ -349,7 +370,7 @@ class TestDocumentsAgainstScans:
         for stage in doc.stages():
             assert doc.stage_modes(stage) == stage_modes_scan(doc, stage)
         assert (outcome(trace_layers, doc, graph, stage_map)
-                == outcome(trace_layers_scan, doc, graph, stage_map))
+                == outcome(trace_layers_scan, doc, graph, (drawn_cr, drawn_ec), stage_map))
 
 
 # --- names resolved once per spelling ----------------------------------------------
