@@ -276,16 +276,17 @@ BUILTIN_ROWS = {
 
 @st.composite
 def graphs(draw):
-    """A graph, and the C→R and E→C edge sets drawn for it."""
+    """A graph, and the sets of C→R and E→C edges drawn for it; the graph is
+    built from the drawn lists, which may repeat an edge."""
     r_ids = draw(st.lists(st.sampled_from(R_IDS), min_size=1, unique=True))
     c_ids = draw(st.lists(st.sampled_from(C_IDS), min_size=1, unique=True))
     e_ids = draw(st.lists(st.sampled_from(E_IDS), min_size=1, unique=True))
-    edges_cr = draw(st.sets(st.tuples(st.sampled_from(c_ids), st.sampled_from(r_ids))))
-    edges_ec = draw(st.sets(st.tuples(st.sampled_from(e_ids), st.sampled_from(c_ids))))
+    edges_cr = draw(st.lists(st.tuples(st.sampled_from(c_ids), st.sampled_from(r_ids))))
+    edges_ec = draw(st.lists(st.tuples(st.sampled_from(e_ids), st.sampled_from(c_ids))))
     nodes = [LayerNode(layer, node_id, node_id.upper())
              for layer, ids in ((R, r_ids), (C, c_ids), (E, e_ids)) for node_id in ids]
     return (PyramidGraph("random", draw(st.permutations(nodes)), edges_cr, edges_ec),
-            edges_cr, edges_ec)
+            set(edges_cr), set(edges_ec))
 
 
 @st.composite
