@@ -22,9 +22,9 @@ Metrics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BadCapacity, BadCount, OutOfRange
+from .records import record
 
 #: Largest supported rhetorical width for exact capacity metrics.
 MAX_WIDTH = 120
@@ -51,7 +51,7 @@ def _check_width(k: int) -> None:
         raise OutOfRange(f"width {k} outside supported range 1..{MAX_WIDTH}")
 
 
-@dataclass(frozen=True)
+@record
 class CapacityReport:
     """Exact capacity metrics for one rhetorical width K."""
 
@@ -63,7 +63,7 @@ class CapacityReport:
     MRB: float = MRB
 
 
-@dataclass(frozen=True)
+@record
 class GrowthParams:
     """Introduction rate expressed as bits/stage and normalized load."""
 
@@ -74,7 +74,7 @@ class GrowthParams:
     load_class: str
 
 
-@dataclass(frozen=True)
+@record
 class CoverageReport:
     """Share of an available repertoire actually used."""
 

@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 # Building the parser needs only the width caps.  Each command imports the
@@ -26,6 +25,7 @@ from pathlib import Path
 from .capacity import MAX_WIDTH, capacity, capacity_table, coverage, growth
 from .entropy import MAX_ENTROPY_WIDTH, entropy_layered, entropy_subset_sizes
 from .errors import RhetorError
+from .records import asdict
 
 TABLE = "table"
 CSV = "csv"

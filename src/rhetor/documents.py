@@ -23,7 +23,6 @@ across a staged corpus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,10 +38,11 @@ from .errors import (
 )
 from .jsontext import entries, names_field, read_document, read_text, text_field
 from .pyramid import C, E, PyramidGraph
+from .records import record
 from .registry import Registry, _ID_PATTERN, _hints, default_registry
 
 
-@dataclass(frozen=True)
+@record
 class Segment:
     """One annotated discourse unit: a stage label, mode tags, free text."""
 
@@ -51,8 +51,21 @@ class Segment:
     modes: frozenset[str]
     text: str = ""
 
+    def __post_init__(self):
+        # A plain loop: parsing builds one Segment per segment line, and
+        # all() over a generator costs about twice as much.
+        modes = self.modes
+        if isinstance(modes, frozenset):
+            for mode in modes:
+                if not isinstance(mode, str):
+                    break
+            else:
+                return
+        raise ParseError(f"segment {self.index} modes must be a frozenset of str, "
+                         f"got {modes!r}")
 
-@dataclass(frozen=True)
+
+@record
 class AnnotatedDocument:
     """An ordered sequence of annotated segments."""
 
@@ -245,7 +258,7 @@ def analyze_coverage(doc: AnnotatedDocument, k: int | None = None) -> CoverageRe
 
 # --- layer tracing ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class StageMapping:
     """Declared layer assignment for one stage: its C-functions and E-purpose."""
 
@@ -254,7 +267,7 @@ class StageMapping:
     e_id: str
 
 
-@dataclass(frozen=True)
+@record
 class StageTrace:
     """Observed vs expected modes for one stage under its mapping."""
 
@@ -267,7 +280,7 @@ class StageTrace:
     mismatch: frozenset[str]
 
 
-@dataclass(frozen=True)
+@record
 class LayerTrace:
     """Per-stage traces plus the distinct E-purposes the document serves."""
 
@@ -342,7 +355,7 @@ def trace_layers(
 
 # --- introduction-rate estimation -------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class IntervalRate:
     """New-mode introduction rate over one interval of the corpus timeline."""
 
@@ -352,7 +365,7 @@ class IntervalRate:
     L_n: float
 
 
-@dataclass(frozen=True)
+@record
 class RriEstimate:
     """Cumulative width per stage index and the per-interval rates."""
 

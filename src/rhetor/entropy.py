@@ -19,11 +19,11 @@ Terms are accumulated largest-first to keep floating error down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .capacity import MAX_WIDTH
 from .errors import BadCount, BadDistribution, OutOfRange
+from .records import record
 
 #: Largest width supported by the log-space path.
 MAX_ENTROPY_WIDTH = 1000
@@ -34,7 +34,7 @@ DISTRIBUTION_TOLERANCE = 1e-9
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@record
 class EntropyReport:
     """Entropy measures for one rhetorical width K."""
 
@@ -45,7 +45,7 @@ class EntropyReport:
     gap: float
 
 
-@dataclass(frozen=True)
+@record
 class LayeredEntropyReport:
     """Per-stage subset-size entropies against a flat alternative."""
 

@@ -27,7 +27,6 @@ Scale pairs are ordered ``[expanded, reduced]``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,6 +39,7 @@ from .errors import (
     SelfUnite,
 )
 from .jsontext import json_text, read_document
+from .records import record
 from .registry import (
     Mode,
     Registry,
@@ -307,7 +307,7 @@ def orthogonal(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mo
 
 # --- closure ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Derivation:
     """One recorded operator application inside a closure run."""
 

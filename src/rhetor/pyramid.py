@@ -26,7 +26,6 @@ plus supplementary modes (:func:`compose_academic`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,6 +37,7 @@ from .errors import (
     UnknownProfile,
 )
 from .jsontext import entries, json_text, names_field, read_document, text_field
+from .records import record
 from .registry import (
     Mode,
     Registry,
@@ -63,7 +63,7 @@ BUILTIN_PROFILES = (DEFAULT_PROFILE, ACADEMIC_PROFILE)
 _DOCUMENT_KEYS = ((C, "c_nodes", "modes"), (E, "e_nodes", "cognitive"))
 
 
-@dataclass(frozen=True)
+@record
 class LayerNode:
     """One node of the mapping graph, tagged with its layer."""
 
@@ -73,7 +73,7 @@ class LayerNode:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class AcademicFunction:
     """A compound writing move: one core mode plus supplementary modes."""
 
@@ -209,7 +209,7 @@ _ACADEMIC_E_NODES = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class BranchingStats:
     """Out-degrees of the upper layers, ready for layered-entropy input."""
 

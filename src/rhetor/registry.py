@@ -21,13 +21,13 @@ registry always loads back.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import BadConstituent, DuplicateMode, ParseError, UnknownMode
 from .jsontext import entries, json_text, names_field, read_document, text_field
+from .records import record
 
 _ATOM = r"[a-z][a-z0-9]*(?:-[a-z0-9]+)*"
 _ID_PATTERN = re.compile(rf"{_ATOM}(?:--{_ATOM})?\Z")  # one name, or two joined by "--"
@@ -68,7 +68,7 @@ def _hints(name: str, ids: Iterable[str]) -> tuple[str, ...]:
     return tuple(difflib.get_close_matches(canon(name), sorted(ids), n=2, cutoff=0.6))
 
 
-@dataclass(frozen=True)
+@record
 class Origin:
     """Provenance of a mode: built-in table, decomposition, or one operator application."""
 
@@ -81,7 +81,7 @@ _BASE_ORIGIN = Origin("base")
 _DECOMPOSED_ORIGIN = Origin("decomposed")
 
 
-@dataclass(frozen=True)
+@record
 class Mode:
     """A named rhetorical unit, atomic or composed of other modes."""
 

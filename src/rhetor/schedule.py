@@ -4,16 +4,16 @@ rhetorical-scalable parameter along a schedule of cumulative widths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .capacity import MAX_WIDTH, capacity, growth
 from .errors import BadSchedule, ParseError
 from .jsontext import entries, json_text, read_document, text_field
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class StageStep:
     """One schedule row: cumulative width reached over a stage's duration."""
 
@@ -23,7 +23,7 @@ class StageStep:
     l_n: float
 
 
-@dataclass(frozen=True)
+@record
 class StageSchedule:
     """Ordered educational stages with cumulative widths and rates."""
 
@@ -103,7 +103,7 @@ def serialize_schedule(schedule: StageSchedule) -> str:
     return json_text({"stages": stages})
 
 
-@dataclass(frozen=True)
+@record
 class ConeRow:
     """Capacity and load metrics for one schedule stage."""
 

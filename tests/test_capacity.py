@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +15,7 @@ from rhetor import (
     growth,
 )
 from rhetor.capacity import MAX_WIDTH, MRB
+from rhetor.records import asdict
 
 widths = st.integers(min_value=1, max_value=MAX_WIDTH)
 

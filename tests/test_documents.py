@@ -325,6 +325,13 @@ class TestCoverage:
         with pytest.raises(BadCount):
             analyze_coverage(lesson, k=13)
 
+    @pytest.mark.parametrize("modes", ["narration", ("narration",), {"narration"},
+                                       frozenset({"narration", 1})])
+    def test_segment_refuses_modes_not_a_frozenset_of_str(self, modes):
+        # A str would count its letters: K_u=6 for "narration".
+        with pytest.raises(ParseError, match=r"segment 1 modes must be a frozenset of str"):
+            Segment(1, "A", modes)
+
 
 class TestLayerTrace:
     def test_lesson_trace(self, lesson, graph, lesson_map_path):

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +17,7 @@ from rhetor import (
     uniform,
 )
 from rhetor.entropy import MAX_ENTROPY_WIDTH
+from rhetor.records import asdict
 
 # Size-entropy checkpoints computed independently before the module was
 # written (17 significant digits folded to 6 decimals).

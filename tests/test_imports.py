@@ -20,6 +20,10 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 UNUSED_BY_LIGHT_CALLS = ("rhetor.registry", "rhetor.operators", "rhetor.pyramid",
                          "rhetor.documents", "difflib", "statistics")
 
+# Modules no call loads: rhetor.records builds every record class, and
+# dataclasses would also load inspect, ast, dis and tokenize.
+NEVER_LOADED = ("dataclasses", "inspect")
+
 PUBLIC_NAMES = set("""
 ACADEMIC_PROFILE AcademicFunction AnnotatedDocument BadCapacity BadComposition
 BadConstituent BadCount BadDistribution BadEdge BadIndex BadRuleSet BadSchedule
@@ -76,9 +80,10 @@ def test_light_calls_load_no_unused_module(code):
     loaded = _loaded_after(code)
     assert "rhetor.cli" in loaded
     assert loaded.isdisjoint(UNUSED_BY_LIGHT_CALLS), loaded & set(UNUSED_BY_LIGHT_CALLS)
+    assert loaded.isdisjoint(NEVER_LOADED), loaded & set(NEVER_LOADED)
 
 
-# The exact rhetor modules each subcommand loads, beyond the four every call
+# The exact rhetor modules each subcommand loads, beyond the five every call
 # loads.
 LOADED_BY_SUBCOMMAND = [
     (["tables", "--max-k", "12"], ""),
@@ -101,8 +106,21 @@ def test_each_subcommand_loads_exactly_its_modules(argv, extra):
     loaded = _loaded_after(f"import contextlib, io\nfrom rhetor.cli import main\n"
                            f"with contextlib.redirect_stdout(io.StringIO()):\n"
                            f"    assert main({argv!r}) == 0")
-    want = {f"rhetor.{m}" for m in f"capacity cli entropy errors {extra}".split()}
+    want = {f"rhetor.{m}" for m in f"capacity cli entropy errors records {extra}".split()}
     assert {m for m in loaded if m.startswith("rhetor.")} == want
+    assert loaded.isdisjoint(NEVER_LOADED), loaded & set(NEVER_LOADED)
+
+
+def test_map_file_loads_neither_dataclasses_nor_inspect(tmp_path):
+    from rhetor import DEFAULT_PROFILE, load_pyramid, serialize_pyramid
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(serialize_pyramid(load_pyramid(DEFAULT_PROFILE)), encoding="utf-8")
+    argv = ["map", "--file", str(mapping), "--format", "json"]
+    loaded = _loaded_after(f"import contextlib, io\nfrom rhetor.cli import main\n"
+                           f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    assert main({argv!r}) == 0")
+    assert "rhetor.pyramid" in loaded
+    assert loaded.isdisjoint(NEVER_LOADED), loaded & set(NEVER_LOADED)
 
 
 def test_schedule_names_live_only_in_the_schedule_module():
@@ -116,7 +134,9 @@ def test_schedule_names_live_only_in_the_schedule_module():
 
 
 def test_import_loads_submodules_on_first_use():
-    assert "rhetor.pyramid" not in _loaded_after("import rhetor")
+    loaded = _loaded_after("import rhetor")
+    assert "rhetor.pyramid" not in loaded
+    assert loaded.isdisjoint(NEVER_LOADED), loaded & set(NEVER_LOADED)
     assert "rhetor.pyramid" in _loaded_after("import rhetor\nrhetor.load_pyramid")
 
 
@@ -125,7 +145,8 @@ def test_public_names_are_unchanged():
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():
-    _fresh("import rhetor\nfor name in rhetor.__all__:\n    getattr(rhetor, name)")
+    loaded = _loaded_after("import rhetor\nfor name in rhetor.__all__:\n    getattr(rhetor, name)")
+    assert loaded.isdisjoint(NEVER_LOADED), loaded & set(NEVER_LOADED)
 
 
 def test_star_import_binds_every_public_name():
