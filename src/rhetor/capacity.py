@@ -44,11 +44,11 @@ CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
 
 
-def _check_width(k: int) -> None:
+def _check_width(k: int, top: int = MAX_WIDTH) -> None:
     if not isinstance(k, int) or isinstance(k, bool):
         raise OutOfRange(f"width must be an integer, got {k!r}")
-    if k < 1 or k > MAX_WIDTH:
-        raise OutOfRange(f"width {k} outside supported range 1..{MAX_WIDTH}")
+    if k < 1 or k > top:
+        raise OutOfRange(f"width {k} outside supported range 1..{top}")
 
 
 @record

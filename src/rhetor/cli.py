@@ -215,9 +215,10 @@ def cmd_map(args, parser) -> int:
         }
         _emit(args.format, payload, (["layer", "node", "out_degree"], rows))
         return 0
-    rows = [["C", c, r] for c, r in sorted(graph.edges_cr)]
-    rows += [["E", e, c] for e, c in sorted(graph.edges_ec)]
-    _emit(args.format, graph.to_document(), (["layer", "from", "to"], rows))
+    doc = graph.to_document()  # each layer's nodes and children come sorted
+    rows = [["C", node["id"], r] for node in doc["c_nodes"] for r in node["modes"]]
+    rows += [["E", node["id"], c] for node in doc["e_nodes"] for c in node["cognitive"]]
+    _emit(args.format, doc, (["layer", "from", "to"], rows))
     return 0
 
 

@@ -33,8 +33,10 @@ from .errors import (
     EmptySegment,
     NotEnoughStages,
     ParseError,
+    RhetorError,
     UnknownMode,
     UnmappedStage,
+    at,
 )
 from .jsontext import entries, names_field, read_document, read_text, text_field
 from .pyramid import C, E, PyramidGraph
@@ -44,7 +46,8 @@ from .registry import Registry, _ID_PATTERN, _hints, default_registry
 
 @record
 class Segment:
-    """One annotated discourse unit: a stage label, mode tags, free text."""
+    """One annotated discourse unit: an ``int`` index, a stage label, a
+    non-empty frozenset of mode ids, free text."""
 
     index: int
     stage: str
@@ -54,8 +57,12 @@ class Segment:
     def __post_init__(self):
         # A plain loop: parsing builds one Segment per segment line, and
         # all() over a generator costs about twice as much.
+        if self.index.__class__ is not int:
+            raise ParseError(f"segment index must be an int, got {self.index!r}")
         modes = self.modes
         if isinstance(modes, frozenset):
+            if not modes:
+                raise EmptySegment(f"segment {self.index} lists no modes")
             for mode in modes:
                 if not isinstance(mode, str):
                     break
@@ -67,32 +74,51 @@ class Segment:
 
 @record
 class AnnotatedDocument:
-    """An ordered sequence of annotated segments."""
+    """An ordered sequence of annotated segments.
+
+    Refused, naming the field, unless it writes out as annotation text that
+    parses back equal: the id, stage labels and texts are one-line strings
+    without padding (only a text may be empty), mode names are mode ids,
+    indices increase, and ``declared_K`` is ``None`` or a positive ``int``
+    no smaller than the number of distinct modes used.
+    """
 
     id: str
     segments: tuple[Segment, ...]
     declared_K: int | None = None
 
     def __post_init__(self):
-        previous = 0
+        _written("doc id", self.id)
+        declared = self.declared_K
+        if declared is not None and (declared.__class__ is not int or declared < 1):
+            raise ParseError(f"declared_K must be a positive integer, got {declared!r}")
+        previous, stage = 0, None
         for seg in self.segments:
-            if not seg.modes:
-                raise EmptySegment(f"segment {seg.index} of {self.id!r} has no modes")
             if seg.index <= previous:
-                raise BadIndex(
-                    f"segment index {seg.index} of {self.id!r} does not increase")
+                raise BadIndex(f"segment index {seg.index} of {self.id!r} does not increase")
             previous = seg.index
-        if self.declared_K is not None and self.declared_K < len(self.mode_union()):
-            raise BadCount(
-                f"declared_K={self.declared_K} is below the {len(self.mode_union())} "
-                f"distinct modes used in {self.id!r}")
+            if seg.stage != stage:
+                stage = _written(f"segment {seg.index} stage", seg.stage)
+            text = seg.text
+            # A line break is not printable; nor is a tab, which _written passes.
+            if text.__class__ is not str or text.strip() != text or not text.isprintable():
+                _written(f"segment {seg.index} text", text)
+        used = self.mode_union()
+        # Each distinct mode name is tested once.
+        bad = {name for name in used if not _ID_PATTERN.match(name)}
+        if bad:
+            seg = next(seg for seg in self.segments if not bad.isdisjoint(seg.modes))
+            field = f"segment {seg.index} modes"
+            modes = _written(field, ", ".join(sorted(seg.modes)))
+            raise ParseError(f"{field} {modes!r} holds {min(bad & seg.modes)!r}, "
+                             f"which is not a canonical mode id")
+        if declared is not None and declared < len(used):
+            raise BadCount(f"declared_K={declared} is below the {len(used)} "
+                           f"distinct modes used in {self.id!r}")
 
     def mode_union(self) -> frozenset[str]:
         """All distinct mode ids used anywhere in the document."""
-        out: set[str] = set()
-        for seg in self.segments:
-            out.update(seg.modes)
-        return frozenset(out)
+        return frozenset().union(*[seg.modes for seg in self.segments])
 
     def stages(self) -> tuple[str, ...]:
         """Stage labels in first-appearance order."""
@@ -100,11 +126,7 @@ class AnnotatedDocument:
 
     def stage_modes(self, stage: str) -> frozenset[str]:
         """Union of mode ids over the segments of one stage."""
-        out: set[str] = set()
-        for seg in self.segments:
-            if seg.stage == stage:
-                out.update(seg.modes)
-        return frozenset(out)
+        return frozenset().union(*[seg.modes for seg in self.segments if seg.stage == stage])
 
 
 # --- .rma parsing -----------------------------------------------------------
@@ -127,72 +149,71 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
     next_index = 1
     lookup = registry._lookup
 
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("seg ") or line.startswith("seg|") or line == "seg":
-            if stage is None:
-                raise ParseError("segment before any stage line", line=line_no)
-            head, bar, rest = line.partition("|")
-            if not bar:
-                raise ParseError("segment line needs '|'-separated mode names",
-                                 line=line_no)
-            index = next_index
-            head = head.strip()
-            if head != "seg":
-                head_tokens = head.split()
-                if len(head_tokens) > 2:
-                    raise ParseError(f"unrecognized segment head {head!r}", line=line_no)
+    try:
+        for line_no, raw in enumerate(source.splitlines(), start=1):
+            line = raw.strip()
+            if line.startswith("seg ") or line.startswith("seg|") or line == "seg":
+                if stage is None:
+                    raise ParseError("segment before any stage line")
+                head, bar, rest = line.partition("|")
+                if not bar:
+                    raise ParseError("segment line needs '|'-separated mode names")
+                index = next_index
+                head = head.strip()
+                if head != "seg":
+                    head_tokens = head.split()
+                    if len(head_tokens) > 2:
+                        raise ParseError(f"unrecognized segment head {head!r}")
+                    try:
+                        index = int(head_tokens[1])
+                    except ValueError:
+                        raise ParseError(f"segment index must be an integer, got "
+                                         f"{head_tokens[1]!r}") from None
+                    if index < next_index:
+                        raise BadIndex(f"segment index {index} repeats or decreases "
+                                       f"(last was {next_index - 1})")
+                field, _, text = rest.partition("|")
+                modes: set[str] = set()
+                for name in field.split(","):
+                    name = name.strip()
+                    if not name:
+                        continue
+                    mode = lookup(name)
+                    if mode is None:
+                        raise UnknownMode(f"no mode named {name!r}",
+                                          suggestions=_hints(name, registry._modes))
+                    modes.add(mode.id)
+                segments.append(Segment(index, stage, frozenset(modes), text.strip()))
+                next_index = index + 1
+                continue
+            if not line or line.startswith("#"):
+                continue
+            keyword, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if keyword == "doc":
+                if saw_doc:
+                    raise ParseError("duplicate doc header")
+                if not rest:
+                    raise ParseError("doc header needs an id")
+                doc_id = rest
+                saw_doc = True
+            elif keyword == "declared_K":
+                if declared_k is not None:
+                    raise ParseError("duplicate declared_K directive")
                 try:
-                    index = int(head_tokens[1])
-                except ValueError:
-                    raise ParseError(f"segment index must be an integer, got "
-                                     f"{head_tokens[1]!r}", line=line_no) from None
-                if index < next_index:
-                    raise BadIndex(f"segment index {index} repeats or decreases "
-                                   f"(last was {next_index - 1})", line=line_no)
-            field, _, text = rest.partition("|")
-            modes: set[str] = set()
-            for name in field.split(","):
-                name = name.strip()
-                if not name:
-                    continue
-                mode = lookup(name)
-                if mode is None:
-                    raise UnknownMode(f"no mode named {name!r}",
-                                      suggestions=_hints(name, registry._modes), line=line_no)
-                modes.add(mode.id)
-            if not modes:
-                raise EmptySegment("segment lists no modes", line=line_no)
-            segments.append(Segment(index, stage, frozenset(modes), text.strip()))
-            next_index = index + 1
-            continue
-        if not line or line.startswith("#"):
-            continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if keyword == "doc":
-            if saw_doc:
-                raise ParseError("duplicate doc header", line=line_no)
-            if not rest:
-                raise ParseError("doc header needs an id", line=line_no)
-            doc_id = rest
-            saw_doc = True
-        elif keyword == "declared_K":
-            if declared_k is not None:
-                raise ParseError("duplicate declared_K directive", line=line_no)
-            try:
-                declared_k = int(rest) if rest.isascii() and rest.isdigit() else 0
-            except ValueError:  # more digits than int() converts
-                declared_k = 0
-            if declared_k < 1:
-                raise ParseError(f"declared_K needs a positive integer, got {rest!r}",
-                                 line=line_no)
-        elif keyword == "stage":
-            if not rest:
-                raise ParseError("stage line needs a label", line=line_no)
-            stage = rest
-        else:
-            raise ParseError(f"unrecognized line {line!r}", line=line_no)
+                    declared_k = int(rest) if rest.isascii() and rest.isdigit() else 0
+                except ValueError:  # more digits than int() converts
+                    declared_k = 0
+                if declared_k < 1:
+                    raise ParseError(f"declared_K needs a positive integer, got {rest!r}")
+            elif keyword == "stage":
+                if not rest:
+                    raise ParseError("stage line needs a label")
+                stage = rest
+            else:
+                raise ParseError(f"unrecognized line {line!r}")
+    except RhetorError as exc:
+        raise at(line_no, exc)
 
     return AnnotatedDocument(doc_id, tuple(segments), declared_k)
 
@@ -200,45 +221,34 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
 def serialize_document(doc: AnnotatedDocument) -> str:
     """Annotation text that parses back to an equal document.
 
-    Raises :class:`ParseError` naming the field when the doc id or a stage
-    label is empty, when one of them or a segment text has leading or
-    trailing whitespace or holds a line break, when a mode name is not a
-    mode id (empty, or holding a separator, padding or upper case), or when
-    ``declared_K`` is below 1: parsing would lose or refuse it.
+    A pure writer: :class:`AnnotatedDocument` refused at construction every
+    field that would not read back as written.
     """
-    if doc.declared_K is not None and doc.declared_K < 1:
-        raise ParseError(f"declared_K must be a positive integer, got {doc.declared_K}")
-    lines = [f"doc {_written('doc id', doc.id)}"]
+    lines = [f"doc {doc.id}"]
     if doc.declared_K is not None:
         lines.append(f"declared_K {doc.declared_K}")
-    # Each distinct mode name is tested once.
-    bad_modes = {name for name in doc.mode_union() if not _ID_PATTERN.match(name)}
     current_stage = None
     auto_index = 1
     for seg in doc.segments:
         if seg.stage != current_stage:
-            lines.append(f"stage {_written(f'segment {seg.index} stage', seg.stage)}")
+            lines.append(f"stage {seg.stage}")
             current_stage = seg.stage
         head = "seg" if seg.index == auto_index else f"seg {seg.index}"
         auto_index = seg.index + 1
         modes = ", ".join(sorted(seg.modes))
-        _written(f"segment {seg.index} text", seg.text, required=False)
-        if not bad_modes.isdisjoint(seg.modes):
-            field = f"segment {seg.index} modes"
-            raise ParseError(f"{field} {_written(field, modes)!r} holds "
-                             f"{min(bad_modes & seg.modes)!r}, which is not a canonical mode id")
         lines.append(f"{head} | {modes} | {seg.text}" if seg.text else f"{head} | {modes}")
     return "\n".join(lines) + "\n"
 
 
-def _written(field: str, value: str, required: bool = True) -> str:
+def _written(field: str, value: str) -> str:
     """``value`` when it reads back as written, else the error naming ``field``."""
+    if not isinstance(value, str):
+        raise ParseError(f"{field} must be a str, got {value!r}")
     if not value:
-        if required:
-            raise ParseError(f"{field} is empty")
-    elif value != value.strip():
+        raise ParseError(f"{field} is empty")
+    if value != value.strip():
         raise ParseError(f"{field} {value!r} has leading or trailing whitespace")
-    elif value.splitlines() != [value]:
+    if value.splitlines() != [value]:
         raise ParseError(f"{field} {value!r} holds a line break")
     return value
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .capacity import MAX_WIDTH
+from .capacity import MAX_WIDTH, _check_width
 from .errors import BadCount, BadDistribution, OutOfRange
 from .records import record
 
@@ -75,16 +75,9 @@ def entropy_flat(probabilities: Sequence[float]) -> float:
     return 0.0 - sum(p * math.log2(p) for p in sorted(probabilities, reverse=True) if p > 0)
 
 
-def _check_entropy_width(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise OutOfRange(f"width must be an integer, got {k!r}")
-    if k < 1 or k > MAX_ENTROPY_WIDTH:
-        raise OutOfRange(f"width {k} outside supported range 1..{MAX_ENTROPY_WIDTH}")
-
-
 def subset_entropy_exact(k: int) -> float:
     """Subset-size entropy via exact big-integer binomials (width ≤ 120)."""
-    _check_entropy_width(k)
+    _check_width(k, MAX_ENTROPY_WIDTH)
     if k > MAX_WIDTH:
         raise OutOfRange(f"exact path supports width 1..{MAX_WIDTH}, got {k}")
     nrc = 2**k - 1
@@ -94,7 +87,7 @@ def subset_entropy_exact(k: int) -> float:
 
 def subset_entropy_logspace(k: int) -> float:
     """Subset-size entropy via log-gamma binomials (any supported width)."""
-    _check_entropy_width(k)
+    _check_width(k, MAX_ENTROPY_WIDTH)
     ln_nrc = k * _LN2 + math.log1p(-(2.0**-k))
     ln_probs = sorted(
         (math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1) - ln_nrc
@@ -107,7 +100,7 @@ def subset_entropy_logspace(k: int) -> float:
 
 def asymptotic_subset_entropy(k: int) -> float:
     """Closed-form large-width approximation ½·log2(πeK/2)."""
-    _check_entropy_width(k)
+    _check_width(k, MAX_ENTROPY_WIDTH)
     return 0.5 * math.log2(math.pi * math.e * k / 2.0)
 
 
@@ -117,7 +110,7 @@ def entropy_subset_sizes(k: int) -> EntropyReport:
     The subset-size term uses the exact path up to width 120 and the
     log-space path beyond.
     """
-    _check_entropy_width(k)
+    _check_width(k, MAX_ENTROPY_WIDTH)
     h_subset = subset_entropy_exact(k) if k <= MAX_WIDTH else subset_entropy_logspace(k)
     h_asym = asymptotic_subset_entropy(k)
     return EntropyReport(

@@ -21,6 +21,17 @@ class RhetorError(Exception):
         super().__init__(message)
 
 
+def at(position: "str | int", exc: RhetorError) -> RhetorError:
+    """``exc`` placed at the document entry it came from: a line number, or a
+    path such as ``modes[3]`` put before its message."""
+    if isinstance(position, int):
+        exc.line = position
+        exc.args = (f"{exc.args[0]} (line {position})",)
+    else:
+        exc.args = (f"{position}: {exc.args[0]}",)
+    return exc
+
+
 # --- registry ---------------------------------------------------------------
 
 class DuplicateMode(RhetorError):
@@ -39,10 +50,12 @@ class UnknownMode(RhetorError):
     """A name does not resolve to any registered mode."""
 
     def __init__(self, message: str, suggestions: tuple[str, ...] = (), line: int | None = None):
-        self.suggestions = tuple(suggestions)
         super().__init__(message, line)
-        if self.suggestions:
-            self.args = (f"{self.args[0]}; did you mean: {', '.join(self.suggestions)}?",)
+        self.suggestions = tuple(suggestions)
+
+    def __str__(self) -> str:
+        hints = f"; did you mean: {', '.join(self.suggestions)}?" if self.suggestions else ""
+        return self.args[0] + hints
 
 
 # --- operators --------------------------------------------------------------

@@ -240,12 +240,15 @@ class PyramidGraph:
     """Immutable three-layer graph with downward edges C→R and E→C.
 
     ``profile``, ``edges_cr``, ``edges_ec`` and ``registry`` are read-only.
-    Node ids must be canonical.  The edges are stored once: one checking pass
-    per upper layer keeps each node's sorted, distinct child ids in a table
-    that is itself in node-id order.  ``edges_cr`` and ``edges_ec`` build a
-    frozenset from it on each access; no query reads them.  Beside it, a
-    table of :class:`LayerNode` tuples lets :meth:`children` return a tuple
-    stored at load.  :func:`compose_re` costs in proportion to its answer;
+    The profile is a non-empty string, each node id is canonical and unique
+    in its layer, and each C- and E-node has a child; a node that breaks one
+    is named by its place among its layer's nodes (``c_nodes[i]``).  The
+    edges are stored once: one checking pass per upper layer keeps each
+    node's sorted, distinct child ids in a table that is itself in node-id
+    order.  ``edges_cr`` and ``edges_ec`` build a frozenset from it on each
+    access; no library code reads them.  Beside it, a table of
+    :class:`LayerNode` tuples lets :meth:`children` return a tuple stored at
+    load.  :func:`compose_re` costs in proportion to its answer;
     :func:`branching_stats` and :meth:`to_document` sort nothing per call.
     """
 
@@ -257,32 +260,44 @@ class PyramidGraph:
         edges_ec: Iterable[tuple[str, str]],
         registry: Registry | None = None,
     ):
+        if not isinstance(profile, str) or not profile:
+            raise ParseError(f"mapping profile must be a non-empty string, got {profile!r}")
         self._profile = profile
         self._nodes: dict[str, dict[str, LayerNode]] = {R: {}, C: {}, E: {}}
         for node in nodes:
             if node.layer not in LAYERS:
                 raise BadEdge(f"node {node.id!r} has unknown layer {node.layer!r}")
-            if not isinstance(node.id, str) or not _ID_PATTERN.match(node.id):
-                raise ParseError(f"node {node.id!r} in layer {node.layer} "
-                                 f"is not a canonical id")
             layer = self._nodes[node.layer]
+            if not isinstance(node.id, str) or not _ID_PATTERN.match(node.id):
+                raise ParseError(f"{node.layer.lower()}_nodes[{len(layer)}]: node {node.id!r} "
+                                 f"in layer {node.layer} is not a canonical id")
             if node.id in layer:
-                raise ParseError(f"node {node.id!r} duplicated in layer {node.layer}")
+                raise ParseError(f"{node.layer.lower()}_nodes[{len(layer)}]: node {node.id!r} "
+                                 f"duplicated in layer {node.layer}")
             layer[node.id] = node
         self._registry = registry if registry is not None else default_registry()
-        self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {}
-        self._children: dict[str, dict[str, tuple[LayerNode, ...]]] = {}
+        # Each upper node's child ids, in node order; every edge is checked
+        # before any node is refused for having no child.
+        grouped: dict[str, dict[str, list[str]]] = {}
         for upper, lower, edges in ((C, R, edges_cr), (E, C, edges_ec)):
             upper_ids, lower_ids = self._nodes[upper], self._nodes[lower]
-            grouped: dict[str, list[str]] = {node_id: [] for node_id in sorted(upper_ids)}
+            grouped[upper] = by_node = {node_id: [] for node_id in upper_ids}
             for up_id, low_id in edges:
                 if up_id not in upper_ids:
                     raise BadEdge(f"edge references unknown {upper}-node {up_id!r}")
                 if low_id not in lower_ids:
                     raise BadEdge(f"edge references unknown {lower}-node {low_id!r}")
-                grouped[up_id].append(low_id)
+                by_node[up_id].append(low_id)
+        self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {}
+        self._children: dict[str, dict[str, tuple[LayerNode, ...]]] = {}
+        for upper, lower, children in ((C, R, "modes"), (E, C, "cognitive functions")):
+            for position, (node_id, ids) in enumerate(grouped[upper].items()):
+                if not ids:
+                    raise BadEdge(f"{upper.lower()}_nodes[{position}]: {upper}-node "
+                                  f"{node_id!r} lists no {children}")
+            lower_ids = self._nodes[lower]
             self._child_ids[upper] = table = {
-                node_id: tuple(sorted(set(ids))) for node_id, ids in grouped.items()}
+                node_id: tuple(sorted(set(ids))) for node_id, ids in sorted(grouped[upper].items())}
             self._children[upper] = {node_id: tuple(map(lower_ids.__getitem__, ids))
                                      for node_id, ids in table.items()}
 
@@ -395,8 +410,6 @@ def _build_graph(
     c_ids: set[str] = set()
 
     for i, (c_id, display, description, targets) in enumerate(c_rows):
-        if not targets:
-            raise BadEdge(f"c_nodes[{i}]: C-node {c_id!r} lists no modes")
         nodes.append(LayerNode(C, c_id, display, description))
         c_ids.add(c_id)
         for j, name in enumerate(targets):
@@ -408,8 +421,6 @@ def _build_graph(
             edges_cr.append((c_id, mode.id))
 
     for i, (e_id, display, description, targets) in enumerate(e_rows):
-        if not targets:
-            raise BadEdge(f"e_nodes[{i}]: E-node {e_id!r} lists no cognitive functions")
         nodes.append(LayerNode(E, e_id, display, description))
         for j, name in enumerate(targets):
             cid = canon(name)
@@ -426,14 +437,8 @@ def _build_graph(
 
 def _rows_from_document(doc: dict, key: str, target_key: str):
     rows = []
-    seen: set[str] = set()
     for where, entry in entries(doc, key, "mapping"):
         node_id = canon(text_field(entry, "id", where))
-        if not _ID_PATTERN.match(node_id):
-            raise ParseError(f"{where}: missing or invalid id {entry.get('id')!r}")
-        if node_id in seen:
-            raise ParseError(f"{where}: node {node_id!r} duplicated")
-        seen.add(node_id)
         rows.append((node_id, text_field(entry, "display_name", where) or _title(node_id),
                      text_field(entry, "description", where),
                      names_field(entry, target_key, where)))
@@ -447,26 +452,27 @@ def load_pyramid(
 ) -> PyramidGraph:
     """Graph for a built-in profile, or from a mapping document.
 
-    When a document references modes the registry does not know, they are
-    auto-registered as generated atoms; the extended registry rides along
-    as ``graph.registry``.
+    A document names its own profile, so ``profile`` may not name another
+    one beside ``source``.  When a document references modes the registry
+    does not know, they are auto-registered as generated atoms; the
+    extended registry rides along as ``graph.registry``.
     """
+    if not isinstance(profile, str):
+        raise UnknownProfile(f"profile must be a str, got {type(profile).__name__}")
     registry = registry if registry is not None else default_registry()
     if source is not None:
+        if profile != DEFAULT_PROFILE:
+            raise UnknownProfile(f"profile {profile!r} cannot be given with a mapping "
+                                 f"document, which names its own profile")
         doc = read_document(source, "mapping")
-        name = doc.get("profile", "custom")
-        if not isinstance(name, str) or not name:
-            raise ParseError("mapping 'profile' must be a non-empty string")
         c_rows, e_rows = (_rows_from_document(doc, key, target_key)
                           for _, key, target_key in _DOCUMENT_KEYS)
-        return _build_graph(name, c_rows, e_rows, registry)
+        return _build_graph(doc.get("profile", "custom"), c_rows, e_rows, registry)
     if profile == DEFAULT_PROFILE:
         return _build_graph(DEFAULT_PROFILE, _DEFAULT_C_NODES, _DEFAULT_E_NODES, registry)
     if profile == ACADEMIC_PROFILE:
         return _build_graph(ACADEMIC_PROFILE, _ACADEMIC_C_NODES, _ACADEMIC_E_NODES,
                             registry)
-    if not isinstance(profile, str):
-        raise UnknownProfile(f"profile must be a str, got {type(profile).__name__}")
     raise UnknownProfile(
         f"unknown profile {profile!r}; built-in profiles: {', '.join(BUILTIN_PROFILES)}")
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import BadConstituent, DuplicateMode, ParseError, UnknownMode
+from .errors import BadConstituent, DuplicateMode, ParseError, RhetorError, UnknownMode, at
 from .jsontext import entries, json_text, names_field, read_document, text_field
 from .records import record
 
@@ -136,6 +136,31 @@ def _check_join(name: str, constituents: tuple[str, ...] = (), what: str = "mode
         raise ParseError(f"{what} {name!r} is reserved for the diatomic of {a!r} and {b!r}")
 
 
+def _check_mode(mode: Mode) -> None:
+    """What a registry asks of each of its modes on its own."""
+    if not isinstance(mode.id, str) or not _ID_PATTERN.match(mode.id):
+        raise ParseError(f"mode id {mode.id!r} is not a valid identifier")
+    _check_join(mode.id, mode.constituents)
+    n = len(mode.constituents)
+    if n == 1:
+        raise BadConstituent(f"mode {mode.id!r} has a single constituent; "
+                             "use none (atomic) or two or more")
+    if n == 2 and mode.constituents[0] == mode.constituents[1]:
+        raise BadConstituent(f"mode {mode.id!r} repeats one constituent twice")
+
+
+def _check_alias(alias: str, target: str, modes: dict[str, Mode]) -> None:
+    """What a registry asks of each alias: a canonical key, neither a mode id
+    nor a ``--`` join, that points at one of ``modes``."""
+    if not isinstance(alias, str) or not alias or alias != canon(alias):
+        raise ParseError(f"alias {alias!r} is not a canonical name")
+    _check_join(alias, what="alias")
+    if alias in modes:
+        raise DuplicateMode(f"alias {alias!r} shadows the registered mode {alias!r}")
+    if not isinstance(target, str) or target not in modes:
+        raise BadConstituent(f"alias {alias!r} points at unknown mode {target!r}")
+
+
 # --- built-in tables --------------------------------------------------------
 # (id, display name, constituents, description); the 14 canonical modes.
 _CANONICAL = (
@@ -212,29 +237,17 @@ class Registry:
     ):
         self._modes: dict[str, Mode] = {}
         for mode in modes:
+            _check_mode(mode)
             if mode.id in self._modes:
                 raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
             self._modes[mode.id] = mode
+        if not isinstance(version, str):
+            raise ParseError(f"registry version must be a string, got {version!r}")
         self.version = version
         self._aliases = dict(aliases or {})
-        self._validate(require_constituents)
-        self._by_pair = {
-            frozenset(m.constituents): m for m in self._modes.values() if m.is_diatomic
-        }
-
-    def _validate(self, require_constituents: bool) -> None:
-        for mode in self._modes.values():
-            if not _ID_PATTERN.match(mode.id):
-                raise ParseError(f"mode id {mode.id!r} is not a valid identifier")
-            _check_join(mode.id, mode.constituents)
-            n = len(mode.constituents)
-            if n == 1:
-                raise BadConstituent(f"mode {mode.id!r} has a single constituent; "
-                                     "use none (atomic) or two or more")
-            if mode.is_diatomic and mode.constituents[0] == mode.constituents[1]:
-                raise BadConstituent(f"mode {mode.id!r} repeats one constituent twice")
-            if not require_constituents:
-                continue
+        for alias, target in self._aliases.items():
+            _check_alias(alias, target, self._modes)
+        for mode in self._modes.values() if require_constituents else ():
             for cid in mode.constituents:
                 part = self._modes.get(cid)
                 if part is None:
@@ -246,14 +259,9 @@ class Registry:
                 if not part.is_atomic and not part.is_diatomic:
                     raise BadConstituent(
                         f"mode {mode.id!r} nests the compound mode {cid!r}")
-        for alias, target in self._aliases.items():
-            if not alias or alias != canon(alias):
-                raise ParseError(f"alias {alias!r} is not a canonical name")
-            _check_join(alias, what="alias")
-            if alias in self._modes:
-                raise DuplicateMode(f"alias {alias!r} shadows the registered mode {alias!r}")
-            if target not in self._modes:
-                raise BadConstituent(f"alias {alias!r} points at unknown mode {target!r}")
+        self._by_pair = {
+            frozenset(m.constituents): m for m in self._modes.values() if m.is_diatomic
+        }
 
     # -- lookup --------------------------------------------------------------
 
@@ -274,7 +282,7 @@ class Registry:
         """The mode ``name`` resolves to, or ``None``: no hints are built on a miss.
 
         An exact id skips ``canon``, which would return it unchanged; no alias
-        key is a registered id (``_validate``).
+        key is a registered id (``_check_alias``).
         """
         mode = self._modes.get(name)
         if mode is not None:
@@ -409,13 +417,12 @@ def _parse_origin(raw: object, where: str) -> Origin:
 
 def _mode_from_entry(entry: dict, where: str) -> Mode:
     mode_id = entry.get("id")
-    if not isinstance(mode_id, str) or not _ID_PATTERN.match(mode_id):
+    if not isinstance(mode_id, str):
         raise ParseError(f"{where}: missing or invalid id {mode_id!r}")
     mode = Mode(mode_id, text_field(entry, "display_name", where) or _title(mode_id),
                 tuple(map(canon, names_field(entry, "constituents", where))),
                 _parse_origin(entry.get("origin"), where),
                 text_field(entry, "description", where))
-    _check_join(mode.id, mode.constituents, f"{where}: mode id")
     arity = entry.get("arity")
     if arity is not None and arity != mode.arity:
         raise ParseError(f"{where}: arity {arity!r} does not match "
@@ -430,41 +437,42 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
     to a JSON file, JSON text, or an already-parsed dict.  Document entries
     extend the default registry; restating a built-in mode or alias unchanged
     is a no-op, redefining it is a :class:`DuplicateMode` error, and so is
-    pointing two spellings of one alias at different modes.
+    pointing two spellings of one alias at different modes.  An error names
+    the entry: each one passes the registry's own checks as it is read.
     """
     if source is None:
         return default_registry()
     doc = read_document(source, "registry")
-    merged = {m.id: m for m in default_registry()}
-    seen: set[str] = set()
-    for where, entry in entries(doc, "modes", "registry"):
-        mode = _mode_from_entry(entry, where)
-        if mode.id in seen:
-            raise DuplicateMode(f"{where}: mode id {mode.id!r} defined more than once")
-        seen.add(mode.id)
-        existing = merged.get(mode.id)
-        if existing is not None and existing != mode:
-            raise DuplicateMode(
-                f"{where}: mode id {mode.id!r} conflicts with an existing definition")
-        merged[mode.id] = mode
-    aliases = dict(DEFAULT_ALIASES)
+    modes = [(where, _mode_from_entry(entry, where))
+             for where, entry in entries(doc, "modes", "registry")]
     extra = doc.get("aliases", {})
     if not isinstance(extra, dict):
         raise ParseError("registry 'aliases' must be an object")
-    for alias, target in extra.items():
-        if not isinstance(target, str):
-            raise ParseError(f"aliases[{alias!r}]: alias must name a mode")
-        key = canon(alias)
-        if not key:
-            raise ParseError(f"aliases[{alias!r}]: alias has no letters or digits")
-        _check_join(key, what=f"aliases[{alias!r}]: alias")
-        if aliases.setdefault(key, canon(target)) != canon(target):
-            raise DuplicateMode(
-                f"aliases[{alias!r}]: alias {key!r} already points at {aliases[key]!r}")
-    version = doc.get("version", DEFAULT_VERSION)
-    if not isinstance(version, str):
-        raise ParseError("registry 'version' must be a string")
-    return Registry(merged.values(), version=version, aliases=aliases)
+    merged = {m.id: m for m in default_registry()}
+    aliases = dict(DEFAULT_ALIASES)
+    seen: set[str] = set()
+    try:
+        for where, mode in modes:
+            _check_mode(mode)
+            if mode.id in seen:
+                raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
+            seen.add(mode.id)
+            existing = merged.get(mode.id)
+            if existing is not None and existing != mode:
+                raise DuplicateMode(f"mode id {mode.id!r} conflicts with an existing definition")
+            merged[mode.id] = mode
+        for alias, target in extra.items():
+            where = f"aliases[{alias!r}]"
+            if not isinstance(target, str):
+                raise ParseError("alias must name a mode")
+            key, target = canon(alias), canon(target)
+            _check_alias(key, target, merged)
+            if aliases.setdefault(key, target) != target:
+                raise DuplicateMode(f"alias {key!r} already points at {aliases[key]!r}")
+    except RhetorError as exc:
+        raise at(where, exc)
+    return Registry(merged.values(), version=doc.get("version", DEFAULT_VERSION),
+                    aliases=aliases)
 
 
 def serialize_registry(registry: Registry) -> str:

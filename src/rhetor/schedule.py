@@ -9,7 +9,7 @@ from typing import Iterable
 
 from .capacity import MAX_WIDTH, capacity, growth
 from .errors import BadSchedule, ParseError
-from .jsontext import entries, json_text, read_document, text_field
+from .jsontext import entries, json_text, read_document
 from .records import record
 
 
@@ -25,9 +25,49 @@ class StageStep:
 
 @record
 class StageSchedule:
-    """Ordered educational stages with cumulative widths and rates."""
+    """Ordered educational stages with cumulative widths and rates.
+
+    Widths are integers in ``1..MAX_WIDTH`` that never fall, durations are
+    positive and finite, and each rate ``l_n`` is its step's width gain over
+    its duration; a step that breaks one is refused as ``stages[i]``.
+    """
 
     stages: tuple[StageStep, ...]
+
+    def __post_init__(self):
+        previous_k = 0
+        for position, step in enumerate(self.stages):
+            name, k, duration = step.name, step.k_cumulative, step.duration
+            if not isinstance(name, str) or not name:
+                raise ParseError(f"stages[{position}]: 'name' must be a non-empty string")
+            if k.__class__ is not int:
+                raise ParseError(f"stages[{position}]: 'K' must be an integer")
+            if duration.__class__ is not int and duration.__class__ is not float:
+                raise ParseError(f"stages[{position}]: 'duration' must be a number")
+            prefix = f"stages[{position}]: stage {name!r}"
+            if k < 1:
+                raise BadSchedule(f"{prefix} needs a positive integer width, got {k!r}")
+            if k > MAX_WIDTH:
+                raise BadSchedule(f"{prefix} needs a width of at most {MAX_WIDTH}, got {k!r}")
+            if k < previous_k:
+                raise BadSchedule(f"{prefix}: cumulative width decreases "
+                                  f"({previous_k} then {k})")
+            if not 0 < duration < math.inf:
+                raise BadSchedule(f"{prefix} needs a positive finite duration, got {duration!r}")
+            l_n = _rate(k, previous_k, duration)
+            if not math.isfinite(l_n):
+                raise BadSchedule(f"{prefix} is out of floating-point range")
+            if step.l_n != l_n:
+                raise BadSchedule(f"{prefix} has rate {step.l_n!r}, but its widths give {l_n!r}")
+            previous_k = k
+
+
+def _rate(k, previous_k, duration) -> float:
+    """Width gained per unit of duration; ``nan`` when the numbers give none."""
+    try:
+        return (k - previous_k) / float(duration)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return math.nan
 
 
 #: (name, cumulative width, duration in years) for the usual school path.
@@ -41,36 +81,19 @@ _DEFAULT_SCHEDULE_ROWS = (
 )
 
 
-def _build_schedule(rows: Iterable[tuple[str, int, float]]) -> StageSchedule:
-    """Schedule from ``(name, width, duration)`` rows of names, ints and real numbers."""
+def _schedule(rows: Iterable[tuple]) -> StageSchedule:
+    """Schedule from ``(name, width, duration)`` rows, each rate from the widths."""
     steps = []
     previous_k = 0
-    for position, (name, k, duration) in enumerate(rows):
-        prefix = f"stages[{position}]: stage {name!r}"
-        if k < 1:
-            raise BadSchedule(f"{prefix} needs a positive integer width, got {k!r}")
-        if k > MAX_WIDTH:
-            raise BadSchedule(f"{prefix} needs a width of at most {MAX_WIDTH}, got {k!r}")
-        if k < previous_k:
-            raise BadSchedule(f"{prefix}: cumulative width decreases "
-                              f"({previous_k} then {k})")
-        if not 0 < duration < math.inf:
-            raise BadSchedule(f"{prefix} needs a positive finite duration, got {duration!r}")
-        try:
-            duration = float(duration)
-            l_n = (k - previous_k) / duration
-        except OverflowError:
-            l_n = math.inf
-        if not math.isfinite(l_n):
-            raise BadSchedule(f"{prefix} is out of floating-point range")
-        steps.append(StageStep(name=name, k_cumulative=k, duration=duration, l_n=l_n))
+    for name, k, duration in rows:
+        steps.append(StageStep(name, k, duration, _rate(k, previous_k, duration)))
         previous_k = k
     return StageSchedule(tuple(steps))
 
 
 def default_schedule() -> StageSchedule:
     """The cumulative acquisition path KG through Graduate."""
-    return _build_schedule(_DEFAULT_SCHEDULE_ROWS)
+    return _schedule(_DEFAULT_SCHEDULE_ROWS)
 
 
 def load_schedule(source: "str | Path | dict | None" = None) -> StageSchedule:
@@ -83,17 +106,8 @@ def load_schedule(source: "str | Path | dict | None" = None) -> StageSchedule:
     doc = read_document(source, "schedule")
     if "stages" not in doc:
         raise ParseError("schedule must carry a 'stages' list")
-    rows = []
-    for where, entry in entries(doc, "stages", "schedule"):
-        name = text_field(entry, "name", where, required=True)
-        k = entry.get("K")
-        duration = entry.get("duration", 1.0)
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ParseError(f"{where}: 'K' must be an integer")
-        if not isinstance(duration, (int, float)) or isinstance(duration, bool):
-            raise ParseError(f"{where}: 'duration' must be a number")
-        rows.append((name, k, duration))
-    return _build_schedule(rows)
+    return _schedule((entry.get("name"), entry.get("K"), entry.get("duration", 1.0))
+                     for _, entry in entries(doc, "stages", "schedule"))
 
 
 def serialize_schedule(schedule: StageSchedule) -> str:
@@ -119,12 +133,12 @@ def cone(schedule: StageSchedule, c_0: float = 1.0) -> list[ConeRow]:
     """Per-stage capacity growth along a schedule: the widening of reach.
 
     Each row pairs the stage's cumulative-width capacity metrics with its
-    introduction rate normalized against learner capacity ``c_0``.  The steps
-    pass the loader's checks again, so each rate comes from the widths.
+    introduction rate normalized against learner capacity ``c_0``.  The
+    schedule checked its steps when it was built, so each rate comes from the
+    widths.
     """
-    checked = _build_schedule((s.name, s.k_cumulative, s.duration) for s in schedule.stages)
     rows = []
-    for step in checked.stages:
+    for step in schedule.stages:
         report = capacity(step.k_cumulative)
         params = growth(step.l_n, c_0)
         rows.append(ConeRow(

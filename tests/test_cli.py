@@ -273,6 +273,15 @@ class TestMap:
         assert code == 1
         assert err.split(":")[0] == "UnknownProfile"
 
+    def test_profile_beside_a_mapping_file_is_refused(self, capsys, tmp_path):
+        """The file names its own profile, so a second one is refused."""
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text('{"profile": "mine", "c_nodes": [{"id": "c", "modes": ["narration"]}]}')
+        code, out, err = run(capsys, "map", "--profile", "academic-writing",
+                             "--file", str(mapping))
+        assert (code, out) == (1, "")
+        assert err.split(":")[0] == "UnknownProfile"
+
     def test_unknown_node(self, capsys):
         code, _, err = run(capsys, "map", "--realizers", "C:nonesuch")
         assert code == 1

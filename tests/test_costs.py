@@ -8,20 +8,25 @@ from collections import Counter
 import pytest
 
 from rhetor import (
+    AnnotatedDocument,
     DualityRuleSet,
+    StageSchedule,
     branching_stats,
     closure,
     compose_re,
+    cone,
     default_registry,
     default_rules,
+    default_schedule,
     load_pyramid,
     load_registry,
     load_stage_map,
     parse_document,
+    serialize_document,
     serialize_pyramid,
     trace_layers,
 )
-from rhetor import operators, pyramid
+from rhetor import documents, operators, pyramid, schedule
 from rhetor.operators import OPERATOR_KINDS
 from rhetor.pyramid import BUILTIN_PROFILES, C, E, PyramidGraph
 from rhetor.registry import Registry
@@ -68,6 +73,19 @@ def test_parse_looks_up_each_name_occurrence_once_and_resolves_none(
     parse_document(text, registry)
     assert [name for _, name in lookups] == name_occurrences(text)
     assert resolves == []
+
+
+def test_cone_and_serialize_document_check_nothing_again(monkeypatch, lesson):
+    """A schedule and a document check themselves when built, so neither
+    ``cone`` nor ``serialize_document`` makes a validation call."""
+    steps = default_schedule().stages
+    checks = [counting(monkeypatch, StageSchedule, "__post_init__"),
+              counting(monkeypatch, schedule, "_rate"),
+              counting(monkeypatch, AnnotatedDocument, "__post_init__"),
+              counting(monkeypatch, documents, "_written")]
+    cone(StageSchedule(steps))
+    serialize_document(lesson)
+    assert [len(calls) for calls in checks] == [1, len(steps), 0, 0]  # building the schedule
 
 
 @pytest.mark.parametrize("profile", BUILTIN_PROFILES)

@@ -172,7 +172,7 @@ SEGMENT_LINES = [
     (["seg 5 | narration", "seg 2 | narration"],
      (BadIndex, "segment index 2 repeats or decreases (last was 5) (line 4)", 4, None)),
     (["seg | , ,"],
-     (EmptySegment, "segment lists no modes (line 3)", 3, None)),
+     (EmptySegment, "segment 1 lists no modes (line 3)", 3, None)),
     (["seg | narration, nope"],
      (UnknownMode, "no mode named 'nope' (line 3)", 3, ())),
     (["seg | narraton, nope"],
@@ -243,9 +243,9 @@ class TestRoundTrip:
         ("d", "", "", "segment 2 stage is empty"),
     ])
     def test_unwritable_field_is_named(self, doc_id, stage, text, message):
-        doc = AnnotatedDocument(doc_id, (Segment(2, stage, frozenset({"narration"}), text),))
+        segment = Segment(2, stage, frozenset({"narration"}), text)
         with pytest.raises(ParseError) as err:
-            serialize_document(doc)
+            AnnotatedDocument(doc_id, (segment,))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("modes, declared_k, message", [
@@ -270,7 +270,7 @@ class TestRoundTrip:
     def test_unwritable_modes_or_width_is_named(self, modes, declared_k, message):
         segments = (Segment(1, "A", frozenset(modes)),) if modes else ()
         with pytest.raises(ParseError) as err:
-            serialize_document(AnnotatedDocument("d", segments, declared_k))
+            AnnotatedDocument("d", segments, declared_k)
         assert str(err.value) == message
 
     @given(st.data())
@@ -289,15 +289,17 @@ class TestRoundTrip:
         for _ in range(data.draw(st.integers(0, 6))):
             index += data.draw(st.integers(1, 3))
             modes = data.draw(st.frozensets(st.sampled_from(names), min_size=1, max_size=3))
-            segments.append(Segment(index, data.draw(st.text(max_size=8)), modes,
-                                    data.draw(st.text(max_size=12))))
-        used = len(frozenset().union(*(seg.modes for seg in segments)))
+            segments.append((index, data.draw(st.text(max_size=8)), modes,
+                             data.draw(st.text(max_size=12))))
+        used = len(frozenset().union(*(modes for _, _, modes, _ in segments)))
         declared_k = data.draw(st.sampled_from([None, used, used + 2]))
-        doc = AnnotatedDocument(data.draw(st.text(max_size=8)), tuple(segments), declared_k)
+        doc_id = data.draw(st.text(max_size=8))
         try:
-            text = serialize_document(doc)
+            doc = AnnotatedDocument(doc_id, tuple(Segment(*fields) for fields in segments),
+                                    declared_k)
         except ParseError:
             return
+        text = serialize_document(doc)
         if unregistered.isdisjoint(doc.mode_union()):
             assert parse_document(text) == doc
         else:
@@ -555,7 +557,10 @@ class TestCone:
         assert str(caught.value) == message
 
     def test_rate_comes_from_the_widths(self):
-        [row] = cone(StageSchedule((StageStep("a", 5, 1.0, 99.0),)))
+        with pytest.raises(BadSchedule) as caught:
+            StageSchedule((StageStep("a", 5, 1.0, 99.0),))
+        assert str(caught.value) == "stages[0]: stage 'a' has rate 99.0, but its widths give 5.0"
+        [row] = cone(StageSchedule((StageStep("a", 5, 1.0, 5.0),)))
         assert row.R_scale == 5.0
 
 

@@ -115,7 +115,7 @@ ERROR_TABLE = [
     ("mapping", {"c_nodes": [{"id": "c", "modes": "narration"}]}, ParseError,
      "c_nodes[0]: 'modes' must be a list of names"),
     ("mapping", {"c_nodes": [{"id": "", "modes": ["narration"]}]}, ParseError,
-     "c_nodes[0]: missing or invalid id ''"),
+     "c_nodes[0]: node '' in layer C is not a canonical id"),
     ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration"]},
                              {"id": "b", "modes": ["cause", "effect", "!!!"]}]},
      ParseError, "c_nodes[1].modes[2]: invalid mode name '!!!' in custom mapping"),

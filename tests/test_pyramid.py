@@ -213,6 +213,14 @@ class TestLoading:
         assert str(caught.value) == "profile must be a str, got dict"
         assert len(str(caught.value)) < 100
 
+    def test_profile_beside_a_document_is_refused(self):
+        doc = {"profile": "mine", "c_nodes": [{"id": "c", "modes": ["narration"]}]}
+        with pytest.raises(UnknownProfile) as caught:
+            load_pyramid(ACADEMIC_PROFILE, source=doc)
+        assert str(caught.value) == ("profile 'academic-writing' cannot be given with a "
+                                     "mapping document, which names its own profile")
+        assert load_pyramid(source=doc).profile == "mine"
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             load_pyramid(source="{oops")
@@ -271,9 +279,9 @@ class TestLoading:
 
     @pytest.mark.parametrize("nodes, message", [
         ([LayerNode(R, "Narration", "N"), LayerNode(C, "Obs", "O")],
-         "node 'Narration' in layer R is not a canonical id"),
+         "r_nodes[0]: node 'Narration' in layer R is not a canonical id"),
         ([LayerNode(R, "narration", "N"), LayerNode(C, 7, "O")],
-         "node 7 in layer C is not a canonical id"),
+         "c_nodes[0]: node 7 in layer C is not a canonical id"),
     ], ids=["mixed-case", "not-a-str"])
     def test_node_ids_must_be_canonical(self, nodes, message):
         with pytest.raises(ParseError) as caught:

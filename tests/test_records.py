@@ -34,7 +34,9 @@ def _hints(cls) -> list:
 
 def values(tp):
     if tp in RECORDS.values():
-        return st.tuples(*map(values, _hints(tp))).map(lambda fields: tp(*fields))
+        # A field holds only values its record class accepts.
+        return (st.tuples(*map(values, _hints(tp))).map(lambda fields: build(tp, fields))
+                .filter(lambda value: isinstance(value, tp)))
     origin, args = get_origin(tp), get_args(tp)
     if origin is tuple and args[-1] is Ellipsis:
         return st.lists(values(args[0]), max_size=3).map(tuple)

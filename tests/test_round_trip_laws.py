@@ -1,0 +1,173 @@
+"""One law per document kind: a value built in code from drawn fields is
+either refused at construction with a domain error, or it serializes and
+loads back equal.  The ``.rma`` law is ``TestRoundTrip`` in
+``test_documents.py``.
+"""
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rhetor import (
+    AnnotatedDocument,
+    BadEdge,
+    BadSchedule,
+    DualityRuleSet,
+    LayerNode,
+    Mode,
+    Origin,
+    ParseError,
+    PyramidGraph,
+    Registry,
+    RhetorError,
+    Segment,
+    StageSchedule,
+    StageStep,
+    default_registry,
+    load_pyramid,
+    load_registry,
+    load_rules,
+    load_schedule,
+    serialize_pyramid,
+    serialize_registry,
+    serialize_rules,
+    serialize_schedule,
+)
+from rhetor.pyramid import C, E, R
+from rhetor.registry import DEFAULT_ALIASES
+
+# Mode ids no built-in mode has, and names that are not usable: ids of
+# built-in modes and aliases, upper case, padding, a leading digit, a
+# trailing hyphen, a hyphen run, a "--" join of other names, nothing.
+FRESH = ["story", "scene", "aa", "bb", "plot-line", "twist", "arc", "hook"]
+TAKEN = ["cause", "narration", "narrative", "Story", " story", "9x", "ab-", "aa---bb",
+         "aa--bb", ""]
+TEXTS = st.text(max_size=6)
+
+
+def mostly(good, bad):
+    """One of ``good``, or one time in ten one of ``bad``: most drawn values
+    construct, and the law reaches their round trip."""
+    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(bad if i == 0 else good))
+
+
+def laws(test):
+    return settings(max_examples=300, deadline=None)(given(data=st.data())(test))
+
+
+@laws
+def test_registry_raises_or_round_trips(data):
+    origins = [Origin("base"), Origin("decomposed"), Origin("generated", "user"),
+               Origin("generated", "unite", ("aa", "bb"))]
+    constituents = mostly([(), ("aa", "bb"), ("cause", "effect")],
+                          [("aa",), ("aa", "aa"), ("story", "cause-effect"), ("nope", "aa"),
+                           ("aa", "bb", "cause"), ("Cause", "effect")])
+    ids = data.draw(st.lists(mostly(FRESH, TAKEN), max_size=4, unique=True))
+    modes = [Mode(mode_id, data.draw(st.text(min_size=1, max_size=6)),
+                  data.draw(constituents), data.draw(st.sampled_from(origins)), data.draw(TEXTS))
+             for mode_id in ids]
+    aliases = data.draw(st.dictionaries(mostly(["tale", "yarn", "9lives"], TAKEN),
+                                        mostly(["narration", "cause", *ids], ["nope", "Cause"]),
+                                        max_size=3))
+    version = data.draw(mostly(["v1", "", "é"], [5, None]))
+    try:
+        # A registry document extends the built-in modes and aliases.
+        registry = Registry([*default_registry(), *modes], version,
+                            {**aliases, **DEFAULT_ALIASES})
+    except RhetorError:
+        return
+    assert load_registry(serialize_registry(registry)) == registry
+
+
+@laws
+def test_rules_raise_or_round_trip(data):
+    names = mostly(FRESH + ["cause", "Story", " scene"], ["", "9x", "aa--bb", "a b c"])
+    pairs = st.lists(mostly([2], [1, 3]).flatmap(lambda n: st.lists(names, min_size=n,
+                                                                    max_size=n)),
+                     max_size=2)
+    try:
+        rules = DualityRuleSet(data.draw(pairs), data.draw(pairs), data.draw(pairs))
+    except RhetorError:
+        return
+    assert load_rules(serialize_rules(rules)) == rules
+
+
+@laws
+def test_mapping_raises_or_round_trips(data):
+    """R-layer nodes are the registry's modes that the C-nodes name, as a
+    mapping document derives them."""
+    ids = mostly(["c1", "c-2", "e1", "e2"], ["Obs", "aa--bb", "", "c1"])
+    c_ids, e_ids = (data.draw(st.lists(ids, max_size=3, unique=True)) for _ in "ce")
+    r_ids = sorted(m.id for m in default_registry())[:6]
+    # Each drawn node mostly gets a child first.
+    edges_cr = [(c_id, data.draw(st.sampled_from(r_ids))) for c_id in c_ids
+                if data.draw(mostly([True], [False]))]
+    edges_ec = [(e_id, data.draw(st.sampled_from(c_ids))) for e_id in e_ids
+                if c_ids and data.draw(mostly([True], [False]))]
+    nodes = [LayerNode(layer, node_id, data.draw(st.text(min_size=1, max_size=4)),
+                       data.draw(TEXTS))
+             for layer, layer_ids in ((C, c_ids), (E, e_ids)) for node_id in layer_ids]
+    nodes += [LayerNode(R, mode.id, mode.display_name, mode.description)
+              for mode in map(default_registry().get, sorted({r for _, r in edges_cr}))]
+    profile = data.draw(mostly(["p", "Custom Profile"], ["", 5]))
+    try:
+        graph = PyramidGraph(profile, nodes, edges_cr, edges_ec)
+    except RhetorError:
+        return
+    assert load_pyramid(source=serialize_pyramid(graph)) == graph
+
+
+@laws
+def test_schedule_raises_or_round_trips(data):
+    steps, previous_k = [], 0
+    for _ in range(data.draw(st.integers(0, 4))):
+        name = data.draw(mostly(["a", "Stage 2", "é"], ["", 3]))
+        k = previous_k + data.draw(mostly([0, 1, 5, 30], [-1, 0.5, True]))
+        duration = data.draw(mostly([1, 2.5, 1e-3, 1e300],
+                                    [0, -1.0, math.inf, math.nan, 5e-324, 10**400, False]))
+        try:
+            l_n = (k - previous_k) / float(duration)
+        except (ZeroDivisionError, OverflowError):
+            l_n = math.nan
+        steps.append(StageStep(name, k, duration, data.draw(mostly([l_n], [l_n + 1.0]))))
+        previous_k = k
+    try:
+        schedule = StageSchedule(tuple(steps))
+    except RhetorError:
+        return
+    assert load_schedule(serialize_schedule(schedule)) == schedule
+
+
+# --- values built in code that would not load back -----------------------------------
+
+def test_schedule_whose_rate_disagrees_with_its_widths_is_refused():
+    with pytest.raises(BadSchedule, match=r"^stages\[0\]: stage 'a' has rate 99\.0, but "
+                                          r"its widths give 5\.0$"):
+        StageSchedule((StageStep("a", 5, 1.0, 99.0),))
+    schedule = StageSchedule((StageStep("a", 5, 1.0, 5.0),))
+    assert load_schedule(serialize_schedule(schedule)) == schedule
+
+
+@pytest.mark.parametrize("profile, nodes, error, message", [
+    ("p", [LayerNode(C, "c", "C")], BadEdge, "c_nodes[0]: C-node 'c' lists no modes"),
+    ("", [], ParseError, "mapping profile must be a non-empty string, got ''"),
+], ids=["childless", "empty-profile"])
+def test_graph_that_would_not_load_back_is_refused(profile, nodes, error, message):
+    with pytest.raises(error) as caught:
+        PyramidGraph(profile, nodes, [], [])
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Segment("1", "A", frozenset({"narration"})),
+     "segment index must be an int, got '1'"),
+    (lambda: AnnotatedDocument("d", (Segment(1, "A", frozenset({"narration"})),), "3"),
+     "declared_K must be a positive integer, got '3'"),
+    (lambda: AnnotatedDocument("d", (Segment(1, "A", frozenset({"Narration"})),)),
+     "segment 1 modes 'Narration' holds 'Narration', which is not a canonical mode id"),
+], ids=["str-index", "str-declared_K", "upper-case-mode"])
+def test_document_that_would_not_parse_back_is_refused(build, message):
+    with pytest.raises(ParseError) as caught:
+        build()
+    assert str(caught.value) == message
+
