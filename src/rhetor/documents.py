@@ -92,7 +92,7 @@ class AnnotatedDocument:
         declared = self.declared_K
         if declared is not None and (declared.__class__ is not int or declared < 1):
             raise ParseError(f"declared_K must be a positive integer, got {declared!r}")
-        previous, stage = 0, None
+        previous, stage = 0, object()  # equal to no label: the first one is checked
         for seg in self.segments:
             if seg.index <= previous:
                 raise BadIndex(f"segment index {seg.index} of {self.id!r} does not increase")

@@ -457,10 +457,8 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
             if mode.id in seen:
                 raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
             seen.add(mode.id)
-            existing = merged.get(mode.id)
-            if existing is not None and existing != mode:
+            if merged.setdefault(mode.id, mode) != mode:
                 raise DuplicateMode(f"mode id {mode.id!r} conflicts with an existing definition")
-            merged[mode.id] = mode
         for alias, target in extra.items():
             where = f"aliases[{alias!r}]"
             if not isinstance(target, str):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable
 
 from .capacity import MAX_WIDTH, capacity, growth
 from .errors import BadSchedule, ParseError
@@ -70,30 +69,20 @@ def _rate(k, previous_k, duration) -> float:
         return math.nan
 
 
-#: (name, cumulative width, duration in years) for the usual school path.
-_DEFAULT_SCHEDULE_ROWS = (
-    ("KG", 2, 3.0),
-    ("Elementary", 5, 6.0),
-    ("Middle", 8, 3.0),
-    ("High", 12, 3.0),
-    ("Undergraduate", 16, 4.0),
-    ("Graduate", 20, 5.0),
-)
-
-
-def _schedule(rows: Iterable[tuple]) -> StageSchedule:
-    """Schedule from ``(name, width, duration)`` rows, each rate from the widths."""
-    steps = []
-    previous_k = 0
-    for name, k, duration in rows:
-        steps.append(StageStep(name, k, duration, _rate(k, previous_k, duration)))
-        previous_k = k
-    return StageSchedule(tuple(steps))
+#: The usual school path as a schedule document; durations are in years.
+_DEFAULT_SCHEDULE = {"stages": [
+    {"name": "KG", "K": 2, "duration": 3.0},
+    {"name": "Elementary", "K": 5, "duration": 6.0},
+    {"name": "Middle", "K": 8, "duration": 3.0},
+    {"name": "High", "K": 12, "duration": 3.0},
+    {"name": "Undergraduate", "K": 16, "duration": 4.0},
+    {"name": "Graduate", "K": 20, "duration": 5.0},
+]}
 
 
 def default_schedule() -> StageSchedule:
     """The cumulative acquisition path KG through Graduate."""
-    return _schedule(_DEFAULT_SCHEDULE_ROWS)
+    return load_schedule(_DEFAULT_SCHEDULE)
 
 
 def load_schedule(source: "str | Path | dict | None" = None) -> StageSchedule:
@@ -106,8 +95,12 @@ def load_schedule(source: "str | Path | dict | None" = None) -> StageSchedule:
     doc = read_document(source, "schedule")
     if "stages" not in doc:
         raise ParseError("schedule must carry a 'stages' list")
-    return _schedule((entry.get("name"), entry.get("K"), entry.get("duration", 1.0))
-                     for _, entry in entries(doc, "stages", "schedule"))
+    steps, previous_k = [], 0
+    for _, entry in entries(doc, "stages", "schedule"):
+        k, duration = entry.get("K"), entry.get("duration", 1.0)
+        steps.append(StageStep(entry.get("name"), k, duration, _rate(k, previous_k, duration)))
+        previous_k = k
+    return StageSchedule(tuple(steps))
 
 
 def serialize_schedule(schedule: StageSchedule) -> str:

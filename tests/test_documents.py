@@ -241,6 +241,7 @@ class TestRoundTrip:
         ("d", "A", " padded ", "segment 2 text ' padded ' has leading or trailing whitespace"),
         ("", "A", "", "doc id is empty"),
         ("d", "", "", "segment 2 stage is empty"),
+        ("d", None, "", "segment 2 stage must be a str, got None"),
     ])
     def test_unwritable_field_is_named(self, doc_id, stage, text, message):
         segment = Segment(2, stage, frozenset({"narration"}), text)
