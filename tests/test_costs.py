@@ -27,6 +27,7 @@ from rhetor import (
     trace_layers,
 )
 from rhetor import documents, operators, pyramid, schedule
+from rhetor.cli import main
 from rhetor.operators import OPERATOR_KINDS
 from rhetor.pyramid import BUILTIN_PROFILES, C, E, PyramidGraph
 from rhetor.registry import Registry
@@ -86,6 +87,15 @@ def test_cone_and_serialize_document_check_nothing_again(monkeypatch, lesson):
     cone(StageSchedule(steps))
     serialize_document(lesson)
     assert [len(calls) for calls in checks] == [1, len(steps), 0, 0]  # building the schedule
+
+
+def test_map_edge_listing_reads_no_edge_view(monkeypatch, capsys):
+    """``rhetor map`` lists the edges from the child-id tables, as the graph
+    document holds them, without building the ``edges_cr``/``edges_ec`` views."""
+    views = counting(monkeypatch, pyramid, "_edge_view")
+    assert main(["map", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("layer,from,to\nC,abstract,analogy\n")
+    assert views == []
 
 
 @pytest.mark.parametrize("profile", BUILTIN_PROFILES)
