@@ -1,6 +1,8 @@
 """Three-layer mapping graph: modes (R) → cognitive functions (C) → epistemic purposes (E).
 
-Two built-in profiles ship with the package:
+A graph is given its C- and E-nodes; its R layer is the registry's modes
+that the C-nodes name.  Two built-in profiles ship with the package as
+mapping documents, and load through the same loader as any other:
 
 * ``default`` — 14 cognitive functions over the built-in modes, and 8
   epistemic purposes over those functions.
@@ -17,8 +19,8 @@ documents are JSON::
      "c_nodes": [{"id": "...", "display_name": "...", "modes": [...]}],
      "e_nodes": [{"id": "...", "display_name": "...", "cognitive": [...]}]}
 
-Entries may carry an optional ``description``; R-layer nodes are derived
-from the referenced modes, never stored.
+Entries may carry an optional ``description``; an absent or empty
+``display_name`` is titled from the id.  R-layer nodes are never stored.
 
 The module also builds compound "academic function" modes from a core mode
 plus supplementary modes (:func:`compose_academic`).
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     BadComposition,
@@ -56,11 +58,10 @@ LAYERS = (R, C, E)
 
 DEFAULT_PROFILE = "default"
 ACADEMIC_PROFILE = "academic-writing"
-BUILTIN_PROFILES = (DEFAULT_PROFILE, ACADEMIC_PROFILE)
 
-#: Per upper layer: its node list's key in a mapping document, and the key
-#: of each node's targets one layer down.
-_DOCUMENT_KEYS = ((C, "c_nodes", "modes"), (E, "e_nodes", "cognitive"))
+#: Per upper layer: the layer one down, its node list's key in a mapping
+#: document, and the key of each node's targets.
+_DOCUMENT_KEYS = ((C, R, "c_nodes", "modes"), (E, C, "e_nodes", "cognitive"))
 
 
 @record
@@ -82,131 +83,115 @@ class AcademicFunction:
     supplements: tuple[str, ...]
 
 
-# --- built-in profile data --------------------------------------------------
-# (id, display name, description, mode targets)
-_DEFAULT_C_NODES = (
-    ("observe", "Observe",
-     "Take in phenomena and record what is there.",
-     ("description", "narration", "exemplification", "evidence")),
-    ("identify", "Identify",
-     "Pick out and name entities or patterns.",
-     ("definition", "contrast", "classification", "evidence")),
-    ("compare", "Compare",
-     "Set attributes or outcomes against each other.",
-     ("comparison", "analogy", "evaluation")),
-    ("classify", "Classify",
-     "Sort items into structured groups.",
-     ("classification", "division", "definition")),
-    ("abstract", "Abstract",
-     "Pull general properties out of particulars.",
-     ("exemplification", "exposition", "analogy")),
-    ("hypothesize", "Hypothesize",
-     "Propose candidate explanations.",
-     ("problem", "cause", "argument")),
-    ("model", "Model",
-     "Represent a system in symbolic or schematic form.",
-     ("process-analysis", "analogy", "exposition")),
-    ("infer", "Infer",
-     "Draw out implications from what is known.",
-     ("cause", "effect", "argument")),
-    ("test-validate", "Test/Validate",
-     "Check hypotheses or models against support.",
-     ("evidence", "illustration", "evaluation")),
-    ("explain", "Explain",
-     "Give an account of how or why something holds.",
-     ("cause-effect", "exposition", "process-analysis")),
-    ("evaluate", "Evaluate",
-     "Judge soundness or relevance of claims.",
-     ("evaluation", "comparison", "argument", "persuasion")),
-    ("predict", "Predict",
-     "Project forthcoming outcomes or states.",
-     ("analogy", "cause", "process-analysis")),
-    ("integrate-synthesize", "Integrate/Synthesize",
-     "Bring separate lines of reasoning into one whole.",
-     ("exposition", "analogy", "synthesis")),
-    ("reflect", "Reflect/Meta-cognitive Assessment",
-     "Examine one's own reasoning and its limits.",
-     ("evaluation", "definition", "problem-solution", "exposition", "persuasion")),
-)
+# --- built-in profiles -------------------------------------------------------
+# Mapping documents, loaded as any other is; a node without a display name
+# is titled from its id.
+_DEFAULT_MAPPING = {"profile": DEFAULT_PROFILE, "c_nodes": [
+    {"id": "observe", "description": "Take in phenomena and record what is there.",
+     "modes": ["description", "narration", "exemplification", "evidence"]},
+    {"id": "identify", "description": "Pick out and name entities or patterns.",
+     "modes": ["definition", "contrast", "classification", "evidence"]},
+    {"id": "compare", "description": "Set attributes or outcomes against each other.",
+     "modes": ["comparison", "analogy", "evaluation"]},
+    {"id": "classify", "description": "Sort items into structured groups.",
+     "modes": ["classification", "division", "definition"]},
+    {"id": "abstract", "description": "Pull general properties out of particulars.",
+     "modes": ["exemplification", "exposition", "analogy"]},
+    {"id": "hypothesize", "description": "Propose candidate explanations.",
+     "modes": ["problem", "cause", "argument"]},
+    {"id": "model", "description": "Represent a system in symbolic or schematic form.",
+     "modes": ["process-analysis", "analogy", "exposition"]},
+    {"id": "infer", "description": "Draw out implications from what is known.",
+     "modes": ["cause", "effect", "argument"]},
+    {"id": "test-validate", "display_name": "Test/Validate",
+     "description": "Check hypotheses or models against support.",
+     "modes": ["evidence", "illustration", "evaluation"]},
+    {"id": "explain", "description": "Give an account of how or why something holds.",
+     "modes": ["cause-effect", "exposition", "process-analysis"]},
+    {"id": "evaluate", "description": "Judge soundness or relevance of claims.",
+     "modes": ["evaluation", "comparison", "argument", "persuasion"]},
+    {"id": "predict", "description": "Project forthcoming outcomes or states.",
+     "modes": ["analogy", "cause", "process-analysis"]},
+    {"id": "integrate-synthesize", "display_name": "Integrate/Synthesize",
+     "description": "Bring separate lines of reasoning into one whole.",
+     "modes": ["exposition", "analogy", "synthesis"]},
+    {"id": "reflect", "display_name": "Reflect/Meta-cognitive Assessment",
+     "description": "Examine one's own reasoning and its limits.",
+     "modes": ["evaluation", "definition", "problem-solution", "exposition", "persuasion"]},
+], "e_nodes": [
+    {"id": "knowledge-formation", "description": "Building up concepts and understanding.",
+     "cognitive": ["observe", "identify", "classify", "abstract"]},
+    {"id": "scientific-discovery", "description": "Generating and testing new hypotheses.",
+     "cognitive": ["hypothesize", "model", "test-validate", "infer"]},
+    {"id": "communication", "description": "Spreading knowledge through discourse.",
+     "cognitive": ["compare", "explain", "integrate-synthesize", "evaluate"]},
+    {"id": "teaching-learning", "display_name": "Teaching/Learning",
+     "description": "Passing knowledge between teacher and learner.",
+     "cognitive": ["observe", "identify", "model", "explain", "evaluate", "reflect"]},
+    {"id": "problem-solving", "description": "Putting knowledge to work on concrete problems.",
+     "cognitive": ["classify", "hypothesize", "infer", "test-validate", "evaluate"]},
+    {"id": "innovation-design", "display_name": "Innovation/Design",
+     "description": "Creating new systems, artifacts, or methods.",
+     "cognitive": ["model", "abstract", "integrate-synthesize", "predict"]},
+    {"id": "evaluation-decision-making", "display_name": "Evaluation/Decision-Making",
+     "description": "Weighing evidence to reach decisions.",
+     "cognitive": ["evaluate", "reflect", "infer"]},
+    {"id": "policy-action-implementation", "display_name": "Policy/Action Implementation",
+     "description": "Turning knowledge into action in real settings.",
+     "cognitive": ["predict", "explain", "integrate-synthesize", "evaluate"]},
+]}
+_ACADEMIC_MAPPING = {"profile": ACADEMIC_PROFILE, "c_nodes": [
+    {"id": "information-presentation",
+     "description": "Lay out the subject's background, features, and structure.",
+     "modes": ["narration", "description", "definition", "classification", "decomposition",
+              "grading", "summarization", "delineation"]},
+    {"id": "relational-reasoning",
+     "description": "Work out relationships that carry an explanatory framework.",
+     "modes": ["comparison", "contrast", "analogy", "relational-analysis", "causal-analysis",
+              "induction", "synthesis"]},
+    {"id": "process-construction",
+     "description": "Spell out sequences, developments, and operational steps.",
+     "modes": ["process-analysis", "procedural-description"]},
+    {"id": "argumentation-support",
+     "description": "Build and back the author's claims and reasoning chains.",
+     "modes": ["exemplification", "evidence", "argumentation", "persuasion", "elaboration",
+              "claim-making"]},
+    {"id": "understanding-construction",
+     "description": "Deepen conceptual clarity and tie new material to known ground.",
+     "modes": ["clarification", "explanation"]},
+    {"id": "interaction-construction",
+     "description": "Steer the reader's thinking and invite engagement.",
+     "modes": ["questioning", "answering"]},
+    {"id": "evaluation-and-reflection", "display_name": "Evaluation and Reflection",
+     "description": "Weigh the value and validity of ideas, methods, and results.",
+     "modes": ["evaluation", "verification", "validation"]},
+], "e_nodes": [
+    {"id": "establishing-shared-conceptual-ground",
+     "description": "Give writer and reader a common footing of concepts.",
+     "cognitive": ["information-presentation"]},
+    {"id": "constructing-relational-understanding",
+     "description": "Stand up an account of how things relate.",
+     "cognitive": ["relational-reasoning"]},
+    {"id": "revealing-operational-logic",
+     "description": "Expose how a procedure or method actually runs.",
+     "cognitive": ["process-construction"]},
+    {"id": "validating-propositions",
+     "description": "Establish that stated claims deserve acceptance.",
+     "cognitive": ["argumentation-support"]},
+    {"id": "achieving-conceptual-coherence",
+     "description": "Bring the piece's concepts into a consistent whole.",
+     "cognitive": ["understanding-construction"]},
+    {"id": "co-constructing-understanding", "display_name": "Co-constructing Understanding",
+     "description": "Draw the reader into building the understanding jointly.",
+     "cognitive": ["interaction-construction"]},
+    {"id": "determining-reliability-and-significance",
+     "display_name": "Determining Reliability and Significance",
+     "description": "Settle how trustworthy and important the results are.",
+     "cognitive": ["evaluation-and-reflection"]},
+]}
 
-# (id, display name, description, cognitive targets)
-_DEFAULT_E_NODES = (
-    ("knowledge-formation", "Knowledge Formation",
-     "Building up concepts and understanding.",
-     ("observe", "identify", "classify", "abstract")),
-    ("scientific-discovery", "Scientific Discovery",
-     "Generating and testing new hypotheses.",
-     ("hypothesize", "model", "test-validate", "infer")),
-    ("communication", "Communication",
-     "Spreading knowledge through discourse.",
-     ("compare", "explain", "integrate-synthesize", "evaluate")),
-    ("teaching-learning", "Teaching/Learning",
-     "Passing knowledge between teacher and learner.",
-     ("observe", "identify", "model", "explain", "evaluate", "reflect")),
-    ("problem-solving", "Problem Solving",
-     "Putting knowledge to work on concrete problems.",
-     ("classify", "hypothesize", "infer", "test-validate", "evaluate")),
-    ("innovation-design", "Innovation/Design",
-     "Creating new systems, artifacts, or methods.",
-     ("model", "abstract", "integrate-synthesize", "predict")),
-    ("evaluation-decision-making", "Evaluation/Decision-Making",
-     "Weighing evidence to reach decisions.",
-     ("evaluate", "reflect", "infer")),
-    ("policy-action-implementation", "Policy/Action Implementation",
-     "Turning knowledge into action in real settings.",
-     ("predict", "explain", "integrate-synthesize", "evaluate")),
-)
-
-_ACADEMIC_C_NODES = (
-    ("information-presentation", "Information Presentation",
-     "Lay out the subject's background, features, and structure.",
-     ("narration", "description", "definition", "classification",
-      "decomposition", "grading", "summarization", "delineation")),
-    ("relational-reasoning", "Relational Reasoning",
-     "Work out relationships that carry an explanatory framework.",
-     ("comparison", "contrast", "analogy", "relational-analysis",
-      "causal-analysis", "induction", "synthesis")),
-    ("process-construction", "Process Construction",
-     "Spell out sequences, developments, and operational steps.",
-     ("process-analysis", "procedural-description")),
-    ("argumentation-support", "Argumentation Support",
-     "Build and back the author's claims and reasoning chains.",
-     ("exemplification", "evidence", "argumentation", "persuasion",
-      "elaboration", "claim-making")),
-    ("understanding-construction", "Understanding Construction",
-     "Deepen conceptual clarity and tie new material to known ground.",
-     ("clarification", "explanation")),
-    ("interaction-construction", "Interaction Construction",
-     "Steer the reader's thinking and invite engagement.",
-     ("questioning", "answering")),
-    ("evaluation-and-reflection", "Evaluation and Reflection",
-     "Weigh the value and validity of ideas, methods, and results.",
-     ("evaluation", "verification", "validation")),
-)
-
-_ACADEMIC_E_NODES = (
-    ("establishing-shared-conceptual-ground", "Establishing Shared Conceptual Ground",
-     "Give writer and reader a common footing of concepts.",
-     ("information-presentation",)),
-    ("constructing-relational-understanding", "Constructing Relational Understanding",
-     "Stand up an account of how things relate.",
-     ("relational-reasoning",)),
-    ("revealing-operational-logic", "Revealing Operational Logic",
-     "Expose how a procedure or method actually runs.",
-     ("process-construction",)),
-    ("validating-propositions", "Validating Propositions",
-     "Establish that stated claims deserve acceptance.",
-     ("argumentation-support",)),
-    ("achieving-conceptual-coherence", "Achieving Conceptual Coherence",
-     "Bring the piece's concepts into a consistent whole.",
-     ("understanding-construction",)),
-    ("co-constructing-understanding", "Co-constructing Understanding",
-     "Draw the reader into building the understanding jointly.",
-     ("interaction-construction",)),
-    ("determining-reliability-and-significance", "Determining Reliability and Significance",
-     "Settle how trustworthy and important the results are.",
-     ("evaluation-and-reflection",)),
-)
+_PROFILES = {DEFAULT_PROFILE: _DEFAULT_MAPPING, ACADEMIC_PROFILE: _ACADEMIC_MAPPING}
+BUILTIN_PROFILES = tuple(_PROFILES)
 
 
 @record
@@ -240,15 +225,21 @@ class PyramidGraph:
     """Immutable three-layer graph with downward edges C→R and E→C.
 
     ``profile``, ``edges_cr``, ``edges_ec`` and ``registry`` are read-only.
-    The profile is a non-empty string, each node id is canonical and unique
-    in its layer, and each C- and E-node has a child; a node that breaks one
-    is named by its place among its layer's nodes (``c_nodes[i]``).  The
-    edges are stored once: one checking pass per upper layer keeps each
-    node's sorted, distinct child ids in a table that is itself in node-id
-    order.  ``edges_cr`` and ``edges_ec`` build a frozenset from it on each
-    access; no library code reads them.  Beside it, a table of
-    :class:`LayerNode` tuples lets :meth:`children` return a tuple stored at
-    load.  :func:`compose_re` costs in proportion to its answer;
+    The graph is given its C- and E-nodes; its R layer is the registry's
+    modes that the C→R edges name, each node carrying its mode's display
+    name and description.  The profile is a non-empty string; each node id
+    is canonical and unique in its layer, its display name a non-empty
+    string and its description a string; each edge names nodes of the graph
+    and registry modes; and each C- and E-node has a child.  A node that
+    breaks one is named by its place among its layer's nodes
+    (``c_nodes[i]``), and an edge's unknown lower end by its place among its
+    upper node's edges (``c_nodes[i].modes[j]``).  The edges are stored
+    once: one checking pass per upper layer keeps each node's sorted,
+    distinct child ids in a table that is itself in node-id order.
+    ``edges_cr`` and ``edges_ec`` build a frozenset from it on each access;
+    no library code reads them.  Beside it, a table of :class:`LayerNode`
+    tuples lets :meth:`children` return a tuple stored at load.
+    :func:`compose_re` costs in proportion to its answer;
     :func:`branching_stats` and :meth:`to_document` sort nothing per call.
     """
 
@@ -263,43 +254,56 @@ class PyramidGraph:
         if not isinstance(profile, str) or not profile:
             raise ParseError(f"mapping profile must be a non-empty string, got {profile!r}")
         self._profile = profile
-        self._nodes: dict[str, dict[str, LayerNode]] = {R: {}, C: {}, E: {}}
-        for node in nodes:
-            if node.layer not in LAYERS:
-                raise BadEdge(f"node {node.id!r} has unknown layer {node.layer!r}")
-            layer = self._nodes[node.layer]
-            if not isinstance(node.id, str) or not _ID_PATTERN.match(node.id):
-                raise ParseError(f"{node.layer.lower()}_nodes[{len(layer)}]: node {node.id!r} "
-                                 f"in layer {node.layer} is not a canonical id")
-            if node.id in layer:
-                raise ParseError(f"{node.layer.lower()}_nodes[{len(layer)}]: node {node.id!r} "
-                                 f"duplicated in layer {node.layer}")
-            layer[node.id] = node
         self._registry = registry if registry is not None else default_registry()
+        self._nodes: dict[str, dict[str, LayerNode]] = {C: {}, E: {}}
+        for node in nodes:
+            layer = self._nodes.get(node.layer)
+            if layer is None:
+                raise BadEdge(f"node {node.id!r} has layer {node.layer!r}; a graph is given "
+                              f"only C- and E-nodes")
+            if not isinstance(node.id, str) or not _ID_PATTERN.match(node.id):
+                problem = f"in layer {node.layer} is not a canonical id"
+            elif node.id in layer:
+                problem = f"duplicated in layer {node.layer}"
+            elif not isinstance(node.display_name, str) or not node.display_name:
+                problem = f"display name must be a non-empty string, got {node.display_name!r}"
+            elif not isinstance(node.description, str):
+                problem = f"description must be a string, got {node.description!r}"
+            else:
+                layer[node.id] = node
+                continue
+            raise ParseError(f"{node.layer.lower()}_nodes[{len(layer)}]: node {node.id!r} "
+                             f"{problem}")
+        modes = self._registry._modes
         # Each upper node's child ids, in node order; every edge is checked
         # before any node is refused for having no child.
         grouped: dict[str, dict[str, list[str]]] = {}
-        for upper, lower, edges in ((C, R, edges_cr), (E, C, edges_ec)):
-            upper_ids, lower_ids = self._nodes[upper], self._nodes[lower]
-            grouped[upper] = by_node = {node_id: [] for node_id in upper_ids}
+        for (upper, lower, key, target_key), edges in zip(_DOCUMENT_KEYS, (edges_cr, edges_ec)):
+            lower_ids = modes if lower == R else self._nodes[lower]
+            grouped[upper] = by_node = {node_id: [] for node_id in self._nodes[upper]}
             for up_id, low_id in edges:
-                if up_id not in upper_ids:
+                ids = by_node.get(up_id)
+                if ids is None:
                     raise BadEdge(f"edge references unknown {upper}-node {up_id!r}")
                 if low_id not in lower_ids:
-                    raise BadEdge(f"edge references unknown {lower}-node {low_id!r}")
-                by_node[up_id].append(low_id)
+                    where = f"{key}[{list(by_node).index(up_id)}].{target_key}[{len(ids)}]"
+                    raise BadEdge(f"{where}: {upper}-node {up_id!r} references unknown "
+                                  f"{lower}-node {low_id!r}")
+                ids.append(low_id)
         self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {}
-        self._children: dict[str, dict[str, tuple[LayerNode, ...]]] = {}
-        for upper, lower, children in ((C, R, "modes"), (E, C, "cognitive functions")):
+        for upper, children in ((C, "modes"), (E, "cognitive functions")):
             for position, (node_id, ids) in enumerate(grouped[upper].items()):
                 if not ids:
                     raise BadEdge(f"{upper.lower()}_nodes[{position}]: {upper}-node "
                                   f"{node_id!r} lists no {children}")
-            lower_ids = self._nodes[lower]
-            self._child_ids[upper] = table = {
+            self._child_ids[upper] = {
                 node_id: tuple(sorted(set(ids))) for node_id, ids in sorted(grouped[upper].items())}
-            self._children[upper] = {node_id: tuple(map(lower_ids.__getitem__, ids))
-                                     for node_id, ids in table.items()}
+        named = sorted(set().union(*self._child_ids[C].values()))
+        self._nodes[R] = {m.id: LayerNode(R, m.id, m.display_name, m.description)
+                          for m in map(modes.__getitem__, named)}
+        self._children = {upper: {node_id: tuple(map(self._nodes[lower].__getitem__, ids))
+                                  for node_id, ids in self._child_ids[upper].items()}
+                          for upper, lower, _, _ in _DOCUMENT_KEYS}
 
     profile = property(lambda self: self._profile)
     edges_cr = property(lambda self: _edge_view(self._child_ids[C]))
@@ -342,7 +346,7 @@ class PyramidGraph:
 
     def to_document(self) -> dict:
         doc: dict = {"profile": self._profile}
-        for layer, key, target_key in _DOCUMENT_KEYS:
+        for layer, _, key, target_key in _DOCUMENT_KEYS:
             nodes = self._nodes[layer]
             doc[key] = [{"id": node_id, "display_name": nodes[node_id].display_name,
                          "description": nodes[node_id].description,
@@ -379,70 +383,20 @@ def branching_stats(graph: PyramidGraph) -> BranchingStats:
 # --- construction -----------------------------------------------------------
 
 def _resolve_target(registry: Registry, name: str, profile: str,
-                    extras: dict[str, Mode]) -> Mode | None:
-    """Resolve an R-layer target, minting a generated atom when unknown;
-    ``None`` when the name cannot be an atom's id (a ``--`` id names a pair)."""
+                    extras: dict[str, Mode]) -> str | None:
+    """The mode id of an R-layer target, minting a generated atom into
+    ``extras`` when unknown; ``None`` when the name cannot be an atom's id
+    (a ``--`` id names a pair)."""
     mode = registry._lookup(name)
     if mode is not None:
-        return mode
+        return mode.id
     cid = canon(name)
-    mode = extras.get(cid)
-    if mode is None:
+    if cid not in extras:
         if not _ID_PATTERN.match(cid) or "--" in cid:
             return None
-        mode = generated_mode(cid, "academic-profile", (),
-                              f"Writing move declared by the {profile} mapping profile.")
-        extras[cid] = mode
-    return mode
-
-
-def _build_graph(
-    profile: str,
-    c_rows: Sequence[tuple[str, str, str, Sequence[str]]],
-    e_rows: Sequence[tuple[str, str, str, Sequence[str]]],
-    registry: Registry,
-) -> PyramidGraph:
-    extras: dict[str, Mode] = {}
-    nodes: list[LayerNode] = []
-    edges_cr: list[tuple[str, str]] = []
-    edges_ec: list[tuple[str, str]] = []
-    r_seen: dict[str, Mode] = {}
-    c_ids: set[str] = set()
-
-    for i, (c_id, display, description, targets) in enumerate(c_rows):
-        nodes.append(LayerNode(C, c_id, display, description))
-        c_ids.add(c_id)
-        for j, name in enumerate(targets):
-            mode = _resolve_target(registry, name, profile, extras)
-            if mode is None:
-                raise ParseError(f"c_nodes[{i}].modes[{j}]: invalid mode name {name!r} "
-                                 f"in {profile} mapping")
-            r_seen.setdefault(mode.id, mode)
-            edges_cr.append((c_id, mode.id))
-
-    for i, (e_id, display, description, targets) in enumerate(e_rows):
-        nodes.append(LayerNode(E, e_id, display, description))
-        for j, name in enumerate(targets):
-            cid = canon(name)
-            if cid not in c_ids:
-                raise BadEdge(f"e_nodes[{i}].cognitive[{j}]: E-node {e_id!r} references "
-                              f"unknown C-node {name!r}")
-            edges_ec.append((e_id, cid))
-
-    for mode in r_seen.values():
-        nodes.append(LayerNode(R, mode.id, mode.display_name, mode.description))
-    full_registry = registry.with_modes(extras.values()) if extras else registry
-    return PyramidGraph(profile, nodes, edges_cr, edges_ec, registry=full_registry)
-
-
-def _rows_from_document(doc: dict, key: str, target_key: str):
-    rows = []
-    for where, entry in entries(doc, key, "mapping"):
-        node_id = canon(text_field(entry, "id", where))
-        rows.append((node_id, text_field(entry, "display_name", where) or _title(node_id),
-                     text_field(entry, "description", where),
-                     names_field(entry, target_key, where)))
-    return rows
+        extras[cid] = generated_mode(cid, "academic-profile", (),
+                                     f"Writing move declared by the {profile} mapping profile.")
+    return cid
 
 
 def load_pyramid(
@@ -452,29 +406,44 @@ def load_pyramid(
 ) -> PyramidGraph:
     """Graph for a built-in profile, or from a mapping document.
 
-    A document names its own profile, so ``profile`` may not name another
-    one beside ``source``.  When a document references modes the registry
-    does not know, they are auto-registered as generated atoms; the
-    extended registry rides along as ``graph.registry``.
+    A built-in profile is a mapping document too, and both take one walk to
+    the constructor.  A document names its own profile, so ``profile`` may
+    not name another one beside ``source``.  When a document references
+    modes the registry does not know, they are auto-registered as generated
+    atoms; the extended registry rides along as ``graph.registry``.
     """
     if not isinstance(profile, str):
         raise UnknownProfile(f"profile must be a str, got {type(profile).__name__}")
+    if source is None:
+        source = _PROFILES.get(profile)
+        if source is None:
+            raise UnknownProfile(f"unknown profile {profile!r}; built-in profiles: "
+                                 f"{', '.join(BUILTIN_PROFILES)}")
+    elif profile != DEFAULT_PROFILE:
+        raise UnknownProfile(f"profile {profile!r} cannot be given with a mapping "
+                             f"document, which names its own profile")
+    doc = read_document(source, "mapping")
+    profile = doc.get("profile", "custom")
     registry = registry if registry is not None else default_registry()
-    if source is not None:
-        if profile != DEFAULT_PROFILE:
-            raise UnknownProfile(f"profile {profile!r} cannot be given with a mapping "
-                                 f"document, which names its own profile")
-        doc = read_document(source, "mapping")
-        c_rows, e_rows = (_rows_from_document(doc, key, target_key)
-                          for _, key, target_key in _DOCUMENT_KEYS)
-        return _build_graph(doc.get("profile", "custom"), c_rows, e_rows, registry)
-    if profile == DEFAULT_PROFILE:
-        return _build_graph(DEFAULT_PROFILE, _DEFAULT_C_NODES, _DEFAULT_E_NODES, registry)
-    if profile == ACADEMIC_PROFILE:
-        return _build_graph(ACADEMIC_PROFILE, _ACADEMIC_C_NODES, _ACADEMIC_E_NODES,
-                            registry)
-    raise UnknownProfile(
-        f"unknown profile {profile!r}; built-in profiles: {', '.join(BUILTIN_PROFILES)}")
+    extras: dict[str, Mode] = {}
+    nodes: list[LayerNode] = []
+    edges: dict[str, list[tuple[str, str]]] = {C: [], E: []}
+    for layer, _, key, target_key in _DOCUMENT_KEYS:
+        for where, entry in entries(doc, key, "mapping"):
+            node_id = canon(text_field(entry, "id", where))
+            nodes.append(LayerNode(layer, node_id,
+                                   text_field(entry, "display_name", where) or _title(node_id),
+                                   text_field(entry, "description", where)))
+            # An unknown R-name is minted; the graph checks each C-name.
+            for j, name in enumerate(names_field(entry, target_key, where)):
+                target = (canon(name) if layer == E
+                          else _resolve_target(registry, name, profile, extras))
+                if target is None:
+                    raise ParseError(f"{where}.{target_key}[{j}]: invalid mode name {name!r} "
+                                     f"in {profile} mapping")
+                edges[layer].append((node_id, target))
+    registry = registry.with_modes(extras.values()) if extras else registry
+    return PyramidGraph(profile, nodes, edges[C], edges[E], registry)
 
 
 def serialize_pyramid(graph: PyramidGraph) -> str:

@@ -140,6 +140,12 @@ def _check_mode(mode: Mode) -> None:
     """What a registry asks of each of its modes on its own."""
     if not isinstance(mode.id, str) or not _ID_PATTERN.match(mode.id):
         raise ParseError(f"mode id {mode.id!r} is not a valid identifier")
+    if not isinstance(mode.display_name, str) or not mode.display_name:
+        raise ParseError(f"mode {mode.id!r} display name must be a non-empty string, "
+                         f"got {mode.display_name!r}")
+    if not isinstance(mode.description, str):
+        raise ParseError(f"mode {mode.id!r} description must be a string, "
+                         f"got {mode.description!r}")
     _check_join(mode.id, mode.constituents)
     n = len(mode.constituents)
     if n == 1:

@@ -118,6 +118,22 @@ def test_child_tables_are_built_only_at_load(monkeypatch, profile, lesson, lesso
     assert views == []
 
 
+@pytest.mark.parametrize("profile", BUILTIN_PROFILES)
+def test_builtin_profile_and_document_take_one_walk(monkeypatch, profile):
+    """A built-in profile is a mapping document: it loads through the one
+    walk its serialized text takes, one ``entries`` call per upper layer and
+    one graph construction."""
+    text = serialize_pyramid(load_pyramid(profile))
+    walks = counting(monkeypatch, pyramid, "entries")
+    builds = counting(monkeypatch, PyramidGraph, "__init__")
+    for load in (lambda: load_pyramid(profile), lambda: load_pyramid(source=text)):
+        walks.clear()
+        builds.clear()
+        load()
+        assert [key for _, key, _ in walks] == ["c_nodes", "e_nodes"]
+        assert len(builds) == 1
+
+
 def test_trace_layers_makes_no_children_call(monkeypatch, graph, lesson, lesson_map_path):
     stage_map = load_stage_map(lesson_map_path)
     children = counting(monkeypatch, PyramidGraph, "children")

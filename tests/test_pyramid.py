@@ -277,22 +277,21 @@ class TestLoading:
         with pytest.raises(BadEdge):
             PyramidGraph("p", [], [("c", "r")], [])
 
-    @pytest.mark.parametrize("nodes, message", [
-        ([LayerNode(R, "Narration", "N"), LayerNode(C, "Obs", "O")],
-         "r_nodes[0]: node 'Narration' in layer R is not a canonical id"),
-        ([LayerNode(R, "narration", "N"), LayerNode(C, 7, "O")],
-         "c_nodes[0]: node 7 in layer C is not a canonical id"),
+    @pytest.mark.parametrize("node, message", [
+        (LayerNode(C, "Obs", "O"), "c_nodes[0]: node 'Obs' in layer C is not a canonical id"),
+        (LayerNode(C, 7, "O"), "c_nodes[0]: node 7 in layer C is not a canonical id"),
     ], ids=["mixed-case", "not-a-str"])
-    def test_node_ids_must_be_canonical(self, nodes, message):
+    def test_node_ids_must_be_canonical(self, node, message):
         with pytest.raises(ParseError) as caught:
-            PyramidGraph("p", nodes, [(nodes[1].id, nodes[0].id)], [])
+            PyramidGraph("p", [node], [(node.id, "narration")], [])
         assert str(caught.value) == message
 
     @pytest.mark.parametrize("edges_cr, edges_ec, message", [
         ([("c", "r")], [], "edge references unknown C-node 'c'"),
-        ([("c0", "r")], [], "edge references unknown R-node 'r'"),
+        ([("c0", "narration"), ("c0", "r")], [],
+         "c_nodes[0].modes[1]: C-node 'c0' references unknown R-node 'r'"),
         ([], [("e", "c0")], "edge references unknown E-node 'e'"),
-        ([], [("e0", "c")], "edge references unknown C-node 'c'"),
+        ([], [("e0", "c")], "e_nodes[0].cognitive[0]: E-node 'e0' references unknown C-node 'c'"),
     ], ids=["c-of-cr", "r", "e", "c-of-ec"])
     def test_unknown_edge_end_named_with_its_layer(self, edges_cr, edges_ec, message):
         nodes = [LayerNode(C, "c0", "C0"), LayerNode(E, "e0", "E0")]
@@ -300,6 +299,30 @@ class TestLoading:
             PyramidGraph("p", nodes, edges_cr, edges_ec)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("r_nodes, target, message", [
+        ([LayerNode(R, "narration", "Narration"), LayerNode(R, "cause", "Cause")], "narration",
+         "node 'narration' has layer 'R'; a graph is given only C- and E-nodes"),
+        ([LayerNode(R, "narration", "N")], "narration",
+         "node 'narration' has layer 'R'; a graph is given only C- and E-nodes"),
+        ([LayerNode(R, "story", "Story")], "story",
+         "node 'story' has layer 'R'; a graph is given only C- and E-nodes"),
+        ([], "story", "c_nodes[0].modes[0]: C-node 'c' references unknown R-node 'story'"),
+    ], ids=["stray-r-node", "r-name-unlike-its-mode", "r-node-outside-the-registry",
+            "mode-outside-the-registry"])
+    def test_r_layer_comes_only_from_the_registry(self, r_nodes, target, message):
+        """A stray R-node, an R-node titled unlike its mode, or one outside
+        ``graph.registry`` would serialize to a document that loads back
+        different, so none can be given."""
+        with pytest.raises(BadEdge) as caught:
+            PyramidGraph("p", [LayerNode(C, "c", "C"), *r_nodes], [("c", target)], [])
+        assert str(caught.value) == message
+
+    def test_r_layer_is_the_named_registry_modes(self, registry):
+        graph = PyramidGraph("p", [LayerNode(C, "c", "C")], [("c", "narration")], [])
+        narration = registry.get("narration")
+        assert graph.layer_nodes(R) == (LayerNode(R, "narration", narration.display_name,
+                                                  narration.description),)
+        assert load_pyramid(source=serialize_pyramid(graph)) == graph
 
 class TestComposeAcademic:
     def test_definition_complex(self, registry):

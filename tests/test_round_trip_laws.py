@@ -46,9 +46,17 @@ TEXTS = st.text(max_size=6)
 
 
 def mostly(good, bad):
-    """One of ``good``, or one time in ten one of ``bad``: most drawn values
-    construct, and the law reaches their round trip."""
-    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(bad if i == 0 else good))
+    """One of ``good`` (a list, or a strategy to draw from), or one time in
+    ten one of ``bad``: most drawn values construct, and the law reaches
+    their round trip."""
+    good = good if isinstance(good, st.SearchStrategy) else st.sampled_from(good)
+    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(bad) if i == 0 else good)
+
+
+# Display names and descriptions; an empty or absent display name loads back
+# titled from the id, and a non-str one does not load at all.
+DISPLAY_NAMES = mostly(st.text(min_size=1, max_size=6), ["", 5, None])
+DESCRIPTIONS = mostly(TEXTS, [7, None])
 
 
 def laws(test):
@@ -63,8 +71,8 @@ def test_registry_raises_or_round_trips(data):
                           [("aa",), ("aa", "aa"), ("story", "cause-effect"), ("nope", "aa"),
                            ("aa", "bb", "cause"), ("Cause", "effect")])
     ids = data.draw(st.lists(mostly(FRESH, TAKEN), max_size=4, unique=True))
-    modes = [Mode(mode_id, data.draw(st.text(min_size=1, max_size=6)),
-                  data.draw(constituents), data.draw(st.sampled_from(origins)), data.draw(TEXTS))
+    modes = [Mode(mode_id, data.draw(DISPLAY_NAMES), data.draw(constituents),
+                  data.draw(st.sampled_from(origins)), data.draw(DESCRIPTIONS))
              for mode_id in ids]
     aliases = data.draw(st.dictionaries(mostly(["tale", "yarn", "9lives"], TAKEN),
                                         mostly(["narration", "cause", *ids], ["nope", "Cause"]),
@@ -92,29 +100,41 @@ def test_rules_raise_or_round_trip(data):
     assert load_rules(serialize_rules(rules)) == rules
 
 
+@st.composite
+def graphs_built_in_code(draw):
+    """A graph built in code from drawn fields, or ``None`` when it is
+    refused; and its drawn C→R edges, which mostly name registry modes."""
+    ids = mostly(["c1", "c-2", "e1", "e2"], ["Obs", "aa--bb", "", "c1"])
+    c_ids, e_ids = (draw(st.lists(ids, max_size=3, unique=True)) for _ in "ce")
+    targets = mostly(sorted(m.id for m in default_registry())[:6],
+                     ["story", "Narration", "narrative"])
+    # Each drawn node mostly gets a child first.
+    edges_cr = [(c_id, draw(targets)) for c_id in c_ids if draw(mostly([True], [False]))]
+    edges_ec = [(e_id, draw(st.sampled_from(c_ids))) for e_id in e_ids
+                if c_ids and draw(mostly([True], [False]))]
+    nodes = [LayerNode(layer, node_id, draw(DISPLAY_NAMES), draw(DESCRIPTIONS))
+             for layer, layer_ids in ((C, c_ids), (E, e_ids)) for node_id in layer_ids]
+    profile = draw(mostly(["p", "Custom Profile"], ["", 5]))
+    try:
+        return PyramidGraph(profile, nodes, edges_cr, edges_ec), edges_cr
+    except RhetorError:
+        return None, edges_cr
+
+
 @laws
 def test_mapping_raises_or_round_trips(data):
-    """R-layer nodes are the registry's modes that the C-nodes name, as a
-    mapping document derives them."""
-    ids = mostly(["c1", "c-2", "e1", "e2"], ["Obs", "aa--bb", "", "c1"])
-    c_ids, e_ids = (data.draw(st.lists(ids, max_size=3, unique=True)) for _ in "ce")
-    r_ids = sorted(m.id for m in default_registry())[:6]
-    # Each drawn node mostly gets a child first.
-    edges_cr = [(c_id, data.draw(st.sampled_from(r_ids))) for c_id in c_ids
-                if data.draw(mostly([True], [False]))]
-    edges_ec = [(e_id, data.draw(st.sampled_from(c_ids))) for e_id in e_ids
-                if c_ids and data.draw(mostly([True], [False]))]
-    nodes = [LayerNode(layer, node_id, data.draw(st.text(min_size=1, max_size=4)),
-                       data.draw(TEXTS))
-             for layer, layer_ids in ((C, c_ids), (E, e_ids)) for node_id in layer_ids]
-    nodes += [LayerNode(R, mode.id, mode.display_name, mode.description)
-              for mode in map(default_registry().get, sorted({r for _, r in edges_cr}))]
-    profile = data.draw(mostly(["p", "Custom Profile"], ["", 5]))
-    try:
-        graph = PyramidGraph(profile, nodes, edges_cr, edges_ec)
-    except RhetorError:
-        return
-    assert load_pyramid(source=serialize_pyramid(graph)) == graph
+    graph, _ = data.draw(graphs_built_in_code())
+    if graph is not None:
+        assert load_pyramid(source=serialize_pyramid(graph)) == graph
+
+
+@laws
+def test_r_layer_is_the_registry_modes_the_c_nodes_name(data):
+    graph, edges_cr = data.draw(graphs_built_in_code())
+    if graph is not None:
+        named = map(graph.registry.get, sorted({r_id for _, r_id in edges_cr}))
+        assert graph.layer_nodes(R) == tuple(LayerNode(R, m.id, m.display_name, m.description)
+                                             for m in named)
 
 
 @laws
@@ -151,10 +171,28 @@ def test_schedule_whose_rate_disagrees_with_its_widths_is_refused():
 @pytest.mark.parametrize("profile, nodes, error, message", [
     ("p", [LayerNode(C, "c", "C")], BadEdge, "c_nodes[0]: C-node 'c' lists no modes"),
     ("", [], ParseError, "mapping profile must be a non-empty string, got ''"),
-], ids=["childless", "empty-profile"])
+    ("p", [LayerNode(C, "c", "")], ParseError,
+     "c_nodes[0]: node 'c' display name must be a non-empty string, got ''"),
+    ("p", [LayerNode(C, "c", 5)], ParseError,
+     "c_nodes[0]: node 'c' display name must be a non-empty string, got 5"),
+    ("p", [LayerNode(C, "c", "C", 7)], ParseError,
+     "c_nodes[0]: node 'c' description must be a string, got 7"),
+], ids=["childless", "empty-profile", "empty-display-name", "int-display-name",
+        "int-description"])
 def test_graph_that_would_not_load_back_is_refused(profile, nodes, error, message):
     with pytest.raises(error) as caught:
         PyramidGraph(profile, nodes, [], [])
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("mode, message", [
+    (Mode("story", ""), "mode 'story' display name must be a non-empty string, got ''"),
+    (Mode("story", 5), "mode 'story' display name must be a non-empty string, got 5"),
+    (Mode("story", "S", description=7), "mode 'story' description must be a string, got 7"),
+], ids=["empty-display-name", "int-display-name", "int-description"])
+def test_registry_mode_that_would_not_load_back_is_refused(mode, message):
+    with pytest.raises(ParseError) as caught:
+        Registry([*default_registry(), mode], aliases=DEFAULT_ALIASES)
     assert str(caught.value) == message
 
 

@@ -56,6 +56,7 @@ from rhetor import operators, pyramid
 from rhetor.documents import LayerTrace, StageTrace
 from rhetor.operators import OPERATOR_KINDS, operator_kind
 from rhetor.pyramid import BUILTIN_PROFILES, C, E, R, BranchingStats
+from rhetor.registry import _title
 
 # --- oracles: the scans -------------------------------------------------------
 
@@ -229,21 +230,22 @@ def parse_per_tag(segments, seg_lines, registry):
 def load_pyramid_per_occurrence(doc, registry):
     """The graph of a mapping document with each R-name occurrence resolved on its own."""
     profile = doc["profile"]
-    c_rows = pyramid._rows_from_document(doc, "c_nodes", "modes")
-    e_rows = pyramid._rows_from_document(doc, "e_nodes", "cognitive")
-    extras, r_seen, edges_cr = {}, {}, set()
-    nodes = [LayerNode(C, c_id, display, text) for c_id, display, text, _ in c_rows]
-    nodes += [LayerNode(E, e_id, display, text) for e_id, display, text, _ in e_rows]
-    for i, (c_id, _, _, names) in enumerate(c_rows):
-        for j, name in enumerate(names):
-            mode = pyramid._resolve_target(registry, name, profile, extras)
-            if mode is None:
+    extras, nodes, edges_cr, edges_ec = {}, [], set(), set()
+    for i, c_node in enumerate(doc["c_nodes"]):
+        c_id = canon(c_node["id"])
+        nodes.append(LayerNode(C, c_id, c_node.get("display_name") or _title(c_id),
+                               c_node.get("description", "")))
+        for j, name in enumerate(c_node["modes"]):
+            r_id = pyramid._resolve_target(registry, name, profile, extras)
+            if r_id is None:
                 raise ParseError(f"c_nodes[{i}].modes[{j}]: invalid mode name {name!r} "
                                  f"in {profile} mapping")
-            r_seen.setdefault(mode.id, mode)
-            edges_cr.add((c_id, mode.id))
-    nodes += [LayerNode(R, m.id, m.display_name, m.description) for m in r_seen.values()]
-    edges_ec = {(e_id, canon(c)) for e_id, _, _, names in e_rows for c in names}
+            edges_cr.add((c_id, r_id))
+    for e_node in doc["e_nodes"]:
+        e_id = canon(e_node["id"])
+        nodes.append(LayerNode(E, e_id, e_node.get("display_name") or _title(e_id),
+                               e_node.get("description", "")))
+        edges_ec.update((e_id, canon(c)) for c in e_node["cognitive"])
     full = registry.with_modes(extras.values()) if extras else registry
     return PyramidGraph(profile, nodes, edges_cr, edges_ec, registry=full)
 
@@ -267,18 +269,21 @@ E_IDS = ["e1", "e2", "e10", "e-a-b"]
 # Names no graph drawn below has in its E-layer: ids of the other layers, a
 # near miss, and names that canonicalize to nothing.
 E_MISSES = ["c1", "r10", "e3", "e1-0", "?!", ""]
-# Each built-in profile's (C rows, E rows): (id, display name, description, targets).
-BUILTIN_ROWS = {
-    pyramid.DEFAULT_PROFILE: (pyramid._DEFAULT_C_NODES, pyramid._DEFAULT_E_NODES),
-    pyramid.ACADEMIC_PROFILE: (pyramid._ACADEMIC_C_NODES, pyramid._ACADEMIC_E_NODES),
-}
+# Each built-in profile's (C rows, E rows), read from its mapping document:
+# (id, targets).
+BUILTIN_ROWS = {profile: ([(node["id"], node["modes"]) for node in doc["c_nodes"]],
+                          [(node["id"], node["cognitive"]) for node in doc["e_nodes"]])
+                for profile, doc in pyramid._PROFILES.items()}
+# The registry the random graphs draw their R-layer from.
+R_REGISTRY = Registry([Mode(r_id, r_id.upper()) for r_id in R_IDS])
 
 
 @st.composite
 def graphs(draw):
     """A graph, and the sets of C→R and E→C edges drawn for it; the graph is
-    built from the drawn lists, which may repeat an edge.  Each C- and
-    E-node gets a child first, as a graph refuses a node without one."""
+    built from the drawn lists, which may repeat an edge, over ``R_REGISTRY``.
+    Each C- and E-node gets a child first, as a graph refuses a node without
+    one."""
     r_ids = draw(st.lists(st.sampled_from(R_IDS), min_size=1, unique=True))
     c_ids = draw(st.lists(st.sampled_from(C_IDS), min_size=1, unique=True))
     e_ids = draw(st.lists(st.sampled_from(E_IDS), min_size=1, unique=True))
@@ -287,8 +292,9 @@ def graphs(draw):
     edges_ec = [(e_id, draw(st.sampled_from(c_ids))) for e_id in e_ids]
     edges_ec += draw(st.lists(st.tuples(st.sampled_from(e_ids), st.sampled_from(c_ids))))
     nodes = [LayerNode(layer, node_id, node_id.upper())
-             for layer, ids in ((R, r_ids), (C, c_ids), (E, e_ids)) for node_id in ids]
-    return (PyramidGraph("random", draw(st.permutations(nodes)), edges_cr, edges_ec),
+             for layer, ids in ((C, c_ids), (E, e_ids)) for node_id in ids]
+    return (PyramidGraph("random", draw(st.permutations(nodes)), edges_cr, edges_ec,
+                         R_REGISTRY),
             set(edges_cr), set(edges_ec))
 
 
@@ -336,9 +342,9 @@ class TestGraphAgainstScans:
     def test_builtin_children_are_stored(self, profile):
         graph = load_pyramid(profile)
         c_rows, e_rows = BUILTIN_ROWS[profile]
-        edges = ({(c_id, graph.registry.resolve(name).id)
-                  for c_id, _, _, names in c_rows for name in names},
-                 {(e_id, c_id) for e_id, _, _, c_ids in e_rows for c_id in c_ids})
+        edges = ({(c_id, graph.registry.resolve(name).id) for c_id, names in c_rows
+                  for name in names},
+                 {(e_id, c_id) for e_id, c_ids in e_rows for c_id in c_ids})
         for node in graph.layer_nodes(C) + graph.layer_nodes(E):
             assert graph.children(node.layer, node.id) == children_scan(
                 graph, edges, node.layer, node.id)
