@@ -257,10 +257,10 @@ class PyramidGraph:
         self._registry = registry if registry is not None else default_registry()
         self._nodes: dict[str, dict[str, LayerNode]] = {C: {}, E: {}}
         for node in nodes:
-            layer = self._nodes.get(node.layer)
-            if layer is None:
+            if node.layer not in (C, E):
                 raise BadEdge(f"node {node.id!r} has layer {node.layer!r}; a graph is given "
                               f"only C- and E-nodes")
+            layer = self._nodes[node.layer]
             if not isinstance(node.id, str) or not _ID_PATTERN.match(node.id):
                 problem = f"in layer {node.layer} is not a canonical id"
             elif node.id in layer:

@@ -307,8 +307,10 @@ class TestLoading:
         ([LayerNode(R, "story", "Story")], "story",
          "node 'story' has layer 'R'; a graph is given only C- and E-nodes"),
         ([], "story", "c_nodes[0].modes[0]: C-node 'c' references unknown R-node 'story'"),
+        ([LayerNode(["C"], "x", "X")], "narration",
+         "node 'x' has layer ['C']; a graph is given only C- and E-nodes"),
     ], ids=["stray-r-node", "r-name-unlike-its-mode", "r-node-outside-the-registry",
-            "mode-outside-the-registry"])
+            "mode-outside-the-registry", "unhashable-layer"])
     def test_r_layer_comes_only_from_the_registry(self, r_nodes, target, message):
         """A stray R-node, an R-node titled unlike its mode, or one outside
         ``graph.registry`` would serialize to a document that loads back
