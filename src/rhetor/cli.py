@@ -3,6 +3,8 @@
 ``rhetor tables|capacity|entropy|derive|map|analyze|cone`` with ``table``
 (aligned text), ``csv``, or ``json`` output.  csv/json output is
 byte-deterministic so it can be golden-file tested or piped to plotting.
+Each ``cmd_*`` returns :func:`_emit`'s arguments ``(payload, *blocks)`` and
+writes nothing; :func:`main` renders it once and maps errors to exit status.
 
 Exit status: 0 on success, 1 on a domain error (the error class name is
 the first token on stderr), 2 on usage errors or missing or unreadable
@@ -113,14 +115,13 @@ def _emit(fmt: str, payload, *blocks) -> None:
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_tables(args, parser) -> int:
+def cmd_tables(args, parser) -> tuple:
     records = [{"K": r.K, "k_m": r.k_m, "K_max": r.K_max, "K_NRC": r.K_NRC}
                for r in capacity_table(args.max_k)]
-    _emit(args.format, records, (["K", "k_m", "K_max", "K_NRC"], records))
-    return 0
+    return records, (["K", "k_m", "K_max", "K_NRC"], records)
 
 
-def cmd_capacity(args, parser) -> int:
+def cmd_capacity(args, parser) -> tuple:
     payload = asdict(capacity(args.k))
     record = dict(payload)
     if args.ln is not None:
@@ -130,8 +131,7 @@ def cmd_capacity(args, parser) -> int:
         # coverage's K is args.k, so merging it keeps the record's K in place
         payload["coverage"] = asdict(coverage(args.used, args.k))
         record.update(payload["coverage"])
-    _emit(args.format, payload, record)
-    return 0
+    return payload, record
 
 
 def _parse_layers(parser, text: str) -> list[tuple[str, int]]:
@@ -148,11 +148,10 @@ def _parse_layers(parser, text: str) -> list[tuple[str, int]]:
     return [(f"L{i}", count) for i, count in enumerate(counts, start=1)]
 
 
-def cmd_entropy(args, parser) -> int:
+def cmd_entropy(args, parser) -> tuple:
     if args.layers is None:
         record = asdict(entropy_subset_sizes(args.k))
-        _emit(args.format, record, record)
-        return 0
+        return record, record
     if args.flat is None:
         parser.error("--layers requires --flat")
     report = entropy_layered(_parse_layers(parser, args.layers), args.flat)
@@ -161,11 +160,10 @@ def cmd_entropy(args, parser) -> int:
     payload = asdict(report)
     payload["stages"] = [{"name": name, "branching": b, "H": h}
                          for name, b, h in payload.pop("stage_entropies")]
-    _emit(args.format, payload, (["stage", "branching", "H"], rows))
-    return 0
+    return payload, (["stage", "branching", "H"], rows)
 
 
-def cmd_derive(args, parser) -> int:
+def cmd_derive(args, parser) -> tuple:
     from .operators import OPERATOR_KINDS, closure, load_rules, operator_kind
     from .registry import base_atoms, load_registry
     kinds = OPERATOR_KINDS
@@ -184,11 +182,10 @@ def cmd_derive(args, parser) -> int:
                 "results": d.result_ids, "rediscovery": d.rediscovery}
                for d in closure(registry, rules, kinds, args.depth, seed=seed)]
     headers = ["depth", "operator", "inputs", "results", "rediscovery"]
-    _emit(args.format, records, (headers, records))
-    return 0
+    return records, (headers, records)
 
 
-def cmd_map(args, parser) -> int:
+def cmd_map(args, parser) -> tuple:
     from .pyramid import C, DEFAULT_PROFILE, E, branching_stats, compose_re, load_pyramid
     from .registry import load_registry
     profile = DEFAULT_PROFILE if args.profile is None else args.profile
@@ -198,12 +195,10 @@ def cmd_map(args, parser) -> int:
         layer, _, name = args.realizers.partition(":")
         records = [{"id": n.id, "display_name": n.display_name}
                    for n in graph.children(layer.strip().upper(), name.strip())]
-        _emit(args.format, records, (["id", "display_name"], records))
-        return 0
+        return records, (["id", "display_name"], records)
     if args.compose is not None:
         reached = compose_re(graph, args.compose)
-        _emit(args.format, reached, (["mode"], [[r] for r in reached]))
-        return 0
+        return reached, (["mode"], [[r] for r in reached])
     if args.stats:
         stats = branching_stats(graph)
         rows = [["C", node, degree] for node, degree in stats.c_degrees]
@@ -213,16 +208,14 @@ def cmd_map(args, parser) -> int:
             "C_max": stats.max_degree(C), "C_mean": stats.mean_degree(C),
             "E_max": stats.max_degree(E), "E_mean": stats.mean_degree(E),
         }
-        _emit(args.format, payload, (["layer", "node", "out_degree"], rows))
-        return 0
+        return payload, (["layer", "node", "out_degree"], rows)
     doc = graph.to_document()  # each layer's nodes and children come sorted
     rows = [["C", node["id"], r] for node in doc["c_nodes"] for r in node["modes"]]
     rows += [["E", node["id"], c] for node in doc["e_nodes"] for c in node["cognitive"]]
-    _emit(args.format, doc, (["layer", "from", "to"], rows))
-    return 0
+    return doc, (["layer", "from", "to"], rows)
 
 
-def cmd_analyze(args, parser) -> int:
+def cmd_analyze(args, parser) -> tuple:
     from .documents import analyze_coverage, load_stage_map, parse_document, trace_layers
     from .pyramid import DEFAULT_PROFILE, load_pyramid
     from .registry import load_registry
@@ -231,24 +224,21 @@ def cmd_analyze(args, parser) -> int:
     payload: dict = {"doc": doc.id, "coverage": asdict(analyze_coverage(doc, args.k))}
     record = {"doc": doc.id, **payload["coverage"]}
     if args.map is None:
-        _emit(args.format, payload, record)
-        return 0
+        return payload, record
     stage_map = load_stage_map(args.map)
     profile = DEFAULT_PROFILE if args.profile is None else args.profile
     trace = trace_layers(doc, load_pyramid(profile, registry=registry), stage_map)
     stages = [asdict(s) for s in trace.stages]
     payload["trace"] = {"e_ids": trace.e_ids, "stages": stages}
     headers = ["stage", "c_ids", "e_id", "observed", "overlap", "mismatch"]
-    _emit(args.format, payload, record, (headers, stages))
-    return 0
+    return payload, record, (headers, stages)
 
 
-def cmd_cone(args, parser) -> int:
+def cmd_cone(args, parser) -> tuple:
     from .schedule import cone, load_schedule
     records = [asdict(r) for r in cone(load_schedule(args.schedule), args.c0)]
     headers = ["stage", "K", "K_NRC", "K_RC", "R_scale", "R_scale_norm"]
-    _emit(args.format, records, (headers, records))
-    return 0
+    return records, (headers, records)
 
 
 # --- parser -----------------------------------------------------------------
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("tables", help="capacity table for widths 1..K")
     sub.add_argument("--max-k", type=_width_flag, required=True, metavar="K")
     _add_format(sub)
-    sub.set_defaults(func=cmd_tables)
+    sub.set_defaults(func=cmd_tables, parser=sub)
 
     sub = commands.add_parser("capacity", help="capacity report for one width")
     sub.add_argument("--k", "--K", dest="k", type=_width_flag, required=True)
@@ -312,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--used", type=_count_flag, metavar="K_U",
                      help="modes actually used; adds coverage fields")
     _add_format(sub)
-    sub.set_defaults(func=cmd_capacity)
+    sub.set_defaults(func=cmd_capacity, parser=sub)
 
     sub = commands.add_parser("entropy", help="choice-entropy report")
     sub.add_argument("--k", "--K", dest="k", type=_entropy_width_flag, required=True)
@@ -321,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--flat", type=_entropy_width_flag, metavar="K",
                      help="flat width the layered report compares against")
     _add_format(sub)
-    sub.set_defaults(func=cmd_entropy)
+    sub.set_defaults(func=cmd_entropy, parser=sub)
 
     sub = commands.add_parser("derive", help="closure of duality operators")
     sub.add_argument("--ops", metavar="OP[,OP...]",
@@ -333,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed with the 7 canonical-table atoms only")
     _add_registry(sub)
     _add_format(sub)
-    sub.set_defaults(func=cmd_derive)
+    sub.set_defaults(func=cmd_derive, parser=sub)
 
     sub = commands.add_parser("map", help="three-layer mapping graph")
     sub.add_argument("--profile",
@@ -349,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="out-degree of every upper-layer node")
     _add_registry(sub)
     _add_format(sub)
-    sub.set_defaults(func=cmd_map)
+    sub.set_defaults(func=cmd_map, parser=sub)
 
     sub = commands.add_parser("analyze", help="coverage and layer trace of a document")
     sub.add_argument("file", metavar="FILE.rma", type=_file_flag)
@@ -360,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--profile", help="mapping profile for the trace")
     _add_registry(sub)
     _add_format(sub)
-    sub.set_defaults(func=cmd_analyze)
+    sub.set_defaults(func=cmd_analyze, parser=sub)
 
     sub = commands.add_parser("cone", help="capacity growth along a stage schedule")
     sub.add_argument("--schedule", metavar="FILE", type=_file_flag,
@@ -368,23 +358,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--c0", type=float, default=1.0, metavar="C_0",
                      help="learner capacity in bits/stage (default 1.0)")
     _add_format(sub)
-    sub.set_defaults(func=cmd_cone)
+    sub.set_defaults(func=cmd_cone, parser=sub)
 
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     env_registry = os.environ.get(REGISTRY_ENV)
     if env_registry is not None and "registry" in vars(args) and args.registry is None:
         if not env_registry:
-            parser.error(f"{REGISTRY_ENV} is set but empty")
+            args.parser.error(f"{REGISTRY_ENV} is set but empty")
         args.registry = Path(env_registry)
     try:
-        code = args.func(args, parser)
+        _emit(args.format, *args.func(args, args.parser))
         sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
-        return code
+        return 0
     except RhetorError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

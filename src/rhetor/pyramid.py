@@ -281,14 +281,18 @@ class PyramidGraph:
         for (upper, lower, key, target_key), edges in zip(_DOCUMENT_KEYS, (edges_cr, edges_ec)):
             lower_ids = modes if lower == R else self._nodes[lower]
             grouped[upper] = by_node = {node_id: [] for node_id in self._nodes[upper]}
-            for up_id, low_id in edges:
-                ids = by_node.get(up_id)
-                if ids is None:
-                    raise BadEdge(f"edge references unknown {upper}-node {up_id!r}")
-                if low_id not in lower_ids:
-                    where = f"{key}[{list(by_node).index(up_id)}].{target_key}[{len(ids)}]"
-                    raise BadEdge(f"{where}: {upper}-node {up_id!r} references unknown "
-                                  f"{lower}-node {low_id!r}")
+            for edge in edges:
+                try:
+                    up_id, low_id = edge
+                    ids = by_node.get(up_id)
+                    if ids is None:
+                        raise BadEdge(f"edge references unknown {upper}-node {up_id!r}")
+                    if low_id not in lower_ids:
+                        where = f"{key}[{list(by_node).index(up_id)}].{target_key}[{len(ids)}]"
+                        raise BadEdge(f"{where}: {upper}-node {up_id!r} references unknown "
+                                      f"{lower}-node {low_id!r}")
+                except (TypeError, ValueError):  # not a pair, or an unhashable id
+                    raise BadEdge(f"edge {edge!r} is not a pair of node ids") from None
                 ids.append(low_id)
         self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {}
         for upper, children in ((C, "modes"), (E, "cognitive functions")):

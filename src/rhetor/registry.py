@@ -265,9 +265,14 @@ class Registry:
                 if not part.is_atomic and not part.is_diatomic:
                     raise BadConstituent(
                         f"mode {mode.id!r} nests the compound mode {cid!r}")
-        self._by_pair = {
-            frozenset(m.constituents): m for m in self._modes.values() if m.is_diatomic
-        }
+        # One diatomic per pair, or ``unite`` would answer by construction order.
+        self._by_pair: dict[frozenset[str], Mode] = {}
+        for mode in self._modes.values():
+            if mode.is_diatomic:
+                held = self._by_pair.setdefault(frozenset(mode.constituents), mode)
+                if held is not mode:
+                    raise BadConstituent(f"diatomic modes {held.id!r} and {mode.id!r} "
+                                         f"join the same pair")
 
     # -- lookup --------------------------------------------------------------
 

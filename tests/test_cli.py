@@ -438,6 +438,30 @@ class TestJsonOutputs:
             assert first == second
 
 
+@pytest.mark.parametrize("env, argv, message", [
+    (None, ("entropy", "--k", "20", "--layers", "4,4"), "--layers requires --flat"),
+    (None, ("entropy", "--k", "20", "--layers", "x", "--flat", "20"),
+     "--layers needs comma-separated integers, got 'x'"),
+    (None, ("entropy", "--k", "20", "--layers", ",", "--flat", "20"),
+     "--layers needs at least one branching factor"),
+    (None, ("entropy", "--k", "20", "--layers", "0,4", "--flat", "20"),
+     "--layers value 0 is outside 1..1000"),
+    (None, ("derive", "--ops", "merge"), "unknown operator kind 'merge'"),
+    (None, ("derive", "--ops", ","), "--ops needs at least one operator"),
+    ("", ("derive",), "RHETOR_REGISTRY is set but empty"),
+], ids=["layers-without-flat", "layers-not-integers", "layers-empty", "layers-range",
+        "ops-unknown", "ops-empty", "empty-registry-variable"])
+def test_usage_error_names_its_subcommand(capsys, monkeypatch, env, argv, message):
+    """A usage error the command raises itself prints that command's usage,
+    as argparse does for a bad flag."""
+    if env is not None:
+        monkeypatch.setenv("RHETOR_REGISTRY", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: rhetor {argv[0]} [-h]")
+    assert err.splitlines()[-1] == f"rhetor {argv[0]}: error: {message}"
+
+
 class TestFileArguments:
     @pytest.mark.parametrize("argv", [
         ("derive", "--registry", ""),

@@ -299,6 +299,13 @@ class TestLoading:
             PyramidGraph("p", nodes, edges_cr, edges_ec)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("edge", [(["c0"], "narration"), ("c0",), None],
+                             ids=["unhashable-id", "one-id", "none"])
+    def test_edge_that_is_not_a_pair_of_ids(self, edge):
+        with pytest.raises(BadEdge) as caught:
+            PyramidGraph("p", [LayerNode(C, "c0", "C0")], [edge], [])
+        assert str(caught.value) == f"edge {edge!r} is not a pair of node ids"
+
     @pytest.mark.parametrize("r_nodes, target, message", [
         ([LayerNode(R, "narration", "Narration"), LayerNode(R, "cause", "Cause")], "narration",
          "node 'narration' has layer 'R'; a graph is given only C- and E-nodes"),

@@ -265,6 +265,17 @@ class TestSerializeLoad:
         with pytest.raises(BadConstituent):
             load_registry(doc)
 
+    def test_second_diatomic_over_one_pair_rejected(self):
+        """With two, ``unite`` would answer by construction order: the built-in
+        first in a loaded document, the code's own first in ``Registry``."""
+        message = "diatomic modes {!r} and {!r} join the same pair"
+        ca = Mode("ca", "Ca", ("effect", "cause"))
+        with pytest.raises(BadConstituent, match=message.format("ca", "cause-effect")):
+            Registry([ca, *default_registry()])
+        doc = {"modes": [{"id": "ca", "constituents": ["cause", "effect"], "description": ""}]}
+        with pytest.raises(BadConstituent, match=message.format("cause-effect", "ca")):
+            load_registry(doc)
+
     def test_invalid_id_rejected(self):
         doc = {"modes": [{"id": "Bad Id", "constituents": [], "description": ""}]}
         with pytest.raises(ParseError):
