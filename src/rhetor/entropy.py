@@ -14,12 +14,13 @@ Three measures, all in bits:
 The subset-size sum has two computation paths: exact big-integer binomials
 up to width 120, and log-gamma arithmetic beyond (supported to 1000).
 Both paths exist publicly so they can be cross-checked on the overlap.
-Terms are accumulated largest-first to keep floating error down.
+Each total is a ``math.fsum``: correctly rounded, so results depend neither
+on the order of the terms nor on the Python version.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .capacity import MAX_WIDTH, _check_width
 from .errors import BadCount, BadDistribution, OutOfRange
@@ -63,8 +64,9 @@ def uniform(k: int) -> list[float]:
     return [1.0 / k] * k
 
 
-def entropy_flat(probabilities: Sequence[float]) -> float:
+def entropy_flat(probabilities: Iterable[float]) -> float:
     """Shannon entropy in bits of an explicit choice distribution."""
+    probabilities = tuple(probabilities)
     total = 0.0
     for p in probabilities:
         if not math.isfinite(p) or p < 0:
@@ -72,7 +74,7 @@ def entropy_flat(probabilities: Sequence[float]) -> float:
         total += p
     if abs(total - 1.0) > DISTRIBUTION_TOLERANCE:
         raise BadDistribution(f"probabilities sum to {total!r}, not 1")
-    return 0.0 - sum(p * math.log2(p) for p in sorted(probabilities, reverse=True) if p > 0)
+    return 0.0 - math.fsum(p * math.log2(p) for p in probabilities if p > 0)
 
 
 def subset_entropy_exact(k: int) -> float:
@@ -81,21 +83,18 @@ def subset_entropy_exact(k: int) -> float:
     if k > MAX_WIDTH:
         raise OutOfRange(f"exact path supports width 1..{MAX_WIDTH}, got {k}")
     nrc = 2**k - 1
-    probs = sorted((math.comb(k, i) / nrc for i in range(1, k + 1)), reverse=True)
-    return 0.0 - sum(q * math.log2(q) for q in probs)
+    probs = (math.comb(k, i) / nrc for i in range(1, k + 1))
+    return 0.0 - math.fsum(q * math.log2(q) for q in probs)
 
 
 def subset_entropy_logspace(k: int) -> float:
     """Subset-size entropy via log-gamma binomials (any supported width)."""
     _check_width(k, MAX_ENTROPY_WIDTH)
     ln_nrc = k * _LN2 + math.log1p(-(2.0**-k))
-    ln_probs = sorted(
-        (math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1) - ln_nrc
-         for i in range(1, k + 1)),
-        reverse=True,
-    )
+    ln_probs = (math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1) - ln_nrc
+                for i in range(1, k + 1))
     # term −q·log2 q computed from ln q; exp underflows harmlessly to 0.
-    return 0.0 - sum(math.exp(lq) * (lq / _LN2) for lq in ln_probs)
+    return 0.0 - math.fsum(math.exp(lq) * (lq / _LN2) for lq in ln_probs)
 
 
 def asymptotic_subset_entropy(k: int) -> float:
@@ -143,5 +142,5 @@ def entropy_layered(
         flat_K=flat_k,
         flat_H=flat_h,
         max_stage_H=max(per_stage),
-        sum_stage_H=sum(per_stage),
+        sum_stage_H=math.fsum(per_stage),
     )

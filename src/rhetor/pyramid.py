@@ -216,10 +216,6 @@ class BranchingStats:
         degrees = self._layer(layer)
         return math.fsum(d for _, d in degrees) / len(degrees) if degrees else 0.0
 
-    def branchings(self, layer: str) -> list[tuple[str, int]]:
-        """Stage list for :func:`rhetor.entropy.entropy_layered`."""
-        return list(self._layer(layer))
-
 
 class PyramidGraph:
     """Immutable three-layer graph with downward edges C→R and E→C.

@@ -28,6 +28,7 @@ CASES = {
     "capacity-growth-coverage": ["capacity", "--k", "20", "--ln", "1.0", "--used", "5"],
     "entropy": ["entropy", "--k", "18"],
     "entropy-layered": ["entropy", "--k", "20", "--layers", "4,4", "--flat", "20"],
+    "entropy-wide": ["entropy", "--k", "500"],
     "derive": ["derive", "--ops", "split,fb", "--depth", "2"],
     "derive-empty": ["derive", "--ops", "split", "--atoms-only-base"],
     "map": ["map"],

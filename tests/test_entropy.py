@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,24 @@ CHECKPOINTS = {
 }
 
 
+def correctly_rounded(terms) -> float:
+    """``0.0 - Σ terms``, summed exactly as rationals and rounded once."""
+    return 0.0 - float(sum(map(Fraction, terms)))
+
+
+def exact_terms(k: int) -> list[float]:
+    """The terms ``q log2 q``, ``q = C(K,i)/(2^K−1)``, of the exact path."""
+    return [q * math.log2(q) for q in (math.comb(k, i) / (2**k - 1) for i in range(1, k + 1))]
+
+
+def logspace_terms(k: int) -> list[float]:
+    """The terms ``q log2 q`` of the log-space path, each from ``ln q``."""
+    ln_nrc = k * math.log(2.0) + math.log1p(-(2.0**-k))
+    ln_probs = (math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1) - ln_nrc
+                for i in range(1, k + 1))
+    return [math.exp(lq) * (lq / math.log(2.0)) for lq in ln_probs]
+
+
 def brute_force_size_entropy(k: int) -> float:
     """Entropy of |S| for S uniform over non-empty subsets, by enumeration."""
     sizes = Counter(mask.bit_count() for mask in range(1, 2**k))
@@ -61,6 +80,10 @@ class TestFlatEntropy:
             entropy_flat([1.1, -0.1])
         with pytest.raises(BadDistribution):
             entropy_flat([float("nan"), 1.0])
+
+    def test_reads_an_iterator_once(self):
+        assert entropy_flat(iter([0.5, 0.5])) == 1.0
+        assert entropy_flat(p for p in (0.25,) * 4) == 2.0
 
     def test_uniform_requires_outcomes(self):
         with pytest.raises(OutOfRange):
@@ -197,3 +220,23 @@ class TestLayered:
     def test_single_stage_equals_direct(self, k):
         report = entropy_layered([("only", k)], flat_k=k)
         assert report.max_stage_H == pytest.approx(report.flat_H, abs=1e-12)
+
+
+class TestCorrectlyRounded:
+    """Each entropy is its terms' exact sum, rounded once to a float."""
+
+    def test_exact_path(self):
+        for k in range(1, 121):
+            assert subset_entropy_exact(k) == correctly_rounded(exact_terms(k)), k
+
+    def test_logspace_path(self):
+        for k in (*range(1, 1000, 37), 120, 121, 500, 999, 1000):
+            assert subset_entropy_logspace(k) == correctly_rounded(logspace_terms(k)), k
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=40)
+           .filter(lambda weights: sum(weights) > 0))
+    @settings(max_examples=200)
+    def test_flat(self, weights):
+        total = math.fsum(weights)
+        probs = [w / total for w in weights]
+        assert entropy_flat(probs) == correctly_rounded(p * math.log2(p) for p in probs if p > 0)

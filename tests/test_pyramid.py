@@ -137,7 +137,7 @@ class TestBranchingStats:
 
     def test_feeds_layered_entropy(self, graph):
         stats = branching_stats(graph)
-        report = entropy_layered(stats.branchings(C), flat_k=21)
+        report = entropy_layered(stats.c_degrees, flat_k=21)
         assert len(report.stage_entropies) == 14
         assert report.max_stage_H < report.flat_H
 
