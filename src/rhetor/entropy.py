@@ -20,6 +20,7 @@ on the order of the terms nor on the Python version.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .capacity import MAX_WIDTH, _check_width
@@ -69,8 +70,8 @@ def entropy_flat(probabilities: Iterable[float]) -> float:
     probabilities = tuple(probabilities)
     total = 0.0
     for p in probabilities:
-        if not math.isfinite(p) or p < 0:
-            raise BadDistribution(f"probability {p!r} is not in [0, 1]")
+        if isinstance(p, bool) or not isinstance(p, Real) or not math.isfinite(p) or p < 0:
+            raise BadDistribution(f"probability {p!r} is not a real number in [0, 1]")
         total += p
     if abs(total - 1.0) > DISTRIBUTION_TOLERANCE:
         raise BadDistribution(f"probabilities sum to {total!r}, not 1")

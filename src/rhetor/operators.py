@@ -27,7 +27,6 @@ Scale pairs are ordered ``[expanded, reduced]``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -222,13 +221,10 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
 
 def _united(registry: Registry, first: Mode, second: Mode) -> Mode:
     """``unite`` past its checks: two distinct atoms with ``first.id < second.id``."""
-    a, b = first.id, second.id
-    existing = registry.diatomic_for_pair(a, b)
-    if existing is not None:
-        return existing
-    pair = (a, b)
-    return generated_mode(f"{a}--{b}", UNITE, pair, f"Generated pairing of {a} and {b}.",
-                          pair, f"{_title(a)}-{_title(b)}")
+    a, b = pair = (first.id, second.id)  # the diatomic index's key, in id order
+    return registry._by_pair.get(pair) or generated_mode(
+        f"{a}--{b}", UNITE, pair, f"Generated pairing of {a} and {b}.", pair,
+        f"{_title(a)}-{_title(b)}")
 
 
 #: Per unary operator: the relation whose pairs it reads, and the description
@@ -371,47 +367,48 @@ def closure(
     # The loops below pass the operators only inputs they accept: atoms to
     # unite and the unary operators, diatomics to split, distinct pairs in id
     # order.  So they call the operator cores and skip unpaired atoms by lookup.
-    # Each loop tests a result id against ``derived`` itself, so ``record``
-    # only ever sees novel results.
     fresh_ids: set[str] = set(universe)  # inputs not yet tried: all, at depth 1
     for depth in range(1, max_depth + 1):
         snapshot = sorted(universe.values(), key=lambda m: m.id)
         atoms = [m for m in snapshot if m.is_atomic]
         fresh = [m for m in snapshot if m.id in fresh_ids]
-        # Each entry carries its sort key, the ids of its results, built once.
-        batch: list[tuple[tuple[str, ...], Derivation]] = []
-
-        def record(operator: str, inputs: tuple[str, ...], results: tuple[Mode, ...],
-                   key: tuple[str, ...], rediscovery: bool) -> None:
-            """Record ``results``, whose ids ``key`` no earlier derivation reached."""
-            derived.update(key)
-            batch.append((key, Derivation(operator, inputs, results, depth, rediscovery)))
-
+        # Each derivation under its first result id.  Every loop records only ids
+        # new to ``derived``, so these keys are distinct and order the batch as
+        # the whole result-id tuples would.
+        batch: dict[str, Derivation] = {}
         for kind in kinds:
             if kind == SPLIT:
                 for mode in fresh:
                     if mode.is_diatomic and not derived.issuperset(mode.constituents):
                         novel = tuple(p for p in split(registry, mode) if p.id not in derived)
-                        key = tuple(p.id for p in novel)
-                        record(SPLIT, (mode.id,), novel, key,
-                               all(rid in registry for rid in key))
+                        derived.update(p.id for p in novel)
+                        batch[novel[0].id] = Derivation(SPLIT, (mode.id,), novel, depth,
+                                                        all(p.id in registry for p in novel))
             elif kind == UNITE:
                 for a, b in _pairs_touching(atoms, fresh_ids):
                     result = _united(registry, a, b)
                     rid = result.id
                     if rid not in derived:
-                        record(UNITE, (a.id, b.id), (result,), (rid,), rid in registry)
+                        derived.add(rid)
+                        # A generated result's constituents are the pair in id
+                        # order; a registered diatomic may store its pair either way.
+                        rediscovery = rid in registry
+                        batch[rid] = Derivation(UNITE, (a.id, b.id) if rediscovery
+                                                else result.constituents, (result,), depth,
+                                                rediscovery)
             else:
                 partner_of = partner_maps[kind]
                 for mode in fresh:
                     rid = partner_of.get(mode.id)
                     if rid is not None and rid not in derived and mode.is_atomic:
-                        record(kind, (mode.id,), (_partner(registry, rid, kind, mode),),
-                               (rid,), rid in registry)
+                        derived.add(rid)
+                        batch[rid] = Derivation(kind, (mode.id,),
+                                                (_partner(registry, rid, kind, mode),),
+                                                depth, rid in registry)
 
-        batch.sort(key=itemgetter(0))
         fresh_ids = set()
-        for _, derivation in batch:
+        for first_id in sorted(batch):
+            derivation = batch[first_id]
             out.append(derivation)
             for result in derivation.results:
                 if result.id not in universe:

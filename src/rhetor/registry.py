@@ -266,10 +266,10 @@ class Registry:
                     raise BadConstituent(
                         f"mode {mode.id!r} nests the compound mode {cid!r}")
         # One diatomic per pair, or ``unite`` would answer by construction order.
-        self._by_pair: dict[frozenset[str], Mode] = {}
+        self._by_pair: dict[tuple[str, ...], Mode] = {}
         for mode in self._modes.values():
             if mode.is_diatomic:
-                held = self._by_pair.setdefault(frozenset(mode.constituents), mode)
+                held = self._by_pair.setdefault(tuple(sorted(mode.constituents)), mode)
                 if held is not mode:
                     raise BadConstituent(f"diatomic modes {held.id!r} and {mode.id!r} "
                                          f"join the same pair")
@@ -331,7 +331,7 @@ class Registry:
 
     def diatomic_for_pair(self, a: str, b: str) -> Mode | None:
         """The registered diatomic whose constituents are {a, b}, if any."""
-        return self._by_pair.get(frozenset((a, b)))
+        return self._by_pair.get((a, b) if a <= b else (b, a))
 
     @property
     def aliases(self) -> dict[str, str]:

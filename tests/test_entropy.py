@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -80,6 +81,22 @@ class TestFlatEntropy:
             entropy_flat([1.1, -0.1])
         with pytest.raises(BadDistribution):
             entropy_flat([float("nan"), 1.0])
+
+    @pytest.mark.parametrize("probabilities, named", [
+        (["0.5", "0.5"], "'0.5'"), ([True], "True"), ([False, True], "False"),
+        ([0.5, None, 0.5], "None"), ([1 + 0j], "(1+0j)")])
+    def test_only_real_numbers_are_probabilities(self, probabilities, named):
+        with pytest.raises(BadDistribution,
+                           match=re.escape(f"probability {named} is not a real number")):
+            entropy_flat(probabilities)
+
+    def test_integer_and_fraction_probabilities(self):
+        assert entropy_flat([1]) == entropy_flat([0, 1]) == 0.0
+        assert entropy_flat([Fraction(1, 2), 0.5]) == 1.0
+
+    def test_width_refuses_a_bool_too(self):
+        with pytest.raises(OutOfRange, match="width must be an integer, got True"):
+            entropy_subset_sizes(True)
 
     def test_reads_an_iterator_once(self):
         assert entropy_flat(iter([0.5, 0.5])) == 1.0

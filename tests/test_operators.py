@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from rhetor import (
     BadRuleSet,
     DualityRuleSet,
+    Mode,
     NoDual,
     NotAtomic,
     NotDiatomic,
     Origin,
     ParseError,
+    Registry,
     SelfUnite,
     UnknownMode,
     base_atoms,
@@ -106,6 +108,28 @@ class TestUnite:
         for diatomic_id in DIATOMIC_IDS:
             parts = split(registry, diatomic_id)
             assert unite(registry, *parts).id == diatomic_id
+
+
+# A registered diatomic whose constituents are stored out of id order.
+SWAPPED = Registry([Mode("a", "A"), Mode("b", "B"), Mode("c", "C"),
+                    Mode("b-a", "B-A", ("b", "a"))])
+
+
+class TestDiatomicStoredOutOfIdOrder:
+    def test_unite_and_the_index_find_it_in_both_orders(self):
+        mode = SWAPPED.get("b-a")
+        assert unite(SWAPPED, "a", "b") is mode and unite(SWAPPED, "b", "a") is mode
+        assert SWAPPED.diatomic_for_pair("a", "b") is mode
+        assert SWAPPED.diatomic_for_pair("b", "a") is mode
+        assert SWAPPED.diatomic_for_pair("a", "c") is None
+
+    def test_closure_records_its_inputs_in_id_order(self):
+        derivations = {d.result_ids: d for d in closure(SWAPPED, DualityRuleSet(), "unite")}
+        found = derivations[("b-a",)]
+        assert found.inputs == ("a", "b") and found.rediscovery
+        generated = derivations[("a--c",)]
+        assert generated.inputs == generated.results[0].constituents == ("a", "c")
+        assert not generated.rediscovery
 
 
 class TestUnaryDualities:

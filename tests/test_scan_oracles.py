@@ -627,6 +627,14 @@ WIDE_RULES = DualityRuleSet(
     scale=[("gu", "ve"), ("ha-mu", "ha"), ("tu", "ni")],
     orthogonal=[("je", "xa"), ("lo", "me-ni"), ("ve", "yo")])
 
+# A diatomic stored out of id order, and rule partners outside the registry:
+# with seed b-a, c and d, depth 1 splits b-a into two novel atoms while unite
+# and forward_backward each record one result, so the batch's order by first
+# result id is checked against the oracle's order by whole result-id tuples.
+SWAPPED_REGISTRY = Registry([Mode(i, i.upper()) for i in "abcd"]
+                            + [Mode("b-a", "B-A", ("b", "a"))])
+SWAPPED_RULES = DualityRuleSet(reversal=[("c", "z")], orthogonal=[("a", "y")])
+
 CLOSURE_CASES = dict(
     seed=st.none() | st.sets(st.sampled_from(sorted(m.id for m in CLASH_REGISTRY)),
                              min_size=1),
@@ -669,6 +677,23 @@ class TestClosureAgainstNaive:
         assert any(d.rediscovery for d in derivations)
         assert {d.depth for d in derivations if d.results[0].id not in WIDE_REGISTRY
                 and d.results[0].is_atomic} == set(range(1, depth + 1))
+
+    def test_split_and_single_results_in_one_depth(self):
+        seed = ["b-a", "c", "d"]
+        derivations = closure(SWAPPED_REGISTRY, SWAPPED_RULES, OPERATOR_KINDS, 3, seed=seed)
+        assert derivations == closure_naive(SWAPPED_REGISTRY, SWAPPED_RULES, OPERATOR_KINDS,
+                                            3, seed=seed)
+        assert [d.result_ids for d in derivations if d.depth == 1] == [
+            ("b", "a"), ("c--d",), ("z",)]
+        assert [(d.inputs, d.depth, d.rediscovery) for d in derivations
+                if d.result_ids == ("b-a",)] == [(("a", "b"), 2, True)]
+
+    @given(seed=st.none() | st.sets(st.sampled_from(["a", "b", "b-a", "c", "d"]), min_size=1),
+           ops=CLOSURE_CASES["ops"], depth=st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_diatomic_stored_out_of_id_order(self, seed, ops, depth):
+        assert (closure(SWAPPED_REGISTRY, SWAPPED_RULES, ops, depth, seed=seed)
+                == closure_naive(SWAPPED_REGISTRY, SWAPPED_RULES, ops, depth, seed=seed))
 
     @given(data=st.data(), **CLOSURE_CASES)
     @settings(max_examples=150, deadline=None)
