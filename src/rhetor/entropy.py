@@ -20,7 +20,6 @@ on the order of the terms nor on the Python version.
 from __future__ import annotations
 
 import math
-from numbers import Real
 from typing import Iterable, Sequence
 
 from .capacity import MAX_WIDTH, _check_width
@@ -67,6 +66,7 @@ def uniform(k: int) -> list[float]:
 
 def entropy_flat(probabilities: Iterable[float]) -> float:
     """Shannon entropy in bits of an explicit choice distribution."""
+    from numbers import Real  # here, so that importing rhetor does not load it
     probabilities = tuple(probabilities)
     total = 0.0
     for p in probabilities:

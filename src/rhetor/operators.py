@@ -393,9 +393,8 @@ def closure(
                         # A generated result's constituents are the pair in id
                         # order; a registered diatomic may store its pair either way.
                         rediscovery = rid in registry
-                        batch[rid] = Derivation(UNITE, (a.id, b.id) if rediscovery
-                                                else result.constituents, (result,), depth,
-                                                rediscovery)
+                        inputs = (a.id, b.id) if rediscovery else result.constituents
+                        batch[rid] = Derivation(UNITE, inputs, (result,), depth, rediscovery)
             else:
                 partner_of = partner_maps[kind]
                 for mode in fresh:
