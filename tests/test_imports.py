@@ -16,9 +16,9 @@ SRC = str(Path(rhetor.__file__).resolve().parent.parent)
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 # Modules that building the parser and the capacity and entropy commands
-# never use.
+# never use; only entropy_flat, which no command calls, loads numbers.
 UNUSED_BY_LIGHT_CALLS = ("rhetor.registry", "rhetor.operators", "rhetor.pyramid",
-                         "rhetor.documents", "difflib", "statistics")
+                         "rhetor.documents", "difflib", "statistics", "numbers")
 
 # Modules no call loads: rhetor.records builds every record class, and
 # dataclasses would also load inspect, ast, dis and tokenize.
