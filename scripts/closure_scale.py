@@ -1,12 +1,11 @@
 """How ``closure``'s cost per derivation grows with the number of atoms.
 
     python3 scripts/closure_scale.py
-    python3 scripts/closure_scale.py --sizes 50,100 --runs 5
 
 For each size n it builds a registry of n atoms and nothing else and times
 ``closure(registry, DualityRuleSet(), ["unite"], 1)``, which makes
 C(n, 2) derivations, in this process.  After one untimed call, each size
-is timed ``--runs`` times with the cyclic garbage collector on and as often
+is timed three times with the cyclic garbage collector on and as often
 with it off, alternating; the median of each gives the microseconds per
 derivation.  The collector is switched off only around the timed call, and
 only in this script.
@@ -19,7 +18,6 @@ ratios near 1.  The library is imported from this checkout's ``src``.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import platform
@@ -90,21 +88,7 @@ def probe(sizes=SIZES, runs: int = RUNS) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)),
-                        help="comma-separated atom counts, at least two (default: %(default)s)")
-    parser.add_argument("--runs", type=int, default=RUNS,
-                        help="timed runs per size and collector setting (default: %(default)s)")
-    args = parser.parse_args()
-    try:
-        sizes = sorted({int(s) for s in args.sizes.split(",")})
-    except ValueError:
-        parser.error(f"--sizes {args.sizes!r} is not a list of integers")
-    if len(sizes) < 2 or sizes[0] < 2:
-        parser.error("--sizes needs at least two sizes, each at least 2")
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-    print(json.dumps(probe(sizes, args.runs), sort_keys=True))
+    print(json.dumps(probe(), sort_keys=True))
 
 
 if __name__ == "__main__":

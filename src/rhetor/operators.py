@@ -221,8 +221,8 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
 
 def _united(registry: Registry, first: Mode, second: Mode) -> Mode:
     """``unite`` past its checks: two distinct atoms with ``first.id < second.id``."""
-    a, b = pair = (first.id, second.id)  # the diatomic index's key, in id order
-    return registry._by_pair.get(pair) or generated_mode(
+    a, b = pair = (first.id, second.id)
+    return registry.diatomic_for_pair(a, b) or generated_mode(
         f"{a}--{b}", UNITE, pair, f"Generated pairing of {a} and {b}.", pair,
         f"{_title(a)}-{_title(b)}")
 

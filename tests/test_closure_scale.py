@@ -1,11 +1,8 @@
-"""scripts/closure_scale.py at two small sizes: one JSON line with every documented key."""
+"""scripts/closure_scale.py's probe at two small sizes: every documented key."""
 import gc
 import importlib.util
 import json
-import sys
 from pathlib import Path
-
-import pytest
 
 from rhetor import canon
 
@@ -15,17 +12,8 @@ closure_scale = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(closure_scale)
 
 
-def run(monkeypatch, capsys, *args):
-    monkeypatch.setattr(sys, "argv", ["closure_scale.py", *args])
-    monkeypatch.setattr(sys, "path", [*sys.path])
-    closure_scale.main()
-    return capsys.readouterr().out
-
-
-def test_prints_one_json_line(monkeypatch, capsys):
-    lines = run(monkeypatch, capsys, "--sizes", "24,12", "--runs", "1").splitlines()
-    assert len(lines) == 1
-    result = json.loads(lines[0])
+def test_returns_every_documented_key():
+    result = json.loads(json.dumps(closure_scale.probe((24, 12), 1)))
     assert set(result) == {"python", "sizes", "runs", "us_per_derivation", "ratio"}
     assert result["sizes"] == [12, 24] and result["runs"] == 1
     assert set(result["us_per_derivation"]) == set(result["ratio"]) == {"gc_on", "gc_off"}
@@ -40,11 +28,3 @@ def test_atom_ids_are_distinct_canonical_ids():
     ids = closure_scale.atom_ids(800)
     assert len(set(ids)) == 800
     assert all(canon(i) == i and "-" not in i for i in ids)
-
-
-@pytest.mark.parametrize("args", [["--sizes", "10"], ["--sizes", "1,10"],
-                                  ["--sizes", "a,10"], ["--runs", "0"]])
-def test_usage_errors(monkeypatch, capsys, args):
-    with pytest.raises(SystemExit) as exit_info:
-        run(monkeypatch, capsys, *args)
-    assert exit_info.value.code == 2
