@@ -161,6 +161,19 @@ ERROR_TABLE = [
      ParseError, "stages[1]: stage 's' is mapped twice"),
     ("schedule", {"stages": [{"name": "a", "K": 5}, {"name": "b", "K": 121}]}, BadSchedule,
      "stages[1]: stage 'b' needs a width of at most 120, got 121"),
+    ("annotation", "doc\n", ParseError, "doc header needs an id (line 1)"),
+    ("annotation", "doc d\ndeclared_K 3\ndeclared_K 3\n", ParseError,
+     "duplicate declared_K directive (line 3)"),
+    ("annotation", "doc d\nstage\n", ParseError, "stage line needs a label (line 2)"),
+    ("registry", {"modes": [{"id": "story", "origin": "weird"}]}, ParseError,
+     "modes[0]: unknown origin 'weird'"),
+    ("registry", {"modes": [{"id": "story", "origin": 5}]}, ParseError,
+     "modes[0]: origin must be a string or an object"),
+    ("registry", {"modes": [{"display_name": "Story"}]}, ParseError,
+     "modes[0]: missing or invalid id None"),
+    ("registry", {"aliases": []}, ParseError, "registry 'aliases' must be an object"),
+    ("schedule", {"stages": [{"name": "a", "K": 2, "duration": "3"}]}, ParseError,
+     "stages[0]: 'duration' must be a number"),
 ]
 
 

@@ -23,6 +23,7 @@ from rhetor import (
     default_rules,
     expand,
     forward_backward,
+    load_registry,
     load_rules,
     orthogonal,
     reduce,
@@ -206,6 +207,14 @@ class TestUnaryDualities:
             forward_backward(registry, rules, "narration")
         with pytest.raises(BadRuleSet):
             closure(registry, rules, "forward_backward")
+
+    def test_member_in_two_pairs_through_an_alias_rejected(self):
+        registry = load_registry({"aliases": {"tale": "narration"}})
+        rules = load_rules({"reversal": [["narration", "x"], ["tale", "y"]]})
+        with pytest.raises(BadRuleSet) as caught:
+            forward_backward(registry, rules, "narration")
+        assert str(caught.value) == ("mode 'narration' appears in two reversal pairs "
+                                     "under the registry's aliases")
 
 
 class TestRuleSet:

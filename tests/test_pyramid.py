@@ -370,6 +370,11 @@ class TestComposeAcademic:
             compose_academic(registry, AcademicFunction(
                 "ghost", "definition", ("no-such-mode",)))
 
+    def test_function_name_without_an_id_rejected(self, registry):
+        with pytest.raises(BadComposition) as caught:
+            compose_academic(registry, AcademicFunction("!!!", "definition", ("comparison",)))
+        assert str(caught.value) == "cannot form an id from function name '!!!'"
+
 
 class TestFixtureIntegrity:
     def test_fixture_counts(self, expected_edges):

@@ -405,6 +405,23 @@ class TestSerializeLoad:
         with pytest.raises(ParseError):
             load_registry({"modes": [{"id": "story\n", "description": ""}]})
 
+    def test_one_id_twice_in_code_rejected(self):
+        with pytest.raises(DuplicateMode) as caught:
+            Registry([Mode("a", "A"), Mode("a", "A")])
+        assert str(caught.value) == "mode id 'a' defined more than once"
+
+    def test_compound_nesting_a_compound_rejected(self):
+        atoms = [Mode("a", "A"), Mode("b", "B"), Mode("c", "C")]
+        with pytest.raises(BadConstituent) as caught:
+            Registry([*atoms, Mode("abc", "ABC", ("a", "b", "c")),
+                      Mode("x", "X", ("a", "b", "abc"))])
+        assert str(caught.value) == "mode 'x' nests the compound mode 'abc'"
+
+    def test_with_modes_refuses_a_changed_builtin(self, registry):
+        with pytest.raises(DuplicateMode) as caught:
+            registry.with_modes([Mode("narration", "Other")])
+        assert str(caught.value) == "mode id 'narration' already registered differently"
+
     def test_non_utf8_file_reports_line(self, tmp_path):
         file = tmp_path / "reg.json"
         file.write_bytes(b'{"modes": [],\n "version": "caf\xe9"}')
