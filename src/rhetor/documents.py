@@ -34,14 +34,13 @@ from .errors import (
     NotEnoughStages,
     ParseError,
     RhetorError,
-    UnknownMode,
     UnmappedStage,
     at,
 )
 from .jsontext import entries, names_field, read_document, read_text, text_field
 from .pyramid import C, E, PyramidGraph
 from .records import record
-from .registry import Registry, _ID_PATTERN, _hints, default_registry
+from .registry import Registry, _ID_PATTERN, default_registry
 
 
 @record
@@ -178,11 +177,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
                     name = name.strip()
                     if not name:
                         continue
-                    mode = lookup(name)
-                    if mode is None:
-                        raise UnknownMode(f"no mode named {name!r}",
-                                          suggestions=_hints(name, registry._modes))
-                    modes.add(mode.id)
+                    modes.add((lookup(name) or registry.resolve(name)).id)
                 segments.append(Segment(index, stage, frozenset(modes), text.strip()))
                 next_index = index + 1
                 continue

@@ -2,15 +2,17 @@
 reader.
 
 :func:`json_text` is the one writer, behind every serializer and every
-``--format json`` call.  It returns the same text as
-``json.dumps(payload, indent=2, sort_keys=True, default=sorted) + "\\n"``:
-keys sorted (before int, float, bool and ``None`` keys are coerced to
-strings), two-space indent, ASCII-escaped strings, tuples as lists, and any
-other value (a set, say) written as its sorted list.  ``json.dumps`` with an
-indent runs the pure-Python generator encoder on CPython before 3.14; this
-writer appends the pieces to one list and joins them once, encodes strings
-with the C ``encode_basestring_ascii``, and writes a list of strings with a
-single ``join``.  Unlike ``json.dumps`` it does not look for cycles: a
+``--format json`` call.  It writes strict JSON: object keys are ``str`` and
+numbers are finite.  For such a value it returns the same text as
+``json.dumps(payload, indent=2, sort_keys=True, default=sorted,
+allow_nan=False) + "\\n"``: keys sorted, two-space indent, ASCII-escaped
+strings, tuples as lists, and any other value (a set, say) written as its
+sorted list.  A dict key that is not a ``str`` raises ``TypeError``, and a
+NaN or infinite float raises ``ValueError``.  ``json.dumps`` with an indent
+runs the pure-Python generator encoder on CPython before 3.14; this writer
+appends the pieces to one list and joins them once, encodes strings with the
+C ``encode_basestring_ascii``, and writes a list of strings with a single
+``join``.  Unlike ``json.dumps`` it does not look for cycles: a
 self-containing value raises ``RecursionError`` instead of ``ValueError``.
 
 :func:`read_document` is the one reader, behind every JSON loader: it turns
@@ -24,45 +26,17 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _encode
+from math import isfinite
 from pathlib import Path
 
 from .errors import ParseError
-
-_INFINITY = float("inf")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key_text(key) -> str:
-    """A non-str dict key as ``json`` coerces it to a string."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
 
 
 def json_text(payload) -> str:
     """``payload`` as sorted, two-space-indented JSON text ending in a newline."""
     parts: list[str] = []
     write = parts.append
-    # '"key": ' per key, after coercion to str, so True and 1 never share one.
-    prefixes: dict[str, str] = {}
+    prefixes: dict[str, str] = {}  # '"key": ' per key
 
     def value(o, newline: str) -> None:
         if isinstance(o, str):
@@ -76,7 +50,9 @@ def json_text(payload) -> str:
         elif isinstance(o, int):
             write(int.__repr__(o))
         elif isinstance(o, float):
-            write(_float_text(o))
+            if not isfinite(o):
+                raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+            write(float.__repr__(o))
         elif isinstance(o, (list, tuple)):
             array(o, newline)
         elif isinstance(o, dict):
@@ -110,10 +86,10 @@ def json_text(payload) -> str:
         separator = "," + inner
         lead = "{" + inner
         for key, item in sorted(mapping.items()):
-            if not isinstance(key, str):
-                key = _key_text(key)
             prefix = prefixes.get(key)
             if prefix is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {key.__class__.__name__}")
                 prefix = prefixes[key] = _encode(key) + ": "
             write(lead + prefix)
             lead = separator
