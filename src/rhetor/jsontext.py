@@ -86,10 +86,10 @@ def json_text(payload) -> str:
         separator = "," + inner
         lead = "{" + inner
         for key, item in sorted(mapping.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
             prefix = prefixes.get(key)
             if prefix is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {key.__class__.__name__}")
                 prefix = prefixes[key] = _encode(key) + ": "
             write(lead + prefix)
             lead = separator
