@@ -12,9 +12,12 @@ only in this script.
 
 It prints one JSON line: the Python version, the sizes, the runs, the
 microseconds per derivation for each size with the collector on
-(``gc_on``) and off (``gc_off``), and, for each, the ratio of every larger
-size to the smallest (``"400/100"``).  A flat cost per derivation gives
-ratios near 1.  The library is imported from this checkout's ``src``.
+(``gc_on``) and off (``gc_off``), for each the ratio of every larger size
+to the smallest (``"400/100"``), and the collector's share per size,
+``gc_cost`` = ``gc_on`` - ``gc_off`` microseconds per derivation.  A flat
+cost per derivation gives ratios near 1; when only the flat part of the
+cost falls, the ratios rise, so read them with the times and ``gc_cost``.
+The library is imported from this checkout's ``src``.
 """
 from __future__ import annotations
 
@@ -83,8 +86,10 @@ def probe(sizes=SIZES, runs: int = RUNS) -> dict:
     ratios = {key: {f"{n}/{smallest}": round(us[str(n)] / us[smallest], 3)
                     for n in sorted(sizes) if str(n) != smallest}
               for key, us in per_derivation.items()}
+    gc_cost = {n: round(us - per_derivation["gc_off"][n], 3)
+               for n, us in per_derivation["gc_on"].items()}
     return {"python": platform.python_version(), "sizes": sorted(sizes), "runs": runs,
-            "us_per_derivation": per_derivation, "ratio": ratios}
+            "us_per_derivation": per_derivation, "ratio": ratios, "gc_cost": gc_cost}
 
 
 def main() -> None:

@@ -41,6 +41,7 @@ from .jsontext import json_text, read_document
 from .records import record
 from .registry import (
     Mode,
+    Origin,
     Registry,
     _ID_PATTERN,
     _title,
@@ -215,16 +216,17 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
     for mode in (ma, mb):
         if not mode.is_atomic:
             raise NotAtomic(f"cannot unite {mode.id!r}: arity is {mode.arity}")
-    first, second = sorted((ma, mb), key=lambda m: m.id)
-    return _united(registry, first, second)
+    a, b = pair = (ma.id, mb.id) if ma.id < mb.id else (mb.id, ma.id)
+    held = registry.diatomic_for_pair(a, b)
+    return held or _pair_mode(f"{a}--{b}", pair, _title(a), _title(b))
 
 
-def _united(registry: Registry, first: Mode, second: Mode) -> Mode:
-    """``unite`` past its checks: two distinct atoms with ``first.id < second.id``."""
-    a, b = pair = (first.id, second.id)
-    return registry.diatomic_for_pair(a, b) or generated_mode(
-        f"{a}--{b}", UNITE, pair, f"Generated pairing of {a} and {b}.", pair,
-        f"{_title(a)}-{_title(b)}")
+def _pair_mode(mode_id: str, pair: tuple[str, str], title_a: str, title_b: str) -> Mode:
+    """The generated diatomic ``a--b`` of ``pair == (a, b)``, two distinct atom
+    ids in id order titled ``title_a`` and ``title_b``, as ``unite`` and
+    ``closure`` make it when no registered diatomic joins the pair."""
+    return Mode(mode_id, f"{title_a}-{title_b}", pair, Origin("generated", UNITE, pair),
+                f"Generated pairing of {pair[0]} and {pair[1]}.")
 
 
 #: Per unary operator: the relation whose pairs it reads, and the description
@@ -366,8 +368,10 @@ def closure(
     out: list[Derivation] = []
     # The loops below pass the operators only inputs they accept: atoms to
     # unite and the unary operators, diatomics to split, distinct pairs in id
-    # order.  So they call the operator cores and skip unpaired atoms by lookup.
+    # order.  So they skip the operators' checks: split and the unary partners
+    # run their cores, unite runs inline, and unpaired atoms are skipped by lookup.
     fresh_ids: set[str] = set(universe)  # inputs not yet tried: all, at depth 1
+    diatomic_for_pair = registry.diatomic_for_pair
     for depth in range(1, max_depth + 1):
         snapshot = sorted(universe.values(), key=lambda m: m.id)
         atoms = [m for m in snapshot if m.is_atomic]
@@ -385,16 +389,24 @@ def closure(
                         batch[novel[0].id] = Derivation(SPLIT, (mode.id,), novel, depth,
                                                         all(p.id in registry for p in novel))
             elif kind == UNITE:
-                for a, b in _pairs_touching(atoms, fresh_ids):
-                    result = _united(registry, a, b)
-                    rid = result.id
-                    if rid not in derived:
-                        derived.add(rid)
-                        # A generated result's constituents are the pair in id
-                        # order; a registered diatomic may store its pair either way.
-                        rediscovery = rid in registry
-                        inputs = (a.id, b.id) if rediscovery else result.constituents
-                        batch[rid] = Derivation(UNITE, inputs, (result,), depth, rediscovery)
+                # ``combinations(atoms, 2)`` in its own order, keeping only the
+                # pairs with a fresh member.  A generated ``a--b`` is never
+                # registered: only the diatomic over (a, b) may take that id.
+                ids = [m.id for m in atoms]
+                titles = [_title(i) for i in ids]
+                fresh_at = [i for i, a in enumerate(ids) if a in fresh_ids]
+                for i, a in enumerate(ids):
+                    for j in (range(i + 1, len(ids)) if a in fresh_ids
+                              else fresh_at[bisect_right(fresh_at, i):]):
+                        b = ids[j]
+                        held = diatomic_for_pair(a, b)
+                        rid = f"{a}--{b}" if held is None else held.id
+                        if rid not in derived:
+                            derived.add(rid)
+                            pair = (a, b)
+                            result = held or _pair_mode(rid, pair, titles[i], titles[j])
+                            batch[rid] = Derivation(UNITE, pair, (result,), depth,
+                                                    held is not None)
             else:
                 partner_of = partner_maps[kind]
                 for mode in fresh:
@@ -405,10 +417,11 @@ def closure(
                                                 (_partner(registry, rid, kind, mode),),
                                                 depth, rid in registry)
 
+        out.extend(map(batch.__getitem__, sorted(batch)))
+        if depth == max_depth:
+            break
         fresh_ids = set()
-        for first_id in sorted(batch):
-            derivation = batch[first_id]
-            out.append(derivation)
+        for derivation in batch.values():
             for result in derivation.results:
                 if result.id not in universe:
                     universe[result.id] = result
@@ -417,15 +430,3 @@ def closure(
             break
     return tuple(out)
 
-
-def _pairs_touching(atoms: Sequence[Mode], fresh_ids: set[str]):
-    """``combinations(atoms, 2)`` in its own order, keeping only the pairs
-    with a member in ``fresh_ids``."""
-    fresh_at = [i for i, m in enumerate(atoms) if m.id in fresh_ids]
-    for i, a in enumerate(atoms):
-        if a.id in fresh_ids:
-            later = atoms[i + 1:]
-        else:
-            later = [atoms[j] for j in fresh_at[bisect_right(fresh_at, i):]]
-        for b in later:
-            yield a, b

@@ -340,13 +340,16 @@ class Registry:
     # -- derivation ----------------------------------------------------------
 
     def with_modes(self, modes: Iterable[Mode]) -> "Registry":
-        """New registry extended with ``modes``; existing ids must not change."""
+        """New registry extended with ``modes``: each id given once, and existing
+        ids must not change (restating an equal registered mode is a no-op)."""
         merged = dict(self._modes)
+        seen: set[str] = set()
         for mode in modes:
-            existing = merged.get(mode.id)
-            if existing is not None and existing != mode:
+            if mode.id in seen:
+                raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
+            seen.add(mode.id)
+            if merged.setdefault(mode.id, mode) != mode:
                 raise DuplicateMode(f"mode id {mode.id!r} already registered differently")
-            merged[mode.id] = mode
         return Registry(merged.values(), version=self.version, aliases=self._aliases)
 
     # -- serialization -------------------------------------------------------

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from rhetor import canon
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "closure_scale.py"
@@ -14,13 +16,17 @@ _spec.loader.exec_module(closure_scale)
 
 def test_returns_every_documented_key():
     result = json.loads(json.dumps(closure_scale.probe((24, 12), 1)))
-    assert set(result) == {"python", "sizes", "runs", "us_per_derivation", "ratio"}
+    assert set(result) == {"python", "sizes", "runs", "us_per_derivation", "ratio", "gc_cost"}
     assert result["sizes"] == [12, 24] and result["runs"] == 1
     assert set(result["us_per_derivation"]) == set(result["ratio"]) == {"gc_on", "gc_off"}
     for key in ("gc_on", "gc_off"):
         assert set(result["us_per_derivation"][key]) == {"12", "24"}
         assert all(us > 0 for us in result["us_per_derivation"][key].values())
         assert set(result["ratio"][key]) == {"24/12"}
+    us = result["us_per_derivation"]
+    assert set(result["gc_cost"]) == {"12", "24"}
+    for n, cost in result["gc_cost"].items():
+        assert cost == pytest.approx(us["gc_on"][n] - us["gc_off"][n], abs=1e-3)
     assert gc.isenabled()
 
 

@@ -155,17 +155,25 @@ CLOSURE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
 def test_closure_tries_each_fresh_combination_once_per_depth(monkeypatch, case):
-    """At each depth, ``_united`` runs at most once per atom pair with a member
-    the previous depth added (at depth 1, every mode), and ``_partner`` at most
-    once per such atom and unary operator."""
+    """At each depth, ``diatomic_for_pair`` runs at most once per atom pair with
+    a member the previous depth added (at depth 1, every mode), and ``_partner``
+    at most once per such atom and unary operator.  ``_pair_mode`` runs once per
+    generated ``unite`` result: never for a registered pair or a result already
+    derived."""
     registry, rules = CLOSURE_CASES[case]
-    united = counting(monkeypatch, operators, "_united")
+    united = counting(monkeypatch, Registry, "diatomic_for_pair")
     partners = counting(monkeypatch, operators, "_partner")
+    pair_modes = counting(monkeypatch, operators, "_pair_mode")
     shallower_united, shallower_partners = [], []
     for depth in range(1, 5):
         united.clear()
         partners.clear()
+        pair_modes.clear()
         derivations = closure(registry, rules, OPERATOR_KINDS, depth)
+        generated = [d.results[0].id for d in derivations
+                     if d.operator == "unite" and not d.rediscovery]
+        assert sorted(mode_id for mode_id, *_ in pair_modes) == sorted(generated)
+        assert not any(mode_id in registry for mode_id, *_ in pair_modes)
         # The run one depth shallower made the same calls first.
         assert united[:len(shallower_united)] == shallower_united
         assert partners[:len(shallower_partners)] == shallower_partners
@@ -173,7 +181,7 @@ def test_closure_tries_each_fresh_combination_once_per_depth(monkeypatch, case):
                                             for r in d.results}
         fresh = known if depth == 1 else {r.id for d in derivations if d.depth == depth - 1
                                           for r in d.results} - known
-        pairs = Counter(frozenset((a.id, b.id)) for _, a, b in united[len(shallower_united):])
+        pairs = Counter(frozenset((a, b)) for _, a, b in united[len(shallower_united):])
         unary = Counter((operator, source.id)
                         for _, _, operator, source in partners[len(shallower_partners):])
         assert all(n == 1 and pair & fresh for pair, n in pairs.items())

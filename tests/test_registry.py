@@ -422,6 +422,17 @@ class TestSerializeLoad:
             registry.with_modes([Mode("narration", "Other")])
         assert str(caught.value) == "mode id 'narration' already registered differently"
 
+    def test_with_modes_refuses_one_id_given_twice(self, registry):
+        for modes in ([Mode("story", "Story")] * 2,
+                      [Mode("story", "Story"), Mode("story", "Tale")],
+                      [registry.get("narration")] * 2):
+            with pytest.raises(DuplicateMode) as caught:
+                registry.with_modes(modes)
+            assert str(caught.value) == f"mode id {modes[0].id!r} defined more than once"
+
+    def test_with_modes_restating_a_registered_mode_is_a_no_op(self, registry):
+        assert registry.with_modes([registry.get("narration")]) == registry
+
     def test_non_utf8_file_reports_line(self, tmp_path):
         file = tmp_path / "reg.json"
         file.write_bytes(b'{"modes": [],\n "version": "caf\xe9"}')

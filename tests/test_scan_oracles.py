@@ -782,13 +782,13 @@ def test_academic_compositions_register_and_load_back(function):
 def test_depth_two_unites_only_pairs_touching_a_new_atom(monkeypatch):
     registry, rules = default_registry(), default_rules()
     calls = []
-    united = operators._united
+    diatomic_for_pair = Registry.diatomic_for_pair
 
-    def counting_united(reg, first, second):
-        calls.append(frozenset((first.id, second.id)))
-        return united(reg, first, second)
+    def counting_lookup(reg, a, b):
+        calls.append(frozenset((a, b)))
+        return diatomic_for_pair(reg, a, b)
 
-    monkeypatch.setattr(operators, "_united", counting_united)
+    monkeypatch.setattr(Registry, "diatomic_for_pair", counting_lookup)
     seed = sorted(m.id for m in base_atoms())
     derivations = closure(registry, rules, ["unite", "reduce"], 2, seed=seed)
     new_atoms = {r.id for d in derivations if d.depth == 1
