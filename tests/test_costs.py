@@ -161,12 +161,12 @@ def test_closure_tries_each_fresh_combination_once_per_depth(monkeypatch, case):
     generated ``unite`` result: never for a registered pair or a result already
     derived."""
     registry, rules = CLOSURE_CASES[case]
-    united = counting(monkeypatch, Registry, "diatomic_for_pair")
+    lookups = counting(monkeypatch, Registry, "diatomic_for_pair")
     partners = counting(monkeypatch, operators, "_partner")
     pair_modes = counting(monkeypatch, operators, "_pair_mode")
-    shallower_united, shallower_partners = [], []
+    shallower_lookups, shallower_partners = [], []
     for depth in range(1, 5):
-        united.clear()
+        lookups.clear()
         partners.clear()
         pair_modes.clear()
         derivations = closure(registry, rules, OPERATOR_KINDS, depth)
@@ -175,16 +175,16 @@ def test_closure_tries_each_fresh_combination_once_per_depth(monkeypatch, case):
         assert sorted(mode_id for mode_id, *_ in pair_modes) == sorted(generated)
         assert not any(mode_id in registry for mode_id, *_ in pair_modes)
         # The run one depth shallower made the same calls first.
-        assert united[:len(shallower_united)] == shallower_united
+        assert lookups[:len(shallower_lookups)] == shallower_lookups
         assert partners[:len(shallower_partners)] == shallower_partners
         known = {m.id for m in registry} | {r.id for d in derivations if d.depth < depth - 1
                                             for r in d.results}
         fresh = known if depth == 1 else {r.id for d in derivations if d.depth == depth - 1
                                           for r in d.results} - known
-        pairs = Counter(frozenset((a, b)) for _, a, b in united[len(shallower_united):])
+        pairs = Counter(frozenset((a, b)) for _, a, b in lookups[len(shallower_lookups):])
         unary = Counter((operator, source.id)
                         for _, _, operator, source in partners[len(shallower_partners):])
         assert all(n == 1 and pair & fresh for pair, n in pairs.items())
         assert all(n == 1 and source in fresh for (_, source), n in unary.items())
-        shallower_united, shallower_partners = united[:], partners[:]
-    assert shallower_united and shallower_partners  # the bound saw calls to count
+        shallower_lookups, shallower_partners = lookups[:], partners[:]
+    assert shallower_lookups and shallower_partners  # the bound saw calls to count
