@@ -38,7 +38,7 @@ from .errors import (
     at,
 )
 from .jsontext import entries, names_field, read_document, read_text, text_field
-from .pyramid import C, E, PyramidGraph
+from .pyramid import C, E, PyramidGraph, _realizers
 from .records import record
 from .registry import Registry, _ID_PATTERN, default_registry
 
@@ -328,7 +328,6 @@ def trace_layers(
     A stage mapped twice is refused, as :func:`load_stage_map` refuses it.
     """
     by_stage = _by_stage(stage_map)
-    r_ids = graph._child_ids[C]
     observed_by_stage: dict[str, set[str]] = {}  # first-appearance order
     for seg in doc.segments:
         observed_by_stage.setdefault(seg.stage, set()).update(seg.modes)
@@ -338,19 +337,15 @@ def trace_layers(
         if mapping is None:
             raise UnmappedStage(f"stage {stage!r} has no entry in the stage map")
         e_node = graph.node(E, mapping.e_id)
-        expected: set[str] = set()
-        c_resolved = []
-        for c_name in mapping.c_ids:
-            c_id = graph.node(C, c_name).id
-            c_resolved.append(c_id)
-            expected.update(r_ids[c_id])
+        c_ids = tuple([graph.node(C, c_name).id for c_name in mapping.c_ids])
+        expected = _realizers(graph, c_ids)
         observed = frozenset(modes)
         traces.append(StageTrace(
             stage=stage,
-            c_ids=tuple(c_resolved),
+            c_ids=c_ids,
             e_id=e_node.id,
             observed=observed,
-            expected=frozenset(expected),
+            expected=expected,
             overlap=observed & expected,
             mismatch=observed - expected,
         ))
@@ -386,7 +381,11 @@ def estimate_rri(docs: Sequence[tuple[float, AnnotatedDocument]]) -> RriEstimate
     """
     if len(docs) < 2:
         raise NotEnoughStages(f"need at least two staged documents, got {len(docs)}")
+    from numbers import Real  # here, so that importing rhetor does not load it
     indices = [i for i, _ in docs]
+    not_real = [i for i in indices if isinstance(i, bool) or not isinstance(i, Real)]
+    if not_real:
+        raise BadIndex(f"stage indices must be real numbers, got {', '.join(map(repr, not_real))}")
     not_finite = [i for i in indices if not abs(i) < float("inf")]  # nan compares false
     if not_finite:
         raise BadIndex(f"stage indices must be finite, got {', '.join(map(repr, not_finite))}")

@@ -59,6 +59,8 @@ class LayeredEntropyReport:
 
 def uniform(k: int) -> list[float]:
     """The uniform distribution over ``k`` outcomes."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise OutOfRange(f"outcome count must be an integer, got {k!r}")
     if k < 1:
         raise OutOfRange(f"need at least one outcome, got {k}")
     return [1.0 / k] * k

@@ -46,8 +46,8 @@ class ParseError(RhetorError):
     """A document is structurally malformed; carries line/position when known."""
 
 
-class UnknownMode(RhetorError):
-    """A name does not resolve to any registered mode."""
+class _UnknownName(RhetorError):
+    """A name that names nothing; ``suggestions`` holds the nearby names."""
 
     def __init__(self, message: str, suggestions: tuple[str, ...] = (), line: int | None = None):
         super().__init__(message, line)
@@ -56,6 +56,10 @@ class UnknownMode(RhetorError):
     def __str__(self) -> str:
         hints = f"; did you mean: {', '.join(self.suggestions)}?" if self.suggestions else ""
         return self.args[0] + hints
+
+
+class UnknownMode(_UnknownName):
+    """A name does not resolve to any registered mode."""
 
 
 # --- operators --------------------------------------------------------------
@@ -108,7 +112,7 @@ class BadEdge(RhetorError):
     """A mapping edge references a node that does not exist."""
 
 
-class UnknownNode(RhetorError):
+class UnknownNode(_UnknownName):
     """A (layer, id) pair does not name a node of the graph."""
 
 

@@ -343,6 +343,8 @@ def closure(
     registry); a single string or :class:`Mode` names one seed mode.  Stops
     early once a depth adds nothing new.
     """
+    if not isinstance(max_depth, int) or isinstance(max_depth, bool):
+        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     if isinstance(ops, str):

@@ -322,9 +322,8 @@ class PyramidGraph:
             raise UnknownNode(f"unknown layer {layer!r}")
         found = self._nodes[layer].get(canon(name))
         if found is None:
-            hints = _hints(name, self._nodes[layer])
-            raise UnknownNode(f"no {layer}-layer node named {name!r}"
-                              + (f"; did you mean: {', '.join(hints)}?" if hints else ""))
+            raise UnknownNode(f"no {layer}-layer node named {name!r}",
+                              suggestions=_hints(name, self._nodes[layer]))
         return found
 
     def children(self, layer: str, name: str) -> tuple[LayerNode, ...]:
@@ -362,13 +361,14 @@ def _edge_view(child_ids: dict[str, tuple[str, ...]]) -> frozenset[tuple[str, st
 
 # --- graph queries -----------------------------------------------------------
 
+def _realizers(graph: PyramidGraph, c_ids: Iterable[str]) -> frozenset[str]:
+    """The R-ids under the C-nodes ``c_ids``, each an id of a C-node of ``graph``."""
+    return frozenset().union(*map(graph._child_ids[C].__getitem__, c_ids))
+
+
 def compose_re(graph: PyramidGraph, e_name: str) -> tuple[str, ...]:
     """All R-ids reachable from an E-node through its C-children, sorted."""
-    r_ids = graph._child_ids[C]
-    reached: set[str] = set()
-    for c_id in graph._child_ids[E][graph.node(E, e_name).id]:
-        reached.update(r_ids[c_id])
-    return tuple(sorted(reached))
+    return tuple(sorted(_realizers(graph, graph._child_ids[E][graph.node(E, e_name).id])))
 
 
 def branching_stats(graph: PyramidGraph) -> BranchingStats:
@@ -469,7 +469,7 @@ def compose_academic(registry: Registry, f: AcademicFunction) -> Mode:
             f"core mode {core.id!r} cannot also be a supplement of {f.name!r}")
     constituents = (core.id, *(s.id for s in supplements))
     name_id = canon(f.name)
-    if not _ID_PATTERN.match(name_id):
+    if not _ID_PATTERN.match(name_id) or "--" in name_id:  # ``af-a--b`` is a pair's id
         raise BadComposition(f"cannot form an id from function name {f.name!r}")
     return generated_mode(
         f"af-{name_id}", "academic-composition", constituents,

@@ -342,15 +342,8 @@ class Registry:
     def with_modes(self, modes: Iterable[Mode]) -> "Registry":
         """New registry extended with ``modes``: each id given once, and existing
         ids must not change (restating an equal registered mode is a no-op)."""
-        merged = dict(self._modes)
-        seen: set[str] = set()
-        for mode in modes:
-            if mode.id in seen:
-                raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
-            seen.add(mode.id)
-            if merged.setdefault(mode.id, mode) != mode:
-                raise DuplicateMode(f"mode id {mode.id!r} already registered differently")
-        return Registry(merged.values(), version=self.version, aliases=self._aliases)
+        return Registry(_merged(self._modes, modes).values(), version=self.version,
+                        aliases=self._aliases)
 
     # -- serialization -------------------------------------------------------
 
@@ -373,24 +366,28 @@ class Registry:
         return {"version": self.version, "modes": modes, "aliases": dict(sorted(self._aliases.items()))}
 
 
-def _build_default() -> Registry:
-    modes = []
-    for mode_id, display, constituents, description in _CANONICAL:
-        modes.append(Mode(mode_id, display, constituents, description=description))
-    for mode_id, display, description in _DECOMPOSED:
-        modes.append(Mode(mode_id, display, (), _DECOMPOSED_ORIGIN, description))
-    return Registry(modes, version=DEFAULT_VERSION, aliases=DEFAULT_ALIASES)
+def _merged(held: dict[str, Mode], modes: Iterable[Mode]) -> dict[str, Mode]:
+    """``held`` extended with ``modes``: each id given once, and a held id
+    restated only unchanged."""
+    merged = dict(held)
+    seen: set[str] = set()
+    for mode in modes:
+        if mode.id in seen:
+            raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
+        seen.add(mode.id)
+        if merged.setdefault(mode.id, mode) != mode:
+            raise DuplicateMode(f"mode id {mode.id!r} conflicts with an existing definition")
+    return merged
 
 
-_DEFAULT: Registry | None = None
-
-
+@lru_cache(maxsize=None)
 def default_registry() -> Registry:
     """The shared built-in registry of 28 modes (21 atomic, 7 diatomic)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = _build_default()
-    return _DEFAULT
+    modes = [Mode(mode_id, display, constituents, description=description)
+             for mode_id, display, constituents, description in _CANONICAL]
+    modes += [Mode(mode_id, display, (), _DECOMPOSED_ORIGIN, description)
+              for mode_id, display, description in _DECOMPOSED]
+    return Registry(modes, version=DEFAULT_VERSION, aliases=DEFAULT_ALIASES)
 
 
 def base_registry() -> Registry:
@@ -399,16 +396,13 @@ def base_registry() -> Registry:
     Constituent links of the diatomics are left unresolved here; this view
     exists for working with the canonical table alone (7 atoms, 7 diatomics).
     """
-    modes = [Mode(mode_id, display, constituents, description=description)
-             for mode_id, display, constituents, description in _CANONICAL]
-    return Registry(modes, version="builtin-canonical-1", aliases={},
-                    require_constituents=False)
+    return Registry((m for m in default_registry() if m.origin.kind == "base"),
+                    version="builtin-canonical-1", aliases={}, require_constituents=False)
 
 
 def base_atoms() -> frozenset[Mode]:
     """The 7 atomic modes of the canonical table."""
-    return frozenset(m for m in default_registry()
-                     if m.is_atomic and m.origin.kind == "base")
+    return base_registry().atoms()
 
 
 # --- document parsing -------------------------------------------------------
@@ -462,17 +456,16 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
     extra = doc.get("aliases", {})
     if not isinstance(extra, dict):
         raise ParseError("registry 'aliases' must be an object")
-    merged = {m.id: m for m in default_registry()}
     aliases = dict(DEFAULT_ALIASES)
-    seen: set[str] = set()
-    try:
+
+    def checked() -> Iterator[Mode]:  # ``where`` names the entry the merge reads
+        nonlocal where
         for where, mode in modes:
             _check_mode(mode)
-            if mode.id in seen:
-                raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
-            seen.add(mode.id)
-            if merged.setdefault(mode.id, mode) != mode:
-                raise DuplicateMode(f"mode id {mode.id!r} conflicts with an existing definition")
+            yield mode
+
+    try:
+        merged = _merged(default_registry()._modes, checked())
         for alias, target in extra.items():
             where = f"aliases[{alias!r}]"
             if not isinstance(target, str):

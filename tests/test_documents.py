@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,6 +459,23 @@ class TestRriEstimation:
         docs = [(i, make_doc(("S", {"narration"}))) for i in indices]
         with pytest.raises(BadIndex, match=f"^stage indices must be finite, got {named}$"):
             estimate_rri(docs)
+
+    @pytest.mark.parametrize("indices, named", [
+        (("a", "b"), "'a', 'b'"),
+        ((False, True), "False, True"),
+        ((1.0, None, 3), "None"),
+        ((0, 1j), "1j"),
+    ])
+    def test_indices_that_are_not_real_numbers(self, indices, named):
+        docs = [(i, make_doc(("S", {"narration"}))) for i in indices]
+        with pytest.raises(BadIndex) as caught:
+            estimate_rri(docs)
+        assert str(caught.value) == f"stage indices must be real numbers, got {named}"
+
+    def test_exact_real_indices_are_accepted(self):
+        docs = [(Fraction(1, 2), make_doc(("S", {"narration"}))),
+                (1, make_doc(("S", {"narration", "contrast"})))]
+        assert estimate_rri(docs).intervals[0].L_n == 2
 
 
 class TestSchedules:

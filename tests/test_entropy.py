@@ -106,6 +106,17 @@ class TestFlatEntropy:
         with pytest.raises(OutOfRange):
             uniform(0)
 
+    @pytest.mark.parametrize("k, message", [
+        (0, "need at least one outcome, got 0"),
+        (True, "outcome count must be an integer, got True"),
+        (2.5, "outcome count must be an integer, got 2.5"),
+        ("3", "outcome count must be an integer, got '3'"),
+    ])
+    def test_uniform_refuses_a_count_that_is_not_a_positive_int(self, k, message):
+        with pytest.raises(OutOfRange) as caught:
+            uniform(k)
+        assert str(caught.value) == message
+
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1,
                     max_size=12))
     @settings(max_examples=60)

@@ -232,6 +232,13 @@ class TestRuleSet:
     def test_load_none_is_default(self, rules):
         assert load_rules() == rules
 
+    def test_repr(self, rules):
+        assert repr(rules) == "DualityRuleSet(reversal=4, scale=1, orthogonal=1)"
+
+    def test_never_equal_to_another_type(self, rules):
+        assert (rules == rules.to_document()) is False
+        assert (rules != "rules") is True
+
     def test_repeated_mode_in_relation_rejected(self):
         with pytest.raises(BadRuleSet):
             DualityRuleSet(reversal=[("a", "b"), ("a", "c")])
@@ -359,6 +366,21 @@ class TestClosure:
     def test_terminates_at_large_depth(self, registry, rules):
         derivations = closure(registry, rules, OPERATOR_KINDS, 50)
         assert max(d.depth for d in derivations) < 10
+
+    def test_rules_default_to_the_built_in_rules(self, registry, rules):
+        assert closure(registry) == closure(registry, default_rules())
+        assert closure(registry, max_depth=2) == closure(registry, rules, max_depth=2)
+
+    @pytest.mark.parametrize("depth, message", [
+        (0, "max_depth must be at least 1"),
+        (True, "max_depth must be an integer, got True"),
+        (1.5, "max_depth must be an integer, got 1.5"),
+        ("2", "max_depth must be an integer, got '2'"),
+    ])
+    def test_depth_must_be_a_positive_int(self, registry, rules, depth, message):
+        with pytest.raises(ValueError) as caught:
+            closure(registry, rules, OPERATOR_KINDS, depth)
+        assert str(caught.value) == message
 
     def test_bad_arguments(self, registry, rules):
         with pytest.raises(ValueError):

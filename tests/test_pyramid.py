@@ -70,6 +70,23 @@ class TestLookup:
             graph.node(C, "evaluat")
         assert "evaluate" in str(err.value)
 
+    def test_unknown_node_carries_its_suggestions(self, graph):
+        with pytest.raises(UnknownNode) as err:
+            graph.node(C, "observ")
+        assert err.value.suggestions == ("observe",)
+        assert str(err.value) == "no C-layer node named 'observ'; did you mean: observe?"
+        with pytest.raises(UnknownNode) as err:
+            graph.node(E, "zzz")
+        assert err.value.suggestions == ()
+        assert str(err.value) == "no E-layer node named 'zzz'"
+
+    def test_repr(self, graph):
+        assert repr(graph) == "PyramidGraph('default', R=21, C=14, E=8)"
+
+    def test_never_equal_to_another_type(self, graph):
+        assert (graph == graph.to_document()) is False
+        assert (graph != "default") is True
+
     def test_unknown_layer(self, graph):
         with pytest.raises(UnknownNode):
             graph.node("X", "observe")
@@ -370,10 +387,12 @@ class TestComposeAcademic:
             compose_academic(registry, AcademicFunction(
                 "ghost", "definition", ("no-such-mode",)))
 
-    def test_function_name_without_an_id_rejected(self, registry):
+    # "a--b" would give "af-a--b", an id kept for the diatomic of "af-a" and "b".
+    @pytest.mark.parametrize("name", ["!!!", "a--b"])
+    def test_function_name_without_an_id_rejected(self, registry, name):
         with pytest.raises(BadComposition) as caught:
-            compose_academic(registry, AcademicFunction("!!!", "definition", ("comparison",)))
-        assert str(caught.value) == "cannot form an id from function name '!!!'"
+            compose_academic(registry, AcademicFunction(name, "definition", ("comparison",)))
+        assert str(caught.value) == f"cannot form an id from function name {name!r}"
 
 
 class TestFixtureIntegrity:

@@ -124,6 +124,22 @@ class TestDefaultRegistry:
         assert len(base.atoms()) == 7
         assert len(base.diatomics()) == 7
 
+    def test_base_registry_keeps_the_base_modes_in_order(self, registry):
+        assert list(base_registry()) == [m for m in registry if m.origin.kind == "base"]
+        assert base_registry().version == "builtin-canonical-1"
+        assert base_registry().aliases == {}
+
+    def test_default_registry_is_built_once(self):
+        assert default_registry() is default_registry()
+
+    def test_repr(self, registry):
+        assert repr(registry) == "Registry(28 modes, version='builtin-1')"
+        assert repr(base_registry()) == "Registry(14 modes, version='builtin-canonical-1')"
+
+    def test_never_equal_to_another_type(self, registry):
+        assert (registry == list(registry)) is False
+        assert (registry != registry.to_document()) is True
+
     def test_base_atoms(self):
         assert {m.id for m in base_atoms()} == {
             "analogy", "definition", "description", "evaluation",
@@ -420,7 +436,7 @@ class TestSerializeLoad:
     def test_with_modes_refuses_a_changed_builtin(self, registry):
         with pytest.raises(DuplicateMode) as caught:
             registry.with_modes([Mode("narration", "Other")])
-        assert str(caught.value) == "mode id 'narration' already registered differently"
+        assert str(caught.value) == "mode id 'narration' conflicts with an existing definition"
 
     def test_with_modes_refuses_one_id_given_twice(self, registry):
         for modes in ([Mode("story", "Story")] * 2,

@@ -87,6 +87,58 @@ def test_registry_raises_or_round_trips(data):
     assert load_registry(serialize_registry(registry)) == registry
 
 
+# Modes for the merge law: new ones, built-ins restated unchanged, built-ins
+# changed, and modes that a registry refuses on their own.
+NEW = [Mode("story", "Story"), Mode("scene", "Scene", description="One scene."),
+       Mode("twist", "Twist", origin=Origin("generated", "user")),
+       Mode("arc", "Arc", ("cause", "narration", "effect"))]
+UNCHANGED = [default_registry().get(mode_id) for mode_id in ("narration", "cause-effect",
+                                                             "evidence")]
+CHANGED = [Mode("narration", "Other"),
+           Mode("cause-effect", "Cause-Effect", ("cause", "effect"), description="?"),
+           Mode("evidence", "Evidence", origin=Origin("decomposed"))]
+REFUSED = [Mode("Bad Id", "Bad"), Mode("aa--bb", "Join"), Mode("solo", "Solo", ("story",)),
+           Mode("twin", "Twin", ("cause", "cause"))]
+
+
+def registry_entry(mode):
+    """``mode`` as an entry of a registry document's ``modes`` list."""
+    origin = mode.origin
+    return {"id": mode.id, "display_name": mode.display_name,
+            "constituents": list(mode.constituents), "description": mode.description,
+            "origin": (origin.kind if origin.kind != "generated"
+                       else {"operator": origin.operator, "inputs": list(origin.inputs)})}
+
+
+def outcome(build):
+    try:
+        return build()
+    except RhetorError as exc:
+        return exc
+
+
+@laws
+def test_with_modes_and_load_registry_merge_by_one_rule(data):
+    """The built-ins extended in code and by a registry document agree: both
+    give one registry, or both raise one error, which the loader puts at the
+    entry where the list first fails.  A drawn list holds repeats and changed
+    built-ins, or modes refused on their own, but not both: ``with_modes``
+    merges before its registry checks each mode, and the loader checks each
+    entry as it merges it."""
+    modes = data.draw(st.lists(st.sampled_from(NEW + UNCHANGED + CHANGED), max_size=5)
+                      | st.lists(st.sampled_from(NEW + UNCHANGED + REFUSED), max_size=5,
+                                 unique_by=lambda m: m.id))
+    in_code = outcome(lambda: default_registry().with_modes(modes))
+    loaded = outcome(lambda: load_registry({"modes": [registry_entry(m) for m in modes]}))
+    if isinstance(in_code, Registry):
+        assert loaded == in_code
+        return
+    first = next(i for i in range(len(modes)) if isinstance(
+        outcome(lambda: default_registry().with_modes(modes[:i + 1])), RhetorError))
+    assert type(loaded) is type(in_code)
+    assert str(loaded) == f"modes[{first}]: {in_code}"
+
+
 @laws
 def test_rules_raise_or_round_trip(data):
     names = mostly(FRESH + ["cause", "Story", " scene"], ["", "9x", "aa--bb", "a b c"])
