@@ -387,12 +387,12 @@ class TestComposeAcademic:
             compose_academic(registry, AcademicFunction(
                 "ghost", "definition", ("no-such-mode",)))
 
-    # "a--b" would give "af-a--b", an id kept for the diatomic of "af-a" and "b".
-    @pytest.mark.parametrize("name", ["!!!", "a--b"])
-    def test_function_name_without_an_id_rejected(self, registry, name):
-        with pytest.raises(BadComposition) as caught:
-            compose_academic(registry, AcademicFunction(name, "definition", ("comparison",)))
-        assert str(caught.value) == f"cannot form an id from function name {name!r}"
+    def test_function_name_without_an_id_rejected(self, registry):
+        # "a--b" would give "af-a--b", the id kept for the diatomic of "af-a" and "b".
+        for name in ("!!!", "a--b"):
+            with pytest.raises(BadComposition) as caught:
+                compose_academic(registry, AcademicFunction(name, "definition", ("comparison",)))
+            assert str(caught.value) == f"cannot form an id from function name {name!r}"
 
 
 class TestFixtureIntegrity:
