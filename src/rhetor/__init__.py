@@ -33,7 +33,7 @@ _SUBMODULE = {name: module for module, names in {
     "pyramid": """ACADEMIC_PROFILE DEFAULT_PROFILE AcademicFunction BranchingStats
         LayerNode PyramidGraph academic_function_examples branching_stats
         compose_academic compose_re load_pyramid serialize_pyramid""",
-    "registry": """Mode Origin Registry base_atoms base_registry canon
+    "registry": """Mode Origin Registry base_atoms canon
         default_registry load_registry serialize_registry""",
     "schedule": """ConeRow StageSchedule StageStep cone default_schedule
         load_schedule serialize_schedule""",

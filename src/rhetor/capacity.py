@@ -113,6 +113,9 @@ def capacity_ratio(k1: int, k2: int) -> float:
 
 def growth(l_n: float, c_0: float = 1.0) -> GrowthParams:
     """Bits/stage and load class for introduction rate ``l_n`` against capacity ``c_0``."""
+    for name, value in (("learner capacity C_0", c_0), ("introduction rate L_n", l_n)):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise BadCapacity(f"{name} must be an int or float, got {value!r}")
     if not math.isfinite(c_0) or c_0 <= 0:
         raise BadCapacity(f"learner capacity C_0 must be positive, got {c_0!r}")
     if not math.isfinite(l_n) or l_n < 0:
@@ -133,6 +136,8 @@ def growth(l_n: float, c_0: float = 1.0) -> GrowthParams:
 
 def coverage_band(c_m: float) -> str:
     """Band for a usage share: limited < 0.3 ≤ moderate < 0.7 ≤ high."""
+    if not isinstance(c_m, (int, float)) or isinstance(c_m, bool) or not 0 <= c_m <= 1:
+        raise BadCount(f"usage share must be an int or float from 0 to 1, got {c_m!r}")
     if c_m < 0.3:
         return LIMITED
     if c_m < 0.7:

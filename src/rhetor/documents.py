@@ -381,6 +381,10 @@ def estimate_rri(docs: Sequence[tuple[float, AnnotatedDocument]]) -> RriEstimate
     """
     if len(docs) < 2:
         raise NotEnoughStages(f"need at least two staged documents, got {len(docs)}")
+    for position, entry in enumerate(docs):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and isinstance(entry[1], AnnotatedDocument)):
+            raise ParseError(f"docs[{position}]: not a (stage index, AnnotatedDocument) pair")
     from numbers import Real  # here, so that importing rhetor does not load it
     indices = [i for i, _ in docs]
     not_real = [i for i in indices if isinstance(i, bool) or not isinstance(i, Real)]

@@ -234,26 +234,16 @@ DEFAULT_VERSION = "builtin-1"
 class Registry:
     """Immutable set of modes with alias-aware, canonicalizing lookup."""
 
-    def __init__(
-        self,
-        modes: Iterable[Mode],
-        version: str = DEFAULT_VERSION,
-        aliases: dict[str, str] | None = None,
-        require_constituents: bool = True,
-    ):
-        self._modes: dict[str, Mode] = {}
-        for mode in modes:
-            _check_mode(mode)
-            if mode.id in self._modes:
-                raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
-            self._modes[mode.id] = mode
+    def __init__(self, modes: Iterable[Mode], version: str = DEFAULT_VERSION,
+                 aliases: dict[str, str] | None = None):
+        self._modes = _merged({}, modes)
         if not isinstance(version, str):
             raise ParseError(f"registry version must be a string, got {version!r}")
         self.version = version
         self._aliases = dict(aliases or {})
         for alias, target in self._aliases.items():
             _check_alias(alias, target, self._modes)
-        for mode in self._modes.values() if require_constituents else ():
+        for mode in self._modes.values():
             for cid in mode.constituents:
                 part = self._modes.get(cid)
                 if part is None:
@@ -367,16 +357,22 @@ class Registry:
 
 
 def _merged(held: dict[str, Mode], modes: Iterable[Mode]) -> dict[str, Mode]:
-    """``held`` extended with ``modes``: each id given once, and a held id
-    restated only unchanged."""
+    """``held`` extended with ``modes``, the one loop that checks and merges
+    modes: each passes ``_check_mode``, each id is given once, and a held id
+    is restated only unchanged.  An error names the mode's place in ``modes``
+    (``modes[3]: ...``), in code as in a registry document."""
     merged = dict(held)
     seen: set[str] = set()
-    for mode in modes:
-        if mode.id in seen:
-            raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
-        seen.add(mode.id)
-        if merged.setdefault(mode.id, mode) != mode:
-            raise DuplicateMode(f"mode id {mode.id!r} conflicts with an existing definition")
+    for position, mode in enumerate(modes):
+        try:
+            _check_mode(mode)
+            if mode.id in seen:
+                raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
+            seen.add(mode.id)
+            if merged.setdefault(mode.id, mode) != mode:
+                raise DuplicateMode(f"mode id {mode.id!r} conflicts with an existing definition")
+        except RhetorError as exc:
+            raise at(f"modes[{position}]", exc)
     return merged
 
 
@@ -390,19 +386,9 @@ def default_registry() -> Registry:
     return Registry(modes, version=DEFAULT_VERSION, aliases=DEFAULT_ALIASES)
 
 
-def base_registry() -> Registry:
-    """Only the 14 canonical modes, without the decomposed atoms.
-
-    Constituent links of the diatomics are left unresolved here; this view
-    exists for working with the canonical table alone (7 atoms, 7 diatomics).
-    """
-    return Registry((m for m in default_registry() if m.origin.kind == "base"),
-                    version="builtin-canonical-1", aliases={}, require_constituents=False)
-
-
 def base_atoms() -> frozenset[Mode]:
     """The 7 atomic modes of the canonical table."""
-    return base_registry().atoms()
+    return frozenset(m for m in default_registry() if m.is_atomic and m.origin.kind == "base")
 
 
 # --- document parsing -------------------------------------------------------
@@ -445,37 +431,29 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
     to a JSON file, JSON text, or an already-parsed dict.  Document entries
     extend the default registry; restating a built-in mode or alias unchanged
     is a no-op, redefining it is a :class:`DuplicateMode` error, and so is
-    pointing two spellings of one alias at different modes.  An error names
-    the entry: each one passes the registry's own checks as it is read.
+    pointing two spellings of one alias at different modes.  The parsed
+    modes go through the same merge as :meth:`Registry.with_modes`, so an
+    error names its entry the same way (``modes[1]: ...``, ``aliases['x']: ...``).
     """
     if source is None:
         return default_registry()
     doc = read_document(source, "registry")
-    modes = [(where, _mode_from_entry(entry, where))
-             for where, entry in entries(doc, "modes", "registry")]
+    modes = [_mode_from_entry(entry, where) for where, entry in entries(doc, "modes", "registry")]
     extra = doc.get("aliases", {})
     if not isinstance(extra, dict):
         raise ParseError("registry 'aliases' must be an object")
+    merged = _merged(default_registry()._modes, modes)
     aliases = dict(DEFAULT_ALIASES)
-
-    def checked() -> Iterator[Mode]:  # ``where`` names the entry the merge reads
-        nonlocal where
-        for where, mode in modes:
-            _check_mode(mode)
-            yield mode
-
-    try:
-        merged = _merged(default_registry()._modes, checked())
-        for alias, target in extra.items():
-            where = f"aliases[{alias!r}]"
+    for alias, target in extra.items():
+        try:
             if not isinstance(target, str):
                 raise ParseError("alias must name a mode")
             key, target = canon(alias), canon(target)
             _check_alias(key, target, merged)
             if aliases.setdefault(key, target) != target:
                 raise DuplicateMode(f"alias {key!r} already points at {aliases[key]!r}")
-    except RhetorError as exc:
-        raise at(where, exc)
+        except RhetorError as exc:
+            raise at(f"aliases[{alias!r}]", exc)
     return Registry(merged.values(), version=doc.get("version", DEFAULT_VERSION),
                     aliases=aliases)
 

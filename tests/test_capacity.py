@@ -166,6 +166,20 @@ class TestGrowth:
         with pytest.raises(BadCapacity):
             growth(-0.1)
 
+    @pytest.mark.parametrize("l_n, c_0, message", [
+        (True, 1.0, "introduction rate L_n must be an int or float, got True"),
+        ("x", 1.0, "introduction rate L_n must be an int or float, got 'x'"),
+        (None, 1.0, "introduction rate L_n must be an int or float, got None"),
+        (1.0, False, "learner capacity C_0 must be an int or float, got False"),
+        (1.0, "2", "learner capacity C_0 must be an int or float, got '2'"),
+        (1.0, 2j, "learner capacity C_0 must be an int or float, got 2j"),
+    ], ids=["bool-rate", "str-rate", "none-rate", "bool-capacity", "str-capacity",
+            "complex-capacity"])
+    def test_rate_or_capacity_that_is_not_a_number(self, l_n, c_0, message):
+        with pytest.raises(BadCapacity) as caught:
+            growth(l_n, c_0)
+        assert str(caught.value) == message
+
     def test_load_beyond_float_range(self):
         with pytest.raises(BadCapacity, match="out of floating-point range"):
             growth(1e308, c_0=1e-10)
@@ -191,6 +205,16 @@ class TestCoverage:
         assert coverage_band(0.69999) == "moderate"
         assert coverage_band(0.7) == "high"
         assert coverage_band(1.0) == "high"
+        assert coverage_band(0) == "limited" and coverage_band(1) == "high"
+
+    @pytest.mark.parametrize("share", [math.nan, -1, -0.01, 1.5, math.inf, True, "0.5", None],
+                             ids=["nan", "negative-int", "negative", "above-one", "inf",
+                                  "bool", "str", "none"])
+    def test_band_helper_refuses_a_share_outside_0_to_1(self, share):
+        with pytest.raises(BadCount) as caught:
+            coverage_band(share)
+        assert str(caught.value) == (f"usage share must be an int or float from 0 to 1, "
+                                     f"got {share!r}")
 
     def test_no_width_cap(self):
         assert coverage(100, 200).C_m == pytest.approx(0.5)

@@ -472,6 +472,20 @@ class TestRriEstimation:
             estimate_rri(docs)
         assert str(caught.value) == f"stage indices must be real numbers, got {named}"
 
+    @pytest.mark.parametrize("docs, position", [
+        ([1, 2], 0),
+        ([(1, "d"), (2, "x")], 0),
+        ([(1, None), (2, "x")], 0),
+        ([(1, make_doc(("S", {"narration"}))), (2, "x")], 1),
+        ([(1, make_doc(("S", {"narration"})), 3), (2, make_doc(("S", {"narration"})))], 0),
+        ([(1, make_doc(("S", {"narration"}))), (2,)], 1),
+    ], ids=["ints", "str-docs", "none-doc", "str-second-doc", "triple", "single"])
+    def test_entry_that_is_not_a_stage_document_pair(self, docs, position):
+        with pytest.raises(ParseError) as caught:
+            estimate_rri(docs)
+        assert str(caught.value) == (f"docs[{position}]: not a (stage index, "
+                                     f"AnnotatedDocument) pair")
+
     def test_exact_real_indices_are_accepted(self):
         docs = [(Fraction(1, 2), make_doc(("S", {"narration"}))),
                 (1, make_doc(("S", {"narration", "contrast"})))]

@@ -34,7 +34,7 @@ MAX_WIDTH MRB Mode NoDual NotAtomic NotDiatomic NotEnoughStages OPERATOR_KINDS
 Origin OutOfRange ParseError PyramidGraph Registry RhetorError RriEstimate
 Segment SelfUnite StageMapping StageSchedule StageStep StageTrace UnknownMode
 UnknownNode UnknownProfile UnmappedStage academic_function_examples
-analyze_coverage asymptotic_subset_entropy base_atoms base_registry
+analyze_coverage asymptotic_subset_entropy base_atoms
 branching_stats canon capacity capacity_ratio capacity_table closure
 compose_academic compose_re cone coverage coverage_band default_registry
 default_rules default_schedule entropy_flat entropy_layered entropy_subset_sizes

@@ -17,7 +17,6 @@ from rhetor import (
     SelfUnite,
     UnknownMode,
     base_atoms,
-    base_registry,
     closure,
     default_registry,
     default_rules,
@@ -58,10 +57,9 @@ class TestSplit:
         generated = unite(registry, "narration", "analogy")
         assert {m.id for m in split(registry, generated)} == {"narration", "analogy"}
 
-    def test_parts_the_registry_lacks_are_generated(self):
-        registry = base_registry()
-        assert "cause" not in registry and "effect" not in registry
-        parts = split(registry, "cause-effect")
+    def test_parts_the_registry_lacks_are_generated(self, registry):
+        lacking = Registry([Mode("narration", "Narration")])
+        parts = split(lacking, registry.get("cause-effect"))
         assert [m.id for m in parts] == ["cause", "effect"]
         for part in parts:
             assert part.is_atomic

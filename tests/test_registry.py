@@ -13,7 +13,6 @@ from rhetor import (
     Registry,
     UnknownMode,
     base_atoms,
-    base_registry,
     canon,
     default_registry,
     load_pyramid,
@@ -118,23 +117,11 @@ class TestDefaultRegistry:
     def test_atoms_read_is_stable(self, registry):
         assert registry.atoms() == registry.atoms()
 
-    def test_base_registry_is_the_canonical_table(self):
-        base = base_registry()
-        assert len(base) == 14
-        assert len(base.atoms()) == 7
-        assert len(base.diatomics()) == 7
-
-    def test_base_registry_keeps_the_base_modes_in_order(self, registry):
-        assert list(base_registry()) == [m for m in registry if m.origin.kind == "base"]
-        assert base_registry().version == "builtin-canonical-1"
-        assert base_registry().aliases == {}
-
     def test_default_registry_is_built_once(self):
         assert default_registry() is default_registry()
 
     def test_repr(self, registry):
         assert repr(registry) == "Registry(28 modes, version='builtin-1')"
-        assert repr(base_registry()) == "Registry(14 modes, version='builtin-canonical-1')"
 
     def test_never_equal_to_another_type(self, registry):
         assert (registry == list(registry)) is False
@@ -424,7 +411,7 @@ class TestSerializeLoad:
     def test_one_id_twice_in_code_rejected(self):
         with pytest.raises(DuplicateMode) as caught:
             Registry([Mode("a", "A"), Mode("a", "A")])
-        assert str(caught.value) == "mode id 'a' defined more than once"
+        assert str(caught.value) == "modes[1]: mode id 'a' defined more than once"
 
     def test_compound_nesting_a_compound_rejected(self):
         atoms = [Mode("a", "A"), Mode("b", "B"), Mode("c", "C")]
@@ -436,7 +423,8 @@ class TestSerializeLoad:
     def test_with_modes_refuses_a_changed_builtin(self, registry):
         with pytest.raises(DuplicateMode) as caught:
             registry.with_modes([Mode("narration", "Other")])
-        assert str(caught.value) == "mode id 'narration' conflicts with an existing definition"
+        assert str(caught.value) == ("modes[0]: mode id 'narration' conflicts with an "
+                                     "existing definition")
 
     def test_with_modes_refuses_one_id_given_twice(self, registry):
         for modes in ([Mode("story", "Story")] * 2,
@@ -444,7 +432,7 @@ class TestSerializeLoad:
                       [registry.get("narration")] * 2):
             with pytest.raises(DuplicateMode) as caught:
                 registry.with_modes(modes)
-            assert str(caught.value) == f"mode id {modes[0].id!r} defined more than once"
+            assert str(caught.value) == f"modes[1]: mode id {modes[0].id!r} defined more than once"
 
     def test_with_modes_restating_a_registered_mode_is_a_no_op(self, registry):
         assert registry.with_modes([registry.get("narration")]) == registry

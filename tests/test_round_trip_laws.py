@@ -120,14 +120,10 @@ def outcome(build):
 @laws
 def test_with_modes_and_load_registry_merge_by_one_rule(data):
     """The built-ins extended in code and by a registry document agree: both
-    give one registry, or both raise one error, which the loader puts at the
-    entry where the list first fails.  A drawn list holds repeats and changed
-    built-ins, or modes refused on their own, but not both: ``with_modes``
-    merges before its registry checks each mode, and the loader checks each
-    entry as it merges it."""
-    modes = data.draw(st.lists(st.sampled_from(NEW + UNCHANGED + CHANGED), max_size=5)
-                      | st.lists(st.sampled_from(NEW + UNCHANGED + REFUSED), max_size=5,
-                                 unique_by=lambda m: m.id))
+    give one registry, or both raise one error with one text, which names the
+    mode where the list first fails."""
+    modes = data.draw(st.lists(st.sampled_from(NEW + UNCHANGED + CHANGED + REFUSED),
+                               max_size=5))
     in_code = outcome(lambda: default_registry().with_modes(modes))
     loaded = outcome(lambda: load_registry({"modes": [registry_entry(m) for m in modes]}))
     if isinstance(in_code, Registry):
@@ -136,7 +132,8 @@ def test_with_modes_and_load_registry_merge_by_one_rule(data):
     first = next(i for i in range(len(modes)) if isinstance(
         outcome(lambda: default_registry().with_modes(modes[:i + 1])), RhetorError))
     assert type(loaded) is type(in_code)
-    assert str(loaded) == f"modes[{first}]: {in_code}"
+    assert str(loaded) == str(in_code)
+    assert str(in_code).startswith(f"modes[{first}]: ")
 
 
 @laws
@@ -238,9 +235,10 @@ def test_graph_that_would_not_load_back_is_refused(profile, nodes, error, messag
 
 
 @pytest.mark.parametrize("mode, message", [
-    (Mode("story", ""), "mode 'story' display name must be a non-empty string, got ''"),
-    (Mode("story", 5), "mode 'story' display name must be a non-empty string, got 5"),
-    (Mode("story", "S", description=7), "mode 'story' description must be a string, got 7"),
+    (Mode("story", ""), "modes[28]: mode 'story' display name must be a non-empty string, got ''"),
+    (Mode("story", 5), "modes[28]: mode 'story' display name must be a non-empty string, got 5"),
+    (Mode("story", "S", description=7),
+     "modes[28]: mode 'story' description must be a string, got 7"),
 ], ids=["empty-display-name", "int-display-name", "int-description"])
 def test_registry_mode_that_would_not_load_back_is_refused(mode, message):
     with pytest.raises(ParseError) as caught:
