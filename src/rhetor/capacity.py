@@ -22,6 +22,7 @@ Metrics:
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import BadCapacity, BadCount, OutOfRange
 from .records import record
@@ -49,6 +50,14 @@ def _check_width(k: int, top: int = MAX_WIDTH) -> None:
         raise OutOfRange(f"width must be an integer, got {k!r}")
     if k < 1 or k > top:
         raise OutOfRange(f"width {k} outside supported range 1..{top}")
+
+
+def _beyond_float(value) -> bool:
+    """Whether real ``value`` is too large for a float: ``float`` raises on it.
+
+    A float itself, ``inf`` and ``nan`` too, is not beyond.
+    """
+    return not isinstance(value, float) and abs(value) > sys.float_info.max
 
 
 @record
@@ -116,6 +125,8 @@ def growth(l_n: float, c_0: float = 1.0) -> GrowthParams:
     for name, value in (("learner capacity C_0", c_0), ("introduction rate L_n", l_n)):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise BadCapacity(f"{name} must be an int or float, got {value!r}")
+        if _beyond_float(value):
+            raise BadCapacity(f"{name} is out of floating-point range")
     if not math.isfinite(c_0) or c_0 <= 0:
         raise BadCapacity(f"learner capacity C_0 must be positive, got {c_0!r}")
     if not math.isfinite(l_n) or l_n < 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .capacity import MAX_WIDTH, _check_width
+from .capacity import MAX_WIDTH, _beyond_float, _check_width
 from .errors import BadCount, BadDistribution, OutOfRange
 from .records import record
 
@@ -61,6 +61,8 @@ def uniform(k: int) -> list[float]:
     """The uniform distribution over ``k`` outcomes."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise OutOfRange(f"outcome count must be an integer, got {k!r}")
+    if _beyond_float(k):
+        raise OutOfRange("outcome count is out of floating-point range")
     if k < 1:
         raise OutOfRange(f"need at least one outcome, got {k}")
     return [1.0 / k] * k
@@ -72,7 +74,10 @@ def entropy_flat(probabilities: Iterable[float]) -> float:
     probabilities = tuple(probabilities)
     total = 0.0
     for p in probabilities:
-        if isinstance(p, bool) or not isinstance(p, Real) or not math.isfinite(p) or p < 0:
+        real = isinstance(p, Real) and not isinstance(p, bool)
+        if real and _beyond_float(p):
+            raise BadDistribution("a probability is out of floating-point range")
+        if not real or not math.isfinite(p) or p < 0:
             raise BadDistribution(f"probability {p!r} is not a real number in [0, 1]")
         total += p
     if abs(total - 1.0) > DISTRIBUTION_TOLERANCE:

@@ -1,5 +1,4 @@
-"""Frozen value records: the one record type behind rhetor's value and
-report classes.
+"""Frozen value records: the one record type behind rhetor's value and report classes.
 
 ``@record`` turns a class body of annotated fields into an immutable value
 with the contract of ``@dataclass(frozen=True)``:
@@ -11,6 +10,9 @@ with the contract of ``@dataclass(frozen=True)``:
 * ``==`` holds only between two records of one class with equal fields;
 * ``hash`` is the hash of the field tuple;
 * assigning or deleting an attribute raises ``AttributeError``.
+
+The constructor fills the slots of a twin class, then sets ``__class__``; so
+a subclass of a record must declare ``__slots__ = ()``, and others are refused.
 
 :func:`asdict` turns a record into a dict.  Records are not dataclasses, so
 ``dataclasses.asdict`` raises ``TypeError`` on them.
@@ -29,28 +31,27 @@ def record(cls: type) -> type:
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
     values = "".join(f"self.{n}, " for n in names)
     source = (
-        f"def __init__(self, {params}):\n"
-        + "".join(f"    _set_{n}(self, {n})\n" for n in names)
+        f"def __new__(cls, {params}):\n    self = _new(_twin)\n"
+        + "".join(f"    self.{n} = {n}\n" for n in names) + "    self.__class__ = cls\n"
         + ("    self.__post_init__()\n" if "__post_init__" in namespace else "")
-        + "def __eq__(self, other):\n"
+        + "    return self\ndef __eq__(self, other):\n"
           "    if other.__class__ is self.__class__:\n"
           f"        return ({values}) == ({values.replace('self.', 'other.')})\n"
           "    return NotImplemented\n"
           "def __hash__(self):\n"
           f"    return hash(({values}))\n")
-    scope, methods = {"_defaults": defaults}, {}
+    # The twin, like a record class, derives from object alone and has its slots, but keeps
+    # the default __setattr__: there a plain store is the interpreter's fast slot store.
+    twin = type(cls.__name__, (), {"__slots__": names})
+    scope, methods = {"_defaults": defaults, "_new": object.__new__, "_twin": twin}, {}
     exec(source, scope, methods)
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
     namespace.update(methods, __slots__=names, __match_args__=names,
                      __record_fields__=names, __qualname__=cls.__qualname__,
-                     __repr__=_repr, __setattr__=_refuse_set,
-                     __delattr__=_refuse_delete, __reduce__=_reduce)
-    new = type(cls)(cls.__name__, cls.__bases__, namespace)
-    # __init__ writes each field through its slot's own setter, which
-    # __setattr__ does not reach and which costs less than object.__setattr__.
-    scope.update((f"_set_{n}", vars(new)[n].__set__) for n in names)
-    return new
+                     __repr__=_repr, __setattr__=_refuse_set, __delattr__=_refuse_delete,
+                     __reduce__=_reduce, __init_subclass__=_check_subclass)
+    return type(cls)(cls.__name__, cls.__bases__, namespace)
 
 
 def _repr(self) -> str:
@@ -64,6 +65,11 @@ def _refuse_set(self, name: str, value) -> None:
 
 def _refuse_delete(self, name: str) -> None:
     raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _check_subclass(cls) -> None:
+    if vars(cls).get("__slots__") != ():
+        raise TypeError(f"{cls.__qualname__} subclasses a record and must declare __slots__ = ()")
 
 
 def _reduce(self):

@@ -180,6 +180,18 @@ class TestGrowth:
             growth(l_n, c_0)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("l_n, c_0, message", [
+        (10**400, 1.0, "introduction rate L_n is out of floating-point range"),
+        (10**5000, 1.0, "introduction rate L_n is out of floating-point range"),
+        (-10**5000, 1.0, "introduction rate L_n is out of floating-point range"),
+        (1, 10**400, "learner capacity C_0 is out of floating-point range"),
+        (1.0, 10**5000, "learner capacity C_0 is out of floating-point range"),
+    ], ids=["rate-1e400", "rate-1e5000", "rate-negative", "capacity-1e400", "capacity-1e5000"])
+    def test_rate_or_capacity_beyond_float_range(self, l_n, c_0, message):
+        with pytest.raises(BadCapacity) as caught:
+            growth(l_n, c_0)
+        assert str(caught.value) == message
+
     def test_load_beyond_float_range(self):
         with pytest.raises(BadCapacity, match="out of floating-point range"):
             growth(1e308, c_0=1e-10)

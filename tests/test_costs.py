@@ -3,6 +3,7 @@
 Each bound counts calls by wrapping a function with ``monkeypatch``, so it
 holds on any machine and fails when a change brings back the work it saved.
 """
+import math
 from collections import Counter
 
 import pytest
@@ -30,7 +31,7 @@ from rhetor import documents, operators, pyramid, schedule
 from rhetor.cli import main
 from rhetor.operators import OPERATOR_KINDS
 from rhetor.pyramid import BUILTIN_PROFILES, C, E, PyramidGraph
-from rhetor.registry import Registry
+from rhetor.registry import Mode, Registry
 from test_scan_oracles import CLASH_REGISTRY, WIDE_REGISTRY, WIDE_RULES
 
 
@@ -188,3 +189,17 @@ def test_closure_tries_each_fresh_combination_once_per_depth(monkeypatch, case):
         assert all(n == 1 and source in fresh for (_, source), n in unary.items())
         shallower_lookups, shallower_partners = lookups[:], partners[:]
     assert shallower_lookups and shallower_partners  # the bound saw calls to count
+
+
+@pytest.mark.parametrize("n", [2, 12])
+def test_depth_one_unite_builds_three_records_per_derivation(monkeypatch, n):
+    """A depth-1 ``unite`` closure over ``n`` fresh atoms builds one
+    ``Derivation``, one ``Mode`` and one ``Origin`` per derivation: 3·C(n, 2)
+    records in all, the allocations that its speed rests on."""
+    registry = Registry([Mode(f"m{chr(ord('a') + i)}", f"M{i}") for i in range(n)])
+    built = {name: counting(monkeypatch, operators, name)
+             for name in ("Derivation", "Mode", "Origin")}
+    derivations = closure(registry, DualityRuleSet(), ["unite"], 1)
+    assert len(derivations) == math.comb(n, 2)
+    assert {name: len(calls) for name, calls in built.items()} == dict.fromkeys(
+        built, len(derivations))

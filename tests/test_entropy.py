@@ -90,6 +90,13 @@ class TestFlatEntropy:
                            match=re.escape(f"probability {named} is not a real number")):
             entropy_flat(probabilities)
 
+    @pytest.mark.parametrize("huge", [10**400, -10**400, 10**5000, Fraction(10**5000, 3)],
+                             ids=["1e400", "-1e400", "1e5000", "fraction"])
+    def test_probability_beyond_float_range(self, huge):
+        with pytest.raises(BadDistribution) as caught:
+            entropy_flat([0.5, huge])
+        assert str(caught.value) == "a probability is out of floating-point range"
+
     def test_integer_and_fraction_probabilities(self):
         assert entropy_flat([1]) == entropy_flat([0, 1]) == 0.0
         assert entropy_flat([Fraction(1, 2), 0.5]) == 1.0
@@ -116,6 +123,15 @@ class TestFlatEntropy:
         with pytest.raises(OutOfRange) as caught:
             uniform(k)
         assert str(caught.value) == message
+
+    # A count inside float range but too large for memory is not tried:
+    # uniform would build a list of that many floats.
+    @pytest.mark.parametrize("k", [10**400, 10**5000, -10**5000],
+                             ids=["1e400", "1e5000", "-1e5000"])
+    def test_uniform_refuses_a_count_beyond_float_range(self, k):
+        with pytest.raises(OutOfRange) as caught:
+            uniform(k)
+        assert str(caught.value) == "outcome count is out of floating-point range"
 
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1,
                     max_size=12))

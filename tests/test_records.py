@@ -52,7 +52,7 @@ def values(tp):
 def make_twin(cls) -> type:
     """A frozen dataclass with the fields, defaults and methods of ``cls``."""
     fields = cls.__record_fields__
-    defaults = cls.__init__.__defaults__ or ()
+    defaults = cls.__new__.__defaults__ or ()
     specs = [(name, object) for name in fields[:len(fields) - len(defaults)]]
     specs += [(name, object, default)
               for name, default in zip(fields[len(fields) - len(defaults):], defaults)]
@@ -130,8 +130,55 @@ def test_defaults_fill_the_trailing_fields():
     mode = rhetor.Mode("narration", "Narration")
     assert mode == rhetor.Mode("narration", "Narration", (), rhetor.Origin("base"), "")
     assert rhetor.Origin("base") == rhetor.Origin("base", None, ())
-    with pytest.raises(TypeError, match=r"Mode\.__init__\(\) missing"):
+    with pytest.raises(TypeError, match=r"^Mode\.__new__\(\) missing 1 required positional "
+                                        r"argument: 'display_name'$"):
         rhetor.Mode("narration")
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_record_is_of_its_record_class_alone(name, data):
+    """The constructor fills a private twin class, which never shows: the
+    record it returns is of the record class, whose one base is ``object``."""
+    cls = RECORDS[name]
+    assert type(data.draw(values(cls))).__mro__ == (cls, object)
+
+
+def test_class_assignment_is_refused():
+    origin = rhetor.Origin("base")
+    with pytest.raises(AttributeError, match=r"^cannot assign to field '__class__'$"):
+        origin.__class__ = rhetor.Mode
+    assert type(origin) is rhetor.Origin
+
+
+@record
+class Point:
+    x: int
+    y: int = 0
+
+
+def test_a_subclass_without_slots_of_its_own_keeps_its_type():
+    class Named(Point):
+        __slots__ = ()
+
+        def norm(self):
+            return abs(self.x) + abs(self.y)
+
+    value = Named(3, -4)
+    assert type(value) is Named and type(value).__mro__ == (Named, Point, object)
+    assert value.norm() == 7 and repr(value).endswith("<locals>.Named(x=3, y=-4)")
+    assert value == Named(3, -4) and value != Point(3, -4)
+    with pytest.raises(AttributeError, match="cannot assign to field 'x'"):
+        value.x = 1
+
+
+@pytest.mark.parametrize("body", [{}, {"__annotations__": {"z": "int"}}, {"__slots__": ("z",)},
+                                  {"__slots__": ["z"]}])
+def test_any_other_subclass_is_refused_where_it_is_defined(body):
+    with pytest.raises(TypeError, match=r"^Extended subclasses a record and must declare "
+                                        r"__slots__ = \(\)$"):
+        type("Extended", (Point,), dict(body))
 
 
 def test_asdict_refuses_what_is_not_a_record():
