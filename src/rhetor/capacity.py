@@ -49,7 +49,7 @@ def _check_width(k: int, top: int = MAX_WIDTH) -> None:
     if not isinstance(k, int) or isinstance(k, bool):
         raise OutOfRange(f"width must be an integer, got {k!r}")
     if k < 1 or k > top:
-        raise OutOfRange(f"width {k} outside supported range 1..{top}")
+        raise OutOfRange(f"width {_shown(k)} outside supported range 1..{top}")
 
 
 def _beyond_float(value) -> bool:
@@ -58,6 +58,21 @@ def _beyond_float(value) -> bool:
     A float itself, ``inf`` and ``nan`` too, is not beyond.
     """
     return not isinstance(value, float) and abs(value) > sys.float_info.max
+
+
+class _Named(str):
+    """Error text standing in for a value; its repr is the text itself."""
+
+    __repr__ = str.__str__
+
+
+def _shown(value):
+    """``value`` for an error text, but an ``int`` beyond float range is named
+    instead of written out: so the text is the same on every Python, and no
+    refusal fails on Python 3.11's limit on converting an ``int`` to text."""
+    if isinstance(value, int) and _beyond_float(value):
+        return _Named(("-" if value < 0 else "") + "<int out of floating-point range>")
+    return value
 
 
 @record
@@ -148,7 +163,7 @@ def growth(l_n: float, c_0: float = 1.0) -> GrowthParams:
 def coverage_band(c_m: float) -> str:
     """Band for a usage share: limited < 0.3 ≤ moderate < 0.7 ≤ high."""
     if not isinstance(c_m, (int, float)) or isinstance(c_m, bool) or not 0 <= c_m <= 1:
-        raise BadCount(f"usage share must be an int or float from 0 to 1, got {c_m!r}")
+        raise BadCount(f"usage share must be an int or float from 0 to 1, got {_shown(c_m)!r}")
     if c_m < 0.3:
         return LIMITED
     if c_m < 0.7:
@@ -159,10 +174,10 @@ def coverage_band(c_m: float) -> str:
 def coverage(k_u: int, k: int) -> CoverageReport:
     """Usage share K_u/K of an available repertoire of ``k`` modes."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise OutOfRange(f"width must be a positive integer, got {k!r}")
+        raise OutOfRange(f"width must be a positive integer, got {_shown(k)!r}")
     if not isinstance(k_u, int) or isinstance(k_u, bool) or k_u < 0:
-        raise BadCount(f"used-mode count must be a non-negative integer, got {k_u!r}")
+        raise BadCount(f"used-mode count must be a non-negative integer, got {_shown(k_u)!r}")
     if k_u > k:
-        raise BadCount(f"{k_u} modes used exceeds the {k} available")
+        raise BadCount(f"{_shown(k_u)} modes used exceeds the {_shown(k)} available")
     c_m = k_u / k
     return CoverageReport(K_u=k_u, K=k, C_m=c_m, band=coverage_band(c_m))

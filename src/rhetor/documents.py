@@ -26,7 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .capacity import CoverageReport, coverage
+from .capacity import CoverageReport, _shown, coverage
 from .errors import (
     BadCount,
     BadIndex,
@@ -61,13 +61,13 @@ class Segment:
         modes = self.modes
         if isinstance(modes, frozenset):
             if not modes:
-                raise EmptySegment(f"segment {self.index} lists no modes")
+                raise EmptySegment(f"segment {_shown(self.index)} lists no modes")
             for mode in modes:
                 if not isinstance(mode, str):
                     break
             else:
                 return
-        raise ParseError(f"segment {self.index} modes must be a frozenset of str, "
+        raise ParseError(f"segment {_shown(self.index)} modes must be a frozenset of str, "
                          f"got {modes!r}")
 
 
@@ -94,20 +94,21 @@ class AnnotatedDocument:
         previous, stage = 0, object()  # equal to no label: the first one is checked
         for seg in self.segments:
             if seg.index <= previous:
-                raise BadIndex(f"segment index {seg.index} of {self.id!r} does not increase")
+                raise BadIndex(f"segment index {_shown(seg.index)} of {self.id!r} "
+                               f"does not increase")
             previous = seg.index
             if seg.stage != stage:
-                stage = _written(f"segment {seg.index} stage", seg.stage)
+                stage = _written(f"segment {_shown(seg.index)} stage", seg.stage)
             text = seg.text
             # A line break is not printable; nor is a tab, which _written passes.
             if text.__class__ is not str or text.strip() != text or not text.isprintable():
-                _written(f"segment {seg.index} text", text)
+                _written(f"segment {_shown(seg.index)} text", text)
         used = self.mode_union()
         # Each distinct mode name is tested once.
         bad = {name for name in used if not _ID_PATTERN.match(name)}
         if bad:
             seg = next(seg for seg in self.segments if not bad.isdisjoint(seg.modes))
-            field = f"segment {seg.index} modes"
+            field = f"segment {_shown(seg.index)} modes"
             modes = _written(field, ", ".join(sorted(seg.modes)))
             raise ParseError(f"{field} {modes!r} holds {min(bad & seg.modes)!r}, "
                              f"which is not a canonical mode id")
@@ -395,7 +396,7 @@ def estimate_rri(docs: Sequence[tuple[float, AnnotatedDocument]]) -> RriEstimate
         raise BadIndex(f"stage indices must be finite, got {', '.join(map(repr, not_finite))}")
     for a, b in zip(indices, indices[1:]):
         if b <= a:
-            raise BadIndex(f"stage indices must increase strictly ({a} then {b})")
+            raise BadIndex(f"stage indices must increase strictly ({_shown(a)} then {_shown(b)})")
 
     seen: set[str] = set()
     cumulative: list[tuple[float, int]] = []

@@ -20,6 +20,7 @@ on the order of the terms nor on the Python version.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Sequence
 
 from .capacity import MAX_WIDTH, _beyond_float, _check_width
@@ -65,6 +66,8 @@ def uniform(k: int) -> list[float]:
         raise OutOfRange("outcome count is out of floating-point range")
     if k < 1:
         raise OutOfRange(f"need at least one outcome, got {k}")
+    if k > sys.maxsize:
+        raise OutOfRange(f"outcome count must be at most {sys.maxsize}, got {k}")
     return [1.0 / k] * k
 
 

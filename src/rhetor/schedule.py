@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .capacity import MAX_WIDTH, capacity, growth
+from .capacity import MAX_WIDTH, _shown, capacity, growth
 from .errors import BadSchedule, ParseError
 from .jsontext import entries, json_text, read_document
 from .records import record
@@ -14,21 +14,21 @@ from .records import record
 
 @record
 class StageStep:
-    """One schedule row: cumulative width reached over a stage's duration."""
+    """One schedule row: the cumulative width a stage reaches over its
+    duration. Its rate is worked out from the widths, not stored."""
 
     name: str
     k_cumulative: int
     duration: float
-    l_n: float
 
 
 @record
 class StageSchedule:
-    """Ordered educational stages with cumulative widths and rates.
+    """Ordered educational stages with cumulative widths.
 
     Widths are integers in ``1..MAX_WIDTH`` that never fall, durations are
-    positive and finite, and each rate ``l_n`` is its step's width gain over
-    its duration; a step that breaks one is refused as ``stages[i]``.
+    positive and finite, and each step's rate, its width gain over its
+    duration, is finite; a step that breaks one is refused as ``stages[i]``.
     """
 
     stages: tuple[StageStep, ...]
@@ -45,27 +45,25 @@ class StageSchedule:
                 raise ParseError(f"stages[{position}]: 'duration' must be a number")
             prefix = f"stages[{position}]: stage {name!r}"
             if k < 1:
-                raise BadSchedule(f"{prefix} needs a positive integer width, got {k!r}")
+                raise BadSchedule(f"{prefix} needs a positive integer width, got {_shown(k)}")
             if k > MAX_WIDTH:
-                raise BadSchedule(f"{prefix} needs a width of at most {MAX_WIDTH}, got {k!r}")
+                raise BadSchedule(f"{prefix} needs a width of at most {MAX_WIDTH}, got {_shown(k)}")
             if k < previous_k:
                 raise BadSchedule(f"{prefix}: cumulative width decreases "
                                   f"({previous_k} then {k})")
             if not 0 < duration < math.inf:
-                raise BadSchedule(f"{prefix} needs a positive finite duration, got {duration!r}")
-            l_n = _rate(k, previous_k, duration)
-            if not math.isfinite(l_n):
+                raise BadSchedule(f"{prefix} needs a positive finite duration, "
+                                  f"got {_shown(duration)}")
+            if not math.isfinite(_rate(k, previous_k, duration)):
                 raise BadSchedule(f"{prefix} is out of floating-point range")
-            if step.l_n != l_n:
-                raise BadSchedule(f"{prefix} has rate {step.l_n!r}, but its widths give {l_n!r}")
             previous_k = k
 
 
-def _rate(k, previous_k, duration) -> float:
-    """Width gained per unit of duration; ``nan`` when the numbers give none."""
+def _rate(k: int, previous_k: int, duration: float) -> float:
+    """Width gained per unit of a checked duration; ``nan`` when it is beyond float range."""
     try:
         return (k - previous_k) / float(duration)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+    except OverflowError:
         return math.nan
 
 
@@ -86,21 +84,15 @@ def default_schedule() -> StageSchedule:
 
 
 def load_schedule(source: "str | Path | dict | None" = None) -> StageSchedule:
-    """Schedule from JSON: {"stages": [{"name", "K", "duration"}, ...]}.
-
-    Per-stage rates are always recomputed from the width deltas.
-    """
+    """Schedule from JSON: {"stages": [{"name", "K", "duration"}, ...]}."""
     if source is None:
         return default_schedule()
     doc = read_document(source, "schedule")
     if "stages" not in doc:
         raise ParseError("schedule must carry a 'stages' list")
-    steps, previous_k = [], 0
-    for _, entry in entries(doc, "stages", "schedule"):
-        k, duration = entry.get("K"), entry.get("duration", 1.0)
-        steps.append(StageStep(entry.get("name"), k, duration, _rate(k, previous_k, duration)))
-        previous_k = k
-    return StageSchedule(tuple(steps))
+    return StageSchedule(tuple(
+        StageStep(entry.get("name"), entry.get("K"), entry.get("duration", 1.0))
+        for _, entry in entries(doc, "stages", "schedule")))
 
 
 def serialize_schedule(schedule: StageSchedule) -> str:
@@ -126,14 +118,14 @@ def cone(schedule: StageSchedule, c_0: float = 1.0) -> list[ConeRow]:
     """Per-stage capacity growth along a schedule: the widening of reach.
 
     Each row pairs the stage's cumulative-width capacity metrics with its
-    introduction rate normalized against learner capacity ``c_0``.  The
-    schedule checked its steps when it was built, so each rate comes from the
-    widths.
+    introduction rate, the width gained over the previous stage per unit of
+    duration, normalized against learner capacity ``c_0``.
     """
-    rows = []
+    rows, previous_k = [], 0
     for step in schedule.stages:
         report = capacity(step.k_cumulative)
-        params = growth(step.l_n, c_0)
+        params = growth(_rate(step.k_cumulative, previous_k, step.duration), c_0)
+        previous_k = step.k_cumulative
         rows.append(ConeRow(
             stage=step.name,
             K=report.K,

@@ -4,15 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhetor import (
+    AnnotatedDocument,
     BadCapacity,
     BadCount,
+    BadIndex,
+    BadSchedule,
     OutOfRange,
+    Segment,
+    asymptotic_subset_entropy,
     capacity,
     capacity_ratio,
     capacity_table,
     coverage,
     coverage_band,
+    entropy_layered,
+    entropy_subset_sizes,
+    estimate_rri,
     growth,
+    load_schedule,
+    subset_entropy_exact,
+    subset_entropy_logspace,
 )
 from rhetor.capacity import MAX_WIDTH, MRB
 from rhetor.records import asdict
@@ -243,3 +254,71 @@ class TestCoverage:
     @settings(max_examples=50)
     def test_full_use_is_unity(self, k):
         assert coverage(k, k).C_m == pytest.approx(1.0)
+
+
+# Python 3.11 and later refuse to write this int as a string.
+HUGE = 10**5000
+NAMED = "<int out of floating-point range>"
+
+
+def _doc(*indices):
+    return AnnotatedDocument("d", tuple(Segment(i, "s", frozenset({"narration"}))
+                                        for i in indices))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: capacity(HUGE), OutOfRange,
+                 f"width {NAMED} outside supported range 1..120", id="capacity"),
+    pytest.param(lambda: capacity(-HUGE), OutOfRange,
+                 f"width -{NAMED} outside supported range 1..120", id="capacity-negative"),
+    pytest.param(lambda: capacity_table(HUGE), OutOfRange,
+                 f"width {NAMED} outside supported range 1..120", id="capacity_table"),
+    pytest.param(lambda: capacity_ratio(1, HUGE), OutOfRange,
+                 f"width {NAMED} outside supported range 1..120", id="capacity_ratio"),
+    pytest.param(lambda: subset_entropy_exact(HUGE), OutOfRange,
+                 f"width {NAMED} outside supported range 1..1000", id="subset_entropy_exact"),
+    pytest.param(lambda: subset_entropy_logspace(HUGE), OutOfRange,
+                 f"width {NAMED} outside supported range 1..1000", id="subset_entropy_logspace"),
+    pytest.param(lambda: asymptotic_subset_entropy(HUGE), OutOfRange,
+                 f"width {NAMED} outside supported range 1..1000",
+                 id="asymptotic_subset_entropy"),
+    pytest.param(lambda: entropy_subset_sizes(HUGE), OutOfRange,
+                 f"width {NAMED} outside supported range 1..1000", id="entropy_subset_sizes"),
+    pytest.param(lambda: entropy_layered([("a", HUGE)], 3), OutOfRange,
+                 f"width {NAMED} outside supported range 1..1000", id="entropy_layered"),
+    pytest.param(lambda: coverage(HUGE, 3), BadCount,
+                 f"{NAMED} modes used exceeds the 3 available", id="coverage-used"),
+    pytest.param(lambda: coverage(HUGE + 1, HUGE), BadCount,
+                 f"{NAMED} modes used exceeds the {NAMED} available", id="coverage-both"),
+    pytest.param(lambda: coverage(-HUGE, 3), BadCount,
+                 f"used-mode count must be a non-negative integer, got -{NAMED}",
+                 id="coverage-used-negative"),
+    pytest.param(lambda: coverage(1, -HUGE), OutOfRange,
+                 f"width must be a positive integer, got -{NAMED}", id="coverage-width"),
+    pytest.param(lambda: coverage_band(HUGE), BadCount,
+                 f"usage share must be an int or float from 0 to 1, got {NAMED}",
+                 id="coverage_band"),
+    pytest.param(lambda: coverage_band(-HUGE), BadCount,
+                 f"usage share must be an int or float from 0 to 1, got -{NAMED}",
+                 id="coverage_band-negative"),
+    pytest.param(lambda: load_schedule({"stages": [{"name": "a", "K": HUGE}]}), BadSchedule,
+                 f"stages[0]: stage 'a' needs a width of at most 120, got {NAMED}",
+                 id="schedule-width"),
+    pytest.param(lambda: load_schedule({"stages": [{"name": "a", "K": 3},
+                                                   {"name": "b", "K": -HUGE}]}), BadSchedule,
+                 f"stages[1]: stage 'b' needs a positive integer width, got -{NAMED}",
+                 id="schedule-falling-width"),
+    pytest.param(lambda: load_schedule({"stages": [{"name": "a", "K": 3, "duration": -HUGE}]}),
+                 BadSchedule, f"stages[0]: stage 'a' needs a positive finite duration, "
+                              f"got -{NAMED}", id="schedule-duration"),
+    pytest.param(lambda: _doc(HUGE, 1), BadIndex,
+                 "segment index 1 of 'd' does not increase", id="document"),
+    pytest.param(lambda: _doc(-HUGE), BadIndex,
+                 f"segment index -{NAMED} of 'd' does not increase", id="document-negative"),
+    pytest.param(lambda: estimate_rri([(HUGE, _doc(1)), (1, _doc(1))]), BadIndex,
+                 f"stage indices must increase strictly ({NAMED} then 1)", id="estimate_rri"),
+])
+def test_an_int_beyond_float_range_is_named_not_written(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -87,7 +87,8 @@ def test_cone_and_serialize_document_check_nothing_again(monkeypatch, lesson):
               counting(monkeypatch, documents, "_written")]
     cone(StageSchedule(steps))
     serialize_document(lesson)
-    assert [len(calls) for calls in checks] == [1, len(steps), 0, 0]  # building the schedule
+    # _rate runs once per step when the schedule is built and once in cone.
+    assert [len(calls) for calls in checks] == [1, 2 * len(steps), 0, 0]
 
 
 def test_map_edge_listing_reads_no_edge_view(monkeypatch, capsys):

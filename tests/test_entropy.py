@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -124,8 +125,14 @@ class TestFlatEntropy:
             uniform(k)
         assert str(caught.value) == message
 
-    # A count inside float range but too large for memory is not tried:
-    # uniform would build a list of that many floats.
+    # A count just under sys.maxsize is not tried: uniform would build a
+    # list of that many floats.
+    @pytest.mark.parametrize("k", [2**63, 10**30], ids=["2**63", "1e30"])
+    def test_uniform_refuses_a_count_above_the_largest_list_size(self, k):
+        with pytest.raises(OutOfRange) as caught:
+            uniform(k)
+        assert str(caught.value) == f"outcome count must be at most {sys.maxsize}, got {k}"
+
     @pytest.mark.parametrize("k", [10**400, 10**5000, -10**5000],
                              ids=["1e400", "1e5000", "-1e5000"])
     def test_uniform_refuses_a_count_beyond_float_range(self, k):
