@@ -103,6 +103,11 @@ class AnnotatedDocument:
             # A line break is not printable; nor is a tab, which _written passes.
             if text.__class__ is not str or text.strip() != text or not text.isprintable():
                 _written(f"segment {_shown(seg.index)} text", text)
+        try:
+            str(previous)  # the last index, so the largest
+        except ValueError:  # beyond the int-to-text digit limit (Python 3.11, 3.10.7)
+            raise ParseError(f"segment index {_shown(previous)} of {self.id!r} has more "
+                             f"digits than this Python writes") from None
         used = self.mode_union()
         # Each distinct mode name is tested once.
         bad = {name for name in used if not _ID_PATTERN.match(name)}

@@ -11,9 +11,14 @@ sorted list.  A dict key that is not a ``str`` raises ``TypeError``, and a
 NaN or infinite float raises ``ValueError``.  ``json.dumps`` with an indent
 runs the pure-Python generator encoder on CPython before 3.14; this writer
 appends the pieces to one list and joins them once, encodes strings with the
-C ``encode_basestring_ascii``, and writes a list of strings with a single
-``join``.  Unlike ``json.dumps`` it does not look for cycles: a
-self-containing value raises ``RecursionError`` instead of ``ValueError``.
+C ``encode_basestring_ascii``, and writes a list of strings with one ``join``.
+Each call keeps a table of object shapes, keyed by a dict's keys in order and
+its indent.  The first dict of a shape checks and sorts its keys into stored
+member heads (separator, indent, key text); a later dict of that shape writes
+one head and one value per member, once a C-level ``"".join`` of its keys has
+refused a key that only compares equal to a ``str``.  Unlike ``json.dumps``
+it does not look for cycles: a self-containing value raises
+``RecursionError`` instead of ``ValueError``.
 
 :func:`read_document` is the one reader, behind every JSON loader: it turns
 a path, JSON text or parsed value into a JSON object, and :func:`read_text`
@@ -36,7 +41,7 @@ def json_text(payload) -> str:
     """``payload`` as sorted, two-space-indented JSON text ending in a newline."""
     parts: list[str] = []
     write = parts.append
-    prefixes: dict[str, str] = {}  # '"key": ' per key
+    shapes: dict = {}  # (keys, newline) -> (heads, inner, close) per object shape
 
     def value(o, newline: str) -> None:
         if isinstance(o, str):
@@ -75,29 +80,34 @@ def json_text(payload) -> str:
         for item in items:
             write(lead)
             lead = separator
-            value(item, inner)
+            (obj if isinstance(item, dict) else value)(item, inner)
         write(newline + "]")
 
-    def obj(mapping, newline: str) -> None:
-        if not mapping:
-            write("{}")
-            return
+    def shape(keys: tuple, newline: str) -> tuple:
         inner = newline + "  "
-        separator = "," + inner
-        lead = "{" + inner
-        for key, item in sorted(mapping.items()):
+        lead, heads = "{" + inner, []
+        for key in sorted(keys):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            prefix = prefixes.get(key)
-            if prefix is None:
-                prefix = prefixes[key] = _encode(key) + ": "
-            write(lead + prefix)
-            lead = separator
+            heads.append((lead + _encode(key) + ": ", key))
+            lead = "," + inner
+        return heads, inner, newline + "}" if heads else "{}"
+
+    def obj(mapping, newline: str) -> None:
+        keys = tuple(mapping)
+        try:
+            heads, inner, close = shapes[keys, newline]
+            "".join(keys)  # a key that only compares equal to a str raises here
+        except (KeyError, TypeError):
+            heads, inner, close = shapes[keys, newline] = shape(keys, newline)
+        for head, key in heads:
+            write(head)
+            item = mapping[key]
             if isinstance(item, str):
                 write(_encode(item))
             else:
-                value(item, inner)
-        write(newline + "}")
+                (array if isinstance(item, (list, tuple)) else value)(item, inner)
+        write(close)
 
     value(payload, "\n")
     write("\n")

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,26 @@ class TestRoundTrip:
         again = parse_document(serialize_document(doc))
         assert again == doc
         assert [s.index for s in again.segments] == [2, 7]
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python writes an int of any length")
+    def test_index_this_python_cannot_write_is_refused(self):
+        segments = (Segment(1, "A", frozenset({"narration"})),
+                    Segment(10**5000, "A", frozenset({"contrast"})))
+        with pytest.raises(ParseError, match=r"^segment index <int out of floating-point "
+                           r"range> of 'd' has more digits than this Python writes$"):
+            AnnotatedDocument("d", segments)
+
+    def test_long_index_this_python_writes_round_trips(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)  # no limit
+        try:
+            doc = AnnotatedDocument("d", (Segment(10**5000, "A", frozenset({"narration"})),))
+            assert parse_document(serialize_document(doc)) == doc
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     def test_serialization_is_stable(self, lesson):
         text = serialize_document(lesson)

@@ -108,3 +108,83 @@ def test_refuses_a_number_that_is_not_finite(number):
         json_text({"a": number})
     with pytest.raises(ValueError, match="not JSON compliant"):
         json_text({"a": {"b": [1, number]}})
+
+
+class _LikeId:
+    """A key that hashes and compares equal to the ``str`` ``"id"``, but is no ``str``."""
+
+    def __eq__(self, other):
+        return other == "id"
+
+    def __hash__(self):
+        return hash("id")
+
+
+@pytest.mark.parametrize("value", [
+    {_LikeId(): 0},
+    [{"id": 0}, {_LikeId(): 1}],
+    {"a": {"id": 0}, "b": {_LikeId(): 1}},
+], ids=["first sight", "after a list member of its shape", "after a dict member of its shape"])
+def test_refuses_a_key_that_only_equals_a_string(value):
+    with pytest.raises(TypeError, match="^keys must be str, not _LikeId$"):
+        json_text(value)
+
+
+class _Key(str):
+    """A ``str`` subclass: a valid key, equal to the plain ``str`` of its text."""
+
+
+@st.composite
+def _same_shapes(draw):
+    """2-6 dicts over one key set in shuffled insertion orders, some keys as
+    ``_Key``, mixed with dicts of other key sets, the same key set also one
+    list deeper and as a member of one of the dicts."""
+    keys = draw(st.lists(TEXT, max_size=5, unique=True))
+    leaves = st.one_of(SCALARS, STRING_COLLECTIONS)
+
+    def shaped():
+        return {(_Key(key) if draw(st.booleans()) else key): draw(leaves)
+                for key in draw(st.permutations(keys))}
+
+    items = [shaped() for _ in range(draw(st.integers(2, 6)))]
+    for other in draw(st.lists(st.dictionaries(TEXT, leaves, max_size=4), max_size=3)):
+        items.insert(draw(st.integers(0, len(items))), other)
+    if keys:
+        items[0][keys[0]] = shaped()
+    return items + [[shaped(), shaped()]]
+
+
+@example([{"b": 1, "a": 2}, {"a": 3, "b": 4}, [{_Key("a"): 5, "b": 6}]])
+@given(_same_shapes())
+def test_writes_repeated_shapes_as_json_dumps(value):
+    assert json_text(value) == _reference(value)
+
+
+def _large_graph():
+    """A mapping graph of 300 C-nodes over the built-in atoms and 12 E-nodes."""
+    from rhetor import base_atoms, load_pyramid
+
+    atoms = sorted(mode.id for mode in base_atoms())
+    c_nodes = [{"id": f"c{i:03d}", "description": f"Move {i}: répondre « {i} »",
+                "modes": [atoms[(i * j) % len(atoms)] for j in (1, 3, 7)]}
+               for i in range(1, 301)]
+    e_nodes = [{"id": f"e{i:02d}", "display_name": f"Purpose {i}",
+                "cognitive": [f"c{j:03d}" for j in range(i, 301, 12)]}
+               for i in range(1, 13)]
+    return load_pyramid(source={"profile": "wide", "c_nodes": c_nodes, "e_nodes": e_nodes})
+
+
+def test_every_serializer_writes_json_dumps_of_its_document():
+    from rhetor import (ACADEMIC_PROFILE, default_registry, default_rules, default_schedule,
+                        load_pyramid, serialize_pyramid, serialize_registry,
+                        serialize_rules, serialize_schedule)
+
+    graphs = [load_pyramid(), load_pyramid(ACADEMIC_PROFILE), _large_graph()]
+    assert len(graphs[2].edges_cr) > 600
+    written = [(serialize_registry(default_registry()), default_registry().to_document()),
+               (serialize_rules(default_rules()), default_rules().to_document())]
+    written += [(serialize_pyramid(graph), graph.to_document()) for graph in graphs]
+    schedule = serialize_schedule(default_schedule())
+    written.append((schedule, json.loads(schedule)))
+    for text, document in written:
+        assert text == _reference(document)
