@@ -153,6 +153,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
     segments: list[Segment] = []
     next_index = 1
     lookup = registry._lookup
+    new_segment = Segment.__new__  # the whole constructor, without type.__call__ (records.py)
 
     try:
         for line_no, raw in enumerate(source.splitlines(), start=1):
@@ -184,7 +185,7 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
                     if not name:
                         continue
                     modes.add((lookup(name) or registry.resolve(name)).id)
-                segments.append(Segment(index, stage, frozenset(modes), text.strip()))
+                segments.append(new_segment(Segment, index, stage, frozenset(modes), text.strip()))
                 next_index = index + 1
                 continue
             if not line or line.startswith("#"):

@@ -179,7 +179,10 @@ def _rule_mode(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mo
     """Resolve against the registry, falling back to rule-known generated atoms."""
     if isinstance(m, Mode):
         return m
-    mode = registry._lookup(m)
+    try:
+        mode = registry._lookup(m)
+    except TypeError:  # not a str: resolve refuses it
+        return registry.resolve(m)
     if mode is not None:
         return mode
     cid = canon(m)
@@ -224,9 +227,14 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
 def _pair_mode(mode_id: str, pair: tuple[str, str], title_a: str, title_b: str) -> Mode:
     """The generated diatomic ``a--b`` of ``pair == (a, b)``, two distinct atom
     ids in id order titled ``title_a`` and ``title_b``, as ``unite`` and
-    ``closure`` make it when no registered diatomic joins the pair."""
-    return Mode(mode_id, f"{title_a}-{title_b}", pair, Origin("generated", UNITE, pair),
-                f"Generated pairing of {pair[0]} and {pair[1]}.")
+    ``closure`` make it when no registered diatomic joins the pair.
+
+    Both records come from their generated ``__new__``, called directly: it
+    is a record's whole constructor, without the class call's detour through
+    ``type.__call__`` (``records.py``)."""
+    return Mode.__new__(Mode, mode_id, f"{title_a}-{title_b}", pair,
+                        Origin.__new__(Origin, "generated", UNITE, pair),
+                        f"Generated pairing of {pair[0]} and {pair[1]}.")
 
 
 #: Per unary operator: the relation whose pairs it reads, and the description
@@ -374,6 +382,7 @@ def closure(
     # run their cores, unite runs inline, and unpaired atoms are skipped by lookup.
     fresh_ids: set[str] = set(universe)  # inputs not yet tried: all, at depth 1
     diatomic_for_pair = registry.diatomic_for_pair
+    new = Derivation.__new__  # the whole constructor, without type.__call__ (records.py)
     for depth in range(1, max_depth + 1):
         snapshot = sorted(universe.values(), key=lambda m: m.id)
         atoms = [m for m in snapshot if m.is_atomic]
@@ -388,8 +397,8 @@ def closure(
                     if mode.is_diatomic and not derived.issuperset(mode.constituents):
                         novel = tuple(p for p in split(registry, mode) if p.id not in derived)
                         derived.update(p.id for p in novel)
-                        batch[novel[0].id] = Derivation(SPLIT, (mode.id,), novel, depth,
-                                                        all(p.id in registry for p in novel))
+                        batch[novel[0].id] = new(Derivation, SPLIT, (mode.id,), novel, depth,
+                                                 all(p.id in registry for p in novel))
             elif kind == UNITE:
                 # ``combinations(atoms, 2)`` in its own order, keeping only the
                 # pairs with a fresh member.  A generated ``a--b`` is never
@@ -407,17 +416,17 @@ def closure(
                             derived.add(rid)
                             pair = (a, b)
                             result = held or _pair_mode(rid, pair, titles[i], titles[j])
-                            batch[rid] = Derivation(UNITE, pair, (result,), depth,
-                                                    held is not None)
+                            batch[rid] = new(Derivation, UNITE, pair, (result,), depth,
+                                             held is not None)
             else:
                 partner_of = partner_maps[kind]
                 for mode in fresh:
                     rid = partner_of.get(mode.id)
                     if rid is not None and rid not in derived and mode.is_atomic:
                         derived.add(rid)
-                        batch[rid] = Derivation(kind, (mode.id,),
-                                                (_partner(registry, rid, kind, mode),),
-                                                depth, rid in registry)
+                        batch[rid] = new(Derivation, kind, (mode.id,),
+                                         (_partner(registry, rid, kind, mode),),
+                                         depth, rid in registry)
 
         out.extend(map(batch.__getitem__, sorted(batch)))
         if depth == max_depth:

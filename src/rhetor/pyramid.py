@@ -31,6 +31,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
+from .capacity import _shown
 from .errors import (
     BadComposition,
     BadEdge,
@@ -44,8 +45,8 @@ from .registry import (
     Mode,
     Registry,
     _ID_PATTERN,
-    _hints,
     _title,
+    _unknown,
     canon,
     default_registry,
     generated_mode,
@@ -206,7 +207,7 @@ class BranchingStats:
             return self.c_degrees
         if layer == E:
             return self.e_degrees
-        raise UnknownNode(f"no out-degrees for layer {layer!r}")
+        raise UnknownNode(f"no out-degrees for layer {_shown(layer)!r}")
 
     def max_degree(self, layer: str) -> int:
         degrees = self._layer(layer)
@@ -314,16 +315,18 @@ class PyramidGraph:
 
     def layer_nodes(self, layer: str) -> tuple[LayerNode, ...]:
         if layer not in LAYERS:
-            raise UnknownNode(f"unknown layer {layer!r}")
+            raise UnknownNode(f"unknown layer {_shown(layer)!r}")
         return tuple(sorted(self._nodes[layer].values(), key=lambda n: n.id))
 
     def node(self, layer: str, name: str) -> LayerNode:
         if layer not in LAYERS:
-            raise UnknownNode(f"unknown layer {layer!r}")
-        found = self._nodes[layer].get(canon(name))
+            raise UnknownNode(f"unknown layer {_shown(layer)!r}")
+        try:
+            found = self._nodes[layer].get(canon(name))
+        except TypeError:  # not a str: unhashable, or refused by canon
+            found = None
         if found is None:
-            raise UnknownNode(f"no {layer}-layer node named {name!r}",
-                              suggestions=_hints(name, self._nodes[layer]))
+            raise _unknown(UnknownNode, f"{layer}-layer node", name, self._nodes[layer])
         return found
 
     def children(self, layer: str, name: str) -> tuple[LayerNode, ...]:

@@ -25,6 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .capacity import _shown
 from .errors import BadConstituent, DuplicateMode, ParseError, RhetorError, UnknownMode, at
 from .jsontext import entries, json_text, names_field, read_document, text_field
 from .records import record
@@ -62,10 +63,19 @@ def canon(name: str) -> str:
     return s.strip("-")
 
 
-def _hints(name: str, ids: Iterable[str]) -> tuple[str, ...]:
-    """The did-you-mean of a miss: up to two of ``ids`` close to ``canon(name)``."""
+def _unknown(error: type, what: str, name: object, ids: Iterable[str]) -> RhetorError:
+    """The ``error`` for a ``name`` that names no ``what``.
+
+    A ``str`` gets as did-you-mean hints the one or two of ``ids`` closest
+    to ``canon(name)``, if any is close.  Any other value gets no hints, and
+    ``_shown`` names it.
+    """
+    if not isinstance(name, str):
+        return error(f"no {what} named {_shown(name)!r}: a name must be a str, "
+                     f"not {type(name).__name__}")
     import difflib  # only a miss that reaches the user needs hints
-    return tuple(difflib.get_close_matches(canon(name), sorted(ids), n=2, cutoff=0.6))
+    hints = difflib.get_close_matches(canon(name), sorted(ids), n=2, cutoff=0.6)
+    return error(f"no {what} named {name!r}", suggestions=tuple(hints))
 
 
 @record
@@ -270,13 +280,17 @@ class Registry:
         """Return the mode whose canonical id matches ``name``.
 
         Lookup is case-, whitespace- and dash-variant-insensitive and follows
-        aliases.  Raises :class:`UnknownMode` with up to two nearby ids.
+        aliases.  Raises :class:`UnknownMode` with up to two nearby ids, and
+        for a ``name`` that is not a ``str``.
         """
         if isinstance(name, Mode):
             return name
-        mode = self._lookup(name)
+        try:
+            mode = self._lookup(name)
+        except TypeError:  # not a str: unhashable, or refused by canon
+            mode = None
         if mode is None:
-            raise UnknownMode(f"no mode named {name!r}", suggestions=_hints(name, self._modes))
+            raise _unknown(UnknownMode, "mode", name, self._modes)
         return mode
 
     def _lookup(self, name: str) -> Mode | None:

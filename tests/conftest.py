@@ -12,7 +12,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 # Every run draws the same examples and stores none, so property tests
 # cannot flake the suite.  What hypothesis still writes (its constants
-# cache) goes to a directory removed when the run ends, not the checkout.
+# cache) goes to a directory removed when the session ends, not the checkout.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="rhetor-hypothesis-")
@@ -62,6 +62,10 @@ def extension_registry_path() -> Path:
 @pytest.fixture(scope="session")
 def expected_edges() -> dict:
     return json.loads((FIXTURES / "pyramid_edges.json").read_text())
+
+
+def pytest_sessionfinish(session, exitstatus):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

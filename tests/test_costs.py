@@ -31,7 +31,7 @@ from rhetor import documents, operators, pyramid, schedule
 from rhetor.cli import main
 from rhetor.operators import OPERATOR_KINDS
 from rhetor.pyramid import BUILTIN_PROFILES, C, E, PyramidGraph
-from rhetor.registry import Mode, Registry
+from rhetor.registry import Mode, Origin, Registry
 from test_scan_oracles import CLASH_REGISTRY, WIDE_REGISTRY, WIDE_RULES
 
 
@@ -196,10 +196,12 @@ def test_closure_tries_each_fresh_combination_once_per_depth(monkeypatch, case):
 def test_depth_one_unite_builds_three_records_per_derivation(monkeypatch, n):
     """A depth-1 ``unite`` closure over ``n`` fresh atoms builds one
     ``Derivation``, one ``Mode`` and one ``Origin`` per derivation: 3·C(n, 2)
-    records in all, the allocations that its speed rests on."""
+    records in all, the allocations that its speed rests on.  Each is counted
+    at its class's generated ``__new__``, which a class call and a direct
+    call both run."""
     registry = Registry([Mode(f"m{chr(ord('a') + i)}", f"M{i}") for i in range(n)])
-    built = {name: counting(monkeypatch, operators, name)
-             for name in ("Derivation", "Mode", "Origin")}
+    built = {cls.__name__: counting(monkeypatch, cls, "__new__")
+             for cls in (operators.Derivation, Mode, Origin)}
     derivations = closure(registry, DualityRuleSet(), ["unite"], 1)
     assert len(derivations) == math.comb(n, 2)
     assert {name: len(calls) for name, calls in built.items()} == dict.fromkeys(

@@ -77,12 +77,17 @@ def twin_of(value):
     return value
 
 
-def build(cls, fields):
-    """The value ``cls(*fields)``, or the class and text of what it raised."""
+def build(make, fields):
+    """The value ``make(*fields)``, or the class and text of what it raised."""
     try:
-        return cls(*fields)
+        return make(*fields)
     except Exception as exc:  # noqa: BLE001 - the twin must raise the same
         return type(exc), str(exc)
+
+
+def direct(cls):
+    """``cls``'s generated ``__new__``, the constructor called without ``type.__call__``."""
+    return lambda *fields: cls.__new__(cls, *fields)
 
 
 def test_every_record_class_is_covered():
@@ -101,6 +106,9 @@ def test_record_matches_its_dataclass_twin(name, data):
     fields_b = data.draw(st.sampled_from([fields_a]) | st.tuples(*map(values, _hints(cls))))
     a, b = build(cls, fields_a), build(cls, fields_b)
     ta, tb = build(twin, twin_of(fields_a)), build(twin, twin_of(fields_b))
+    for fields, value in ((fields_a, a), (fields_b, b)):
+        built = build(direct(cls), fields)  # the same value, or the same error
+        assert built == value and type(built) is type(value)
     if not isinstance(a, cls):
         assert a == ta  # the same error class and text
         return
@@ -179,6 +187,39 @@ def test_any_other_subclass_is_refused_where_it_is_defined(body):
     with pytest.raises(TypeError, match=r"^Extended subclasses a record and must declare "
                                         r"__slots__ = \(\)$"):
         type("Extended", (Point,), dict(body))
+
+
+def test_a_record_body_that_defines_init_is_refused():
+    def __init__(self, x):
+        pass
+
+    body = {"__annotations__": {"x": "int"}, "__init__": __init__}
+    with pytest.raises(TypeError, match=r"^Built is a record and must not define __init__: "
+                                        r"its generated __new__ is the whole constructor$"):
+        record(type("Built", (), body))
+
+
+def test_a_subclass_that_defines_init_is_refused_where_it_is_defined():
+    def __init__(self, x, y=0):
+        pass
+
+    with pytest.raises(TypeError, match=r"^Extended subclasses a record and must not "
+                                        r"define __init__$"):
+        type("Extended", (Point,), {"__slots__": (), "__init__": __init__})
+
+
+def test_the_generated_new_is_the_whole_constructor():
+    """``Cls.__new__(Cls, ...)`` builds what ``Cls(...)`` builds, defaults and
+    keywords included, and a subclass's call builds the subclass."""
+    class Named(Point):
+        __slots__ = ()
+
+    assert Point.__new__(Point, 3) == Point(3) == Point(3, 0)
+    assert Point.__new__(Point, y=2, x=1) == Point(1, 2)
+    value = Named.__new__(Named, 3, -4)
+    assert type(value) is Named and value == Named(3, -4)
+    with pytest.raises(TypeError, match=r"missing 1 required positional argument: 'x'$"):
+        Point.__new__(Point)
 
 
 def test_asdict_refuses_what_is_not_a_record():

@@ -12,13 +12,19 @@ from rhetor import (
     ParseError,
     Registry,
     UnknownMode,
+    UnknownNode,
     base_atoms,
+    branching_stats,
     canon,
+    closure,
+    compose_re,
     default_registry,
+    forward_backward,
     load_pyramid,
     load_registry,
     parse_document,
     serialize_registry,
+    split,
     unite,
 )
 from rhetor.registry import _ID_PATTERN, _title, generated_mode
@@ -461,3 +467,52 @@ class TestModeValue:
         assert pair.display_name == "A-B"
         assert pair.constituents == ("a", "b")
         assert Mode("a", "A").origin == Origin("base")
+
+
+HUGE = 10 ** 5000  # beyond float range, and beyond Python 3.11's int-to-text digit limit
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda reg, rules, graph: unite(reg, 0, "narration"), UnknownMode,
+     "no mode named 0: a name must be a str, not int"),
+    (lambda reg, rules, graph: unite(reg, "narration", HUGE), UnknownMode,
+     "no mode named <int out of floating-point range>: a name must be a str, not int"),
+    (lambda reg, rules, graph: split(reg, 0), UnknownMode,
+     "no mode named 0: a name must be a str, not int"),
+    (lambda reg, rules, graph: forward_backward(reg, rules, 0), UnknownMode,
+     "no mode named 0: a name must be a str, not int"),
+    (lambda reg, rules, graph: forward_backward(reg, rules, ["x"]), UnknownMode,
+     "no mode named ['x']: a name must be a str, not list"),
+    (lambda reg, rules, graph: closure(reg, rules, ["unite"], 1, seed=[0]), UnknownMode,
+     "no mode named 0: a name must be a str, not int"),
+    (lambda reg, rules, graph: reg.resolve(None), UnknownMode,
+     "no mode named None: a name must be a str, not NoneType"),
+    (lambda reg, rules, graph: reg.resolve(["x"]), UnknownMode,
+     "no mode named ['x']: a name must be a str, not list"),
+    (lambda reg, rules, graph: reg.resolve(b"narration"), UnknownMode,
+     "no mode named b'narration': a name must be a str, not bytes"),
+    (lambda reg, rules, graph: graph.node("C", 0), UnknownNode,
+     "no C-layer node named 0: a name must be a str, not int"),
+    (lambda reg, rules, graph: graph.node("C", ["x"]), UnknownNode,
+     "no C-layer node named ['x']: a name must be a str, not list"),
+    (lambda reg, rules, graph: compose_re(graph, 0), UnknownNode,
+     "no E-layer node named 0: a name must be a str, not int"),
+    (lambda reg, rules, graph: compose_re(graph, HUGE), UnknownNode,
+     "no E-layer node named <int out of floating-point range>: a name must be a str, not int"),
+    (lambda reg, rules, graph: graph.node(HUGE, "observe"), UnknownNode,
+     "unknown layer <int out of floating-point range>"),
+    (lambda reg, rules, graph: graph.layer_nodes(HUGE), UnknownNode,
+     "unknown layer <int out of floating-point range>"),
+    (lambda reg, rules, graph: branching_stats(graph).max_degree(HUGE), UnknownNode,
+     "no out-degrees for layer <int out of floating-point range>"),
+], ids=["unite", "unite-huge", "split", "forward-backward", "forward-backward-list",
+        "closure-seed", "resolve-none", "resolve-list", "resolve-bytes", "node", "node-list",
+        "compose-re", "compose-re-huge", "node-layer-huge", "layer-nodes-huge",
+        "max-degree-huge"])
+def test_a_name_that_is_not_a_str_is_refused(registry, rules, graph, call, error, message):
+    """A name of another type names nothing: no hints are built for it, and
+    ``_shown`` names an int too long to write."""
+    with pytest.raises(error) as caught:
+        call(registry, rules, graph)
+    assert str(caught.value) == message
+    assert caught.value.suggestions == ()
