@@ -45,7 +45,8 @@ __all__ = sorted(_SUBMODULE)
 def __getattr__(name: str):
     module = _SUBMODULE.get(name)
     if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from .errors import shown
+        raise AttributeError(f"module {shown(__name__)} has no attribute {shown(name)}")
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value

@@ -22,9 +22,8 @@ Metrics:
 from __future__ import annotations
 
 import math
-import sys
 
-from .errors import BadCapacity, BadCount, OutOfRange
+from .errors import BadCapacity, BadCount, OutOfRange, _beyond_float, shown
 from .records import record
 
 #: Largest supported rhetorical width for exact capacity metrics.
@@ -47,32 +46,9 @@ SUPERCRITICAL = "supercritical"
 
 def _check_width(k: int, top: int = MAX_WIDTH) -> None:
     if not isinstance(k, int) or isinstance(k, bool):
-        raise OutOfRange(f"width must be an integer, got {k!r}")
+        raise OutOfRange(f"width must be an integer, got {shown(k)}")
     if k < 1 or k > top:
-        raise OutOfRange(f"width {_shown(k)} outside supported range 1..{top}")
-
-
-def _beyond_float(value) -> bool:
-    """Whether real ``value`` is too large for a float: ``float`` raises on it.
-
-    A float itself, ``inf`` and ``nan`` too, is not beyond.
-    """
-    return not isinstance(value, float) and abs(value) > sys.float_info.max
-
-
-class _Named(str):
-    """Error text standing in for a value; its repr is the text itself."""
-
-    __repr__ = str.__str__
-
-
-def _shown(value):
-    """``value`` for an error text, but an ``int`` beyond float range is named
-    instead of written out: so the text is the same on every Python, and no
-    refusal fails on Python 3.11's limit on converting an ``int`` to text."""
-    if isinstance(value, int) and _beyond_float(value):
-        return _Named(("-" if value < 0 else "") + "<int out of floating-point range>")
-    return value
+        raise OutOfRange(f"width {shown(k)} outside supported range 1..{top}")
 
 
 @record
@@ -139,17 +115,18 @@ def growth(l_n: float, c_0: float = 1.0) -> GrowthParams:
     """Bits/stage and load class for introduction rate ``l_n`` against capacity ``c_0``."""
     for name, value in (("learner capacity C_0", c_0), ("introduction rate L_n", l_n)):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise BadCapacity(f"{name} must be an int or float, got {value!r}")
+            raise BadCapacity(f"{name} must be an int or float, got {shown(value)}")
         if _beyond_float(value):
             raise BadCapacity(f"{name} is out of floating-point range")
     if not math.isfinite(c_0) or c_0 <= 0:
-        raise BadCapacity(f"learner capacity C_0 must be positive, got {c_0!r}")
+        raise BadCapacity(f"learner capacity C_0 must be positive, got {shown(c_0)}")
     if not math.isfinite(l_n) or l_n < 0:
-        raise BadCapacity(f"introduction rate L_n must be non-negative, got {l_n!r}")
+        raise BadCapacity(f"introduction rate L_n must be non-negative, got {shown(l_n)}")
     r_scale = l_n * MRB
     norm = r_scale / c_0
     if not math.isfinite(norm):
-        raise BadCapacity(f"load L_n/C_0 = {l_n!r}/{c_0!r} is out of floating-point range")
+        raise BadCapacity(f"load L_n/C_0 = {shown(l_n)}/{shown(c_0)} is out of "
+                          "floating-point range")
     if abs(norm - 1.0) <= CRITICAL_TOLERANCE:
         load_class = CRITICAL
     elif norm < 1.0:
@@ -163,7 +140,7 @@ def growth(l_n: float, c_0: float = 1.0) -> GrowthParams:
 def coverage_band(c_m: float) -> str:
     """Band for a usage share: limited < 0.3 ≤ moderate < 0.7 ≤ high."""
     if not isinstance(c_m, (int, float)) or isinstance(c_m, bool) or not 0 <= c_m <= 1:
-        raise BadCount(f"usage share must be an int or float from 0 to 1, got {_shown(c_m)!r}")
+        raise BadCount(f"usage share must be an int or float from 0 to 1, got {shown(c_m)}")
     if c_m < 0.3:
         return LIMITED
     if c_m < 0.7:
@@ -174,10 +151,10 @@ def coverage_band(c_m: float) -> str:
 def coverage(k_u: int, k: int) -> CoverageReport:
     """Usage share K_u/K of an available repertoire of ``k`` modes."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise OutOfRange(f"width must be a positive integer, got {_shown(k)!r}")
+        raise OutOfRange(f"width must be a positive integer, got {shown(k)}")
     if not isinstance(k_u, int) or isinstance(k_u, bool) or k_u < 0:
-        raise BadCount(f"used-mode count must be a non-negative integer, got {_shown(k_u)!r}")
+        raise BadCount(f"used-mode count must be a non-negative integer, got {shown(k_u)}")
     if k_u > k:
-        raise BadCount(f"{_shown(k_u)} modes used exceeds the {_shown(k)} available")
+        raise BadCount(f"{shown(k_u)} modes used exceeds the {shown(k)} available")
     c_m = k_u / k
     return CoverageReport(K_u=k_u, K=k, C_m=c_m, band=coverage_band(c_m))

@@ -26,7 +26,7 @@ from pathlib import Path
 # function, not the submodule, so names are imported explicitly instead.
 from .capacity import MAX_WIDTH, capacity, capacity_table, coverage, growth
 from .entropy import MAX_ENTROPY_WIDTH, entropy_layered, entropy_subset_sizes
-from .errors import RhetorError
+from .errors import RhetorError, shown
 from .records import asdict
 
 TABLE = "table"
@@ -138,12 +138,12 @@ def _parse_layers(parser, text: str) -> list[tuple[str, int]]:
     try:
         counts = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        parser.error(f"--layers needs comma-separated integers, got {text!r}")
+        parser.error(f"--layers needs comma-separated integers, got {shown(text)}")
     if not counts:
         parser.error("--layers needs at least one branching factor")
     for count in counts:
         if count < 1 or count > MAX_ENTROPY_WIDTH:
-            parser.error(f"--layers value {count} is outside "
+            parser.error(f"--layers value {shown(count)} is outside "
                          f"1..{MAX_ENTROPY_WIDTH}")
     return [(f"L{i}", count) for i, count in enumerate(counts, start=1)]
 
@@ -249,9 +249,9 @@ def _int_in_range(lo: int, hi: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+            raise argparse.ArgumentTypeError(f"{shown(text)} is not an integer") from None
         if value < lo or value > hi:
-            raise argparse.ArgumentTypeError(f"{value} is outside {lo}..{hi}")
+            raise argparse.ArgumentTypeError(f"{shown(value)} is outside {lo}..{hi}")
         return value
     return parse
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .capacity import CoverageReport, _shown, coverage
+from .capacity import CoverageReport, coverage
 from .errors import (
     BadCount,
     BadIndex,
@@ -36,6 +36,7 @@ from .errors import (
     RhetorError,
     UnmappedStage,
     at,
+    shown,
 )
 from .jsontext import entries, names_field, read_document, read_text, text_field
 from .pyramid import C, E, PyramidGraph, _realizers
@@ -57,18 +58,18 @@ class Segment:
         # A plain loop: parsing builds one Segment per segment line, and
         # all() over a generator costs about twice as much.
         if self.index.__class__ is not int:
-            raise ParseError(f"segment index must be an int, got {self.index!r}")
+            raise ParseError(f"segment index must be an int, got {shown(self.index)}")
         modes = self.modes
         if isinstance(modes, frozenset):
             if not modes:
-                raise EmptySegment(f"segment {_shown(self.index)} lists no modes")
+                raise EmptySegment(f"segment {shown(self.index)} lists no modes")
             for mode in modes:
                 if not isinstance(mode, str):
                     break
             else:
                 return
-        raise ParseError(f"segment {_shown(self.index)} modes must be a frozenset of str, "
-                         f"got {modes!r}")
+        raise ParseError(f"segment {shown(self.index)} modes must be a frozenset of str, "
+                         f"got {shown(modes)}")
 
 
 @record
@@ -90,36 +91,41 @@ class AnnotatedDocument:
         _written("doc id", self.id)
         declared = self.declared_K
         if declared is not None and (declared.__class__ is not int or declared < 1):
-            raise ParseError(f"declared_K must be a positive integer, got {declared!r}")
+            raise ParseError(f"declared_K must be a positive integer, got {shown(declared)}")
         previous, stage = 0, object()  # equal to no label: the first one is checked
         for seg in self.segments:
             if seg.index <= previous:
-                raise BadIndex(f"segment index {_shown(seg.index)} of {self.id!r} "
+                raise BadIndex(f"segment index {shown(seg.index)} of {shown(self.id)} "
                                f"does not increase")
             previous = seg.index
+            # _written names the segment, so it runs only on a label or text that
+            # may not read back.  A line break is not printable; nor is a tab,
+            # which _written passes.
             if seg.stage != stage:
-                stage = _written(f"segment {_shown(seg.index)} stage", seg.stage)
+                stage = seg.stage
+                if (stage.__class__ is not str or not stage or stage.strip() != stage
+                        or not stage.isprintable()):
+                    _written(f"segment {shown(seg.index)} stage", stage)
             text = seg.text
-            # A line break is not printable; nor is a tab, which _written passes.
             if text.__class__ is not str or text.strip() != text or not text.isprintable():
-                _written(f"segment {_shown(seg.index)} text", text)
+                _written(f"segment {shown(seg.index)} text", text)
         try:
             str(previous)  # the last index, so the largest
         except ValueError:  # beyond the int-to-text digit limit (Python 3.11, 3.10.7)
-            raise ParseError(f"segment index {_shown(previous)} of {self.id!r} has more "
+            raise ParseError(f"segment index {shown(previous)} of {shown(self.id)} has more "
                              f"digits than this Python writes") from None
         used = self.mode_union()
         # Each distinct mode name is tested once.
         bad = {name for name in used if not _ID_PATTERN.match(name)}
         if bad:
             seg = next(seg for seg in self.segments if not bad.isdisjoint(seg.modes))
-            field = f"segment {_shown(seg.index)} modes"
+            field = f"segment {shown(seg.index)} modes"
             modes = _written(field, ", ".join(sorted(seg.modes)))
-            raise ParseError(f"{field} {modes!r} holds {min(bad & seg.modes)!r}, "
+            raise ParseError(f"{field} {shown(modes)} holds {shown(min(bad & seg.modes))}, "
                              f"which is not a canonical mode id")
         if declared is not None and declared < len(used):
             raise BadCount(f"declared_K={declared} is below the {len(used)} "
-                           f"distinct modes used in {self.id!r}")
+                           f"distinct modes used in {shown(self.id)}")
 
     def mode_union(self) -> frozenset[str]:
         """All distinct mode ids used anywhere in the document."""
@@ -169,15 +175,15 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
                 if head != "seg":
                     head_tokens = head.split()
                     if len(head_tokens) > 2:
-                        raise ParseError(f"unrecognized segment head {head!r}")
+                        raise ParseError(f"unrecognized segment head {shown(head)}")
                     try:
                         index = int(head_tokens[1])
                     except ValueError:
                         raise ParseError(f"segment index must be an integer, got "
-                                         f"{head_tokens[1]!r}") from None
+                                         f"{shown(head_tokens[1])}") from None
                     if index < next_index:
-                        raise BadIndex(f"segment index {index} repeats or decreases "
-                                       f"(last was {next_index - 1})")
+                        raise BadIndex(f"segment index {shown(index)} repeats or decreases "
+                                       f"(last was {shown(next_index - 1)})")
                 field, _, text = rest.partition("|")
                 modes: set[str] = set()
                 for name in field.split(","):
@@ -207,13 +213,13 @@ def parse_document(source: "str | Path", registry: Registry | None = None) -> An
                 except ValueError:  # more digits than int() converts
                     declared_k = 0
                 if declared_k < 1:
-                    raise ParseError(f"declared_K needs a positive integer, got {rest!r}")
+                    raise ParseError(f"declared_K needs a positive integer, got {shown(rest)}")
             elif keyword == "stage":
                 if not rest:
                     raise ParseError("stage line needs a label")
                 stage = rest
             else:
-                raise ParseError(f"unrecognized line {line!r}")
+                raise ParseError(f"unrecognized line {shown(line)}")
     except RhetorError as exc:
         raise at(line_no, exc)
 
@@ -245,13 +251,13 @@ def serialize_document(doc: AnnotatedDocument) -> str:
 def _written(field: str, value: str) -> str:
     """``value`` when it reads back as written, else the error naming ``field``."""
     if not isinstance(value, str):
-        raise ParseError(f"{field} must be a str, got {value!r}")
+        raise ParseError(f"{field} must be a str, got {shown(value)}")
     if not value:
         raise ParseError(f"{field} is empty")
     if value != value.strip():
-        raise ParseError(f"{field} {value!r} has leading or trailing whitespace")
+        raise ParseError(f"{field} {shown(value)} has leading or trailing whitespace")
     if value.splitlines() != [value]:
-        raise ParseError(f"{field} {value!r} holds a line break")
+        raise ParseError(f"{field} {shown(value)} holds a line break")
     return value
 
 
@@ -264,7 +270,7 @@ def analyze_coverage(doc: AnnotatedDocument, k: int | None = None) -> CoverageRe
     """
     width = k if k is not None else doc.declared_K
     if width is None:
-        raise BadCount(f"no width given and {doc.id!r} declares none")
+        raise BadCount(f"no width given and {shown(doc.id)} declares none")
     return coverage(len(doc.mode_union()), width)
 
 
@@ -319,7 +325,7 @@ def _by_stage(stage_map: Iterable[StageMapping]) -> dict[str, StageMapping]:
     by_stage: dict[str, StageMapping] = {}
     for position, mapping in enumerate(stage_map):
         if by_stage.setdefault(mapping.stage, mapping) is not mapping:
-            raise ParseError(f"stages[{position}]: stage {mapping.stage!r} is mapped twice")
+            raise ParseError(f"stages[{position}]: stage {shown(mapping.stage)} is mapped twice")
     return by_stage
 
 
@@ -342,7 +348,7 @@ def trace_layers(
     for stage, modes in observed_by_stage.items():
         mapping = by_stage.get(stage)
         if mapping is None:
-            raise UnmappedStage(f"stage {stage!r} has no entry in the stage map")
+            raise UnmappedStage(f"stage {shown(stage)} has no entry in the stage map")
         e_node = graph.node(E, mapping.e_id)
         c_ids = tuple([graph.node(C, c_name).id for c_name in mapping.c_ids])
         expected = _realizers(graph, c_ids)
@@ -396,13 +402,13 @@ def estimate_rri(docs: Sequence[tuple[float, AnnotatedDocument]]) -> RriEstimate
     indices = [i for i, _ in docs]
     not_real = [i for i in indices if isinstance(i, bool) or not isinstance(i, Real)]
     if not_real:
-        raise BadIndex(f"stage indices must be real numbers, got {', '.join(map(repr, not_real))}")
+        raise BadIndex(f"stage indices must be real numbers, got {', '.join(map(shown, not_real))}")
     not_finite = [i for i in indices if not abs(i) < float("inf")]  # nan compares false
     if not_finite:
-        raise BadIndex(f"stage indices must be finite, got {', '.join(map(repr, not_finite))}")
+        raise BadIndex(f"stage indices must be finite, got {', '.join(map(shown, not_finite))}")
     for a, b in zip(indices, indices[1:]):
         if b <= a:
-            raise BadIndex(f"stage indices must increase strictly ({_shown(a)} then {_shown(b)})")
+            raise BadIndex(f"stage indices must increase strictly ({shown(a)} then {shown(b)})")
 
     seen: set[str] = set()
     cumulative: list[tuple[float, int]] = []

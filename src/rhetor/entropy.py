@@ -23,8 +23,8 @@ import math
 import sys
 from typing import Iterable, Sequence
 
-from .capacity import MAX_WIDTH, _beyond_float, _check_width
-from .errors import BadCount, BadDistribution, OutOfRange
+from .capacity import MAX_WIDTH, _check_width
+from .errors import BadCount, BadDistribution, OutOfRange, _beyond_float, shown
 from .records import record
 
 #: Largest width supported by the log-space path.
@@ -61,7 +61,7 @@ class LayeredEntropyReport:
 def uniform(k: int) -> list[float]:
     """The uniform distribution over ``k`` outcomes."""
     if not isinstance(k, int) or isinstance(k, bool):
-        raise OutOfRange(f"outcome count must be an integer, got {k!r}")
+        raise OutOfRange(f"outcome count must be an integer, got {shown(k)}")
     if _beyond_float(k):
         raise OutOfRange("outcome count is out of floating-point range")
     if k < 1:
@@ -81,10 +81,10 @@ def entropy_flat(probabilities: Iterable[float]) -> float:
         if real and _beyond_float(p):
             raise BadDistribution("a probability is out of floating-point range")
         if not real or not math.isfinite(p) or p < 0:
-            raise BadDistribution(f"probability {p!r} is not a real number in [0, 1]")
+            raise BadDistribution(f"probability {shown(p)} is not a real number in [0, 1]")
         total += p
     if abs(total - 1.0) > DISTRIBUTION_TOLERANCE:
-        raise BadDistribution(f"probabilities sum to {total!r}, not 1")
+        raise BadDistribution(f"probabilities sum to {shown(total)}, not 1")
     return 0.0 - math.fsum(p * math.log2(p) for p in probabilities if p > 0)
 
 

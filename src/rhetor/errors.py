@@ -1,9 +1,13 @@
-"""Exception hierarchy shared by all rhetor modules.
+"""Exception hierarchy shared by all rhetor modules, and the one writer of
+the values their texts name.
 
 Every domain failure raises a subclass of :class:`RhetorError`; the CLI maps
-any of these to exit status 1 and prints ``<ClassName>: <message>``.
+any of these to exit status 1 and prints ``<ClassName>: <message>``.  Every
+value written into a message goes through :func:`shown`.
 """
 from __future__ import annotations
+
+import sys
 
 
 class RhetorError(Exception):
@@ -30,6 +34,63 @@ def at(position: "str | int", exc: RhetorError) -> RhetorError:
     else:
         exc.args = (f"{position}: {exc.args[0]}",)
     return exc
+
+
+#: Characters of a value's text that an error text keeps; a longer text is
+#: cut there, and its full length follows the cut.
+SHOWN_LENGTH = 200
+
+
+def shown(value) -> str:
+    """``value`` as an error text writes it: as ``repr`` writes it, but an
+    ``int`` beyond float range is named, inside a tuple, list, set, frozenset
+    or dict too, and a text longer than ``SHOWN_LENGTH`` is cut.  So the text
+    is the same on every Python, stays short, and never raises: a value whose
+    ``repr`` fails is named by its type."""
+    try:
+        text = _written(value, set())
+    except Exception:  # a repr that raises, or nesting past the recursion limit
+        text = f"<unprintable {type(value).__name__} object>"
+    if len(text) > SHOWN_LENGTH:
+        text = f"{text[:SHOWN_LENGTH]}... ({len(text)} characters)"
+    return text
+
+
+def _written(value, open_ids: set) -> str:
+    """``repr(value)``, with ``shown``'s name for an out-of-range ``int`` at any
+    depth; ``open_ids`` holds the containers being written, as ``repr`` marks
+    a container inside itself."""
+    if isinstance(value, int) and _beyond_float(value):
+        return ("-" if value < 0 else "") + "<int out of floating-point range>"
+    cls = value.__class__
+    if cls not in (tuple, list, set, frozenset, dict):
+        return repr(value)
+    if id(value) in open_ids:
+        return "(...)" if cls is tuple else "[...]" if cls is list else "{...}"
+    open_ids.add(id(value))
+    if cls is dict:
+        body = ", ".join(f"{_written(k, open_ids)}: {_written(v, open_ids)}"
+                         for k, v in value.items())
+    else:
+        body = ", ".join(_written(item, open_ids) for item in value)
+    open_ids.discard(id(value))
+    if cls is list:
+        return f"[{body}]"
+    if cls is tuple:
+        return f"({body},)" if len(value) == 1 else f"({body})"
+    if cls is dict:
+        return f"{{{body}}}"
+    if not value:
+        return f"{cls.__name__}()"
+    return f"{{{body}}}" if cls is set else f"frozenset({{{body}}})"
+
+
+def _beyond_float(value) -> bool:
+    """Whether real ``value`` is too large for a float: ``float`` raises on it.
+
+    A float itself, ``inf`` and ``nan`` too, is not beyond.
+    """
+    return not isinstance(value, float) and abs(value) > sys.float_info.max
 
 
 # --- registry ---------------------------------------------------------------

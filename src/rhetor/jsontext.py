@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from math import isfinite
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, shown
 
 
 def json_text(payload) -> str:
@@ -56,7 +56,7 @@ def json_text(payload) -> str:
             write(int.__repr__(o))
         elif isinstance(o, float):
             if not isfinite(o):
-                raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+                raise ValueError(f"Out of range float values are not JSON compliant: {shown(o)}")
             write(float.__repr__(o))
         elif isinstance(o, (list, tuple)):
             array(o, newline)
@@ -146,7 +146,7 @@ def entries(doc: dict, key: str, kind: str):
     like ``modes[3]``; an absent ``key`` holds no entries."""
     section = doc.get(key, [])
     if not isinstance(section, list):
-        raise ParseError(f"{kind} {key!r} must be a list")
+        raise ParseError(f"{kind} {shown(key)} must be a list")
     for position, entry in enumerate(section):
         where = f"{key}[{position}]"
         if not isinstance(entry, dict):
@@ -159,7 +159,7 @@ def text_field(entry: dict, key: str, where: str, required: bool = False) -> str
     which a ``required`` field may not be."""
     value = entry.get(key, "")
     if not isinstance(value, str) or required and not value:
-        raise ParseError(f"{where}: {key!r} must be a "
+        raise ParseError(f"{where}: {shown(key)} must be a "
                          f"{'non-empty ' if required else ''}string")
     return value
 
@@ -171,6 +171,6 @@ def names_field(entry: dict, key: str, where: str,
     value = entry.get(key, [])
     if (not isinstance(value, list) or required and not value
             or not all(isinstance(name, str) for name in value)):
-        raise ParseError(f"{where}: {key!r} must be a "
+        raise ParseError(f"{where}: {shown(key)} must be a "
                          f"{'non-empty ' if required else ''}list of names")
     return tuple(value)

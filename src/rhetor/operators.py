@@ -36,6 +36,7 @@ from .errors import (
     NotAtomic,
     NotDiatomic,
     SelfUnite,
+    shown,
 )
 from .jsontext import json_text, read_document
 from .records import record
@@ -68,7 +69,7 @@ def operator_kind(name: str) -> str:
     """Normalize an operator name, accepting the short CLI spellings."""
     kind = OPERATOR_ALIASES.get(name, name)
     if kind not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {name!r}")
+        raise ValueError(f"unknown operator kind {shown(name)}")
     return kind
 
 
@@ -109,17 +110,18 @@ class DualityRuleSet:
         for position, pair in enumerate(pairs):
             prefix = f"{relation}[{position}]: {relation} pair"
             if not isinstance(pair, (list, tuple)) or not all(isinstance(p, str) for p in pair):
-                raise BadRuleSet(f"{prefix} {pair!r} must be a list of names")
+                raise BadRuleSet(f"{prefix} {shown(pair)} must be a list of names")
             members = [canon(p) for p in pair]
             if len(members) != 2 or not all(members):
-                raise BadRuleSet(f"{prefix} {tuple(pair)!r} must name two modes")
+                raise BadRuleSet(f"{prefix} {shown(tuple(pair))} must name two modes")
             if members[0] == members[1]:
-                raise BadRuleSet(f"{prefix} repeats {members[0]!r}")
+                raise BadRuleSet(f"{prefix} repeats {shown(members[0])}")
             for member in members:
                 if not _ID_PATTERN.match(member):
-                    raise BadRuleSet(f"{prefix} {tuple(pair)!r}: {member!r} is not a mode id")
+                    raise BadRuleSet(f"{prefix} {shown(tuple(pair))}: {shown(member)} is not "
+                                     "a mode id")
                 if member in seen:
-                    raise BadRuleSet(f"{prefix} {tuple(pair)!r}: mode {member!r} "
+                    raise BadRuleSet(f"{prefix} {shown(tuple(pair))}: mode {shown(member)} "
                                      f"appears in two {relation} pairs")
                 seen.add(member)
             if not ordered:
@@ -162,9 +164,9 @@ def load_rules(source: "str | Path | dict | None" = None) -> DualityRuleSet:
     doc = read_document(source, "rules")
     for key, section in doc.items():
         if key not in _RELATIONS:
-            raise BadRuleSet(f"unknown rules section {key!r}")
+            raise BadRuleSet(f"unknown rules section {shown(key)}")
         if not isinstance(section, list):
-            raise BadRuleSet(f"rules section {key!r} must be a list of name pairs")
+            raise BadRuleSet(f"rules section {shown(key)} must be a list of name pairs")
     return DualityRuleSet(**doc)
 
 
@@ -196,7 +198,7 @@ def split(registry: Registry, m: "str | Mode") -> tuple[Mode, Mode]:
     """The two constituent atoms of a diatomic mode, in stored order."""
     mode = registry.resolve(m)
     if not mode.is_diatomic:
-        raise NotDiatomic(f"cannot split {mode.id!r}: arity is {mode.arity}")
+        raise NotDiatomic(f"cannot split {shown(mode.id)}: arity is {mode.arity}")
     parts = []
     for cid in mode.constituents:
         part = registry.get(cid)
@@ -215,10 +217,10 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
     """
     ma, mb = registry.resolve(a), registry.resolve(b)
     if ma.id == mb.id:
-        raise SelfUnite(f"cannot unite {ma.id!r} with itself")
+        raise SelfUnite(f"cannot unite {shown(ma.id)} with itself")
     for mode in (ma, mb):
         if not mode.is_atomic:
-            raise NotAtomic(f"cannot unite {mode.id!r}: arity is {mode.arity}")
+            raise NotAtomic(f"cannot unite {shown(mode.id)}: arity is {mode.arity}")
     a, b = pair = (ma.id, mb.id) if ma.id < mb.id else (mb.id, ma.id)
     held = registry.diatomic_for_pair(a, b)
     return held or _pair_mode(f"{a}--{b}", pair, _title(a), _title(b))
@@ -262,10 +264,10 @@ def _partners(registry: Registry, rules: DualityRuleSet, operator: str) -> dict[
     for member, partner in pairs:
         mode_id, partner_id = aliases.get(member, member), aliases.get(partner, partner)
         if mode_id == partner_id:
-            raise BadRuleSet(f"{relation} pair ({member!r}, {partner!r}) names one mode, "
-                             f"{mode_id!r}, under the registry's aliases")
+            raise BadRuleSet(f"{relation} pair ({shown(member)}, {shown(partner)}) names one "
+                             f"mode, {shown(mode_id)}, under the registry's aliases")
         if out.setdefault(mode_id, partner_id) != partner_id:
-            raise BadRuleSet(f"mode {mode_id!r} appears in two {relation} pairs "
+            raise BadRuleSet(f"mode {shown(mode_id)} appears in two {relation} pairs "
                              "under the registry's aliases")
     return out
 
@@ -274,10 +276,10 @@ def _unary(registry: Registry, rules: DualityRuleSet, m: "str | Mode",
            operator: str) -> Mode:
     mode = _rule_mode(registry, rules, m)
     if not mode.is_atomic:
-        raise NotAtomic(f"cannot apply {operator} to {mode.id!r}: arity is {mode.arity}")
+        raise NotAtomic(f"cannot apply {operator} to {shown(mode.id)}: arity is {mode.arity}")
     partner_id = _partners(registry, rules, operator).get(mode.id)
     if partner_id is None:
-        raise NoDual(f"{mode.id!r} has no {_RELATION_OF[operator]} partner "
+        raise NoDual(f"{shown(mode.id)} has no {_RELATION_OF[operator]} partner "
                      "under the active rules")
     return _partner(registry, partner_id, operator, mode)
 
@@ -312,6 +314,18 @@ def orthogonal(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mo
 
 
 # --- closure ----------------------------------------------------------------
+
+def _one_or_many(value, single: "type | tuple[type, ...]", parameter: str, what: str):
+    """``value`` as an iterable: a ``single`` value names one item; a value
+    that is neither is refused as ``closure`` refuses a bad ``max_depth``."""
+    if isinstance(value, single):
+        return (value,)
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{parameter} must be {what} or an iterable of them, "
+                         f"got {shown(value)}") from None
+
 
 @record
 class Derivation:
@@ -352,11 +366,10 @@ def closure(
     early once a depth adds nothing new.
     """
     if not isinstance(max_depth, int) or isinstance(max_depth, bool):
-        raise ValueError(f"max_depth must be an integer, got {max_depth!r}")
+        raise ValueError(f"max_depth must be an integer, got {shown(max_depth)}")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    if isinstance(ops, str):
-        ops = (ops,)
+    ops = _one_or_many(ops, str, "ops", "an operator name")
     kinds = sorted({operator_kind(op) for op in ops}, key=OPERATOR_KINDS.index)
     if not kinds:
         raise ValueError("ops must name at least one operator")
@@ -365,10 +378,8 @@ def closure(
     if seed is None:
         universe = {m.id: m for m in registry}
     else:
-        if isinstance(seed, (str, Mode)):
-            seed = (seed,)
         universe = {}
-        for entry in seed:
+        for entry in _one_or_many(seed, (str, Mode), "seed", "a mode, a mode name"):
             mode = registry.resolve(entry)
             universe[mode.id] = mode
 

@@ -31,13 +31,13 @@ import math
 from pathlib import Path
 from typing import Iterable
 
-from .capacity import _shown
 from .errors import (
     BadComposition,
     BadEdge,
     ParseError,
     UnknownNode,
     UnknownProfile,
+    shown,
 )
 from .jsontext import entries, json_text, names_field, read_document, text_field
 from .records import record
@@ -45,6 +45,7 @@ from .registry import (
     Mode,
     Registry,
     _ID_PATTERN,
+    _is_atom_id,
     _title,
     _unknown,
     canon,
@@ -207,7 +208,7 @@ class BranchingStats:
             return self.c_degrees
         if layer == E:
             return self.e_degrees
-        raise UnknownNode(f"no out-degrees for layer {_shown(layer)!r}")
+        raise UnknownNode(f"no out-degrees for layer {shown(layer)}")
 
     def max_degree(self, layer: str) -> int:
         degrees = self._layer(layer)
@@ -248,28 +249,27 @@ class PyramidGraph:
         edges_ec: Iterable[tuple[str, str]],
         registry: Registry | None = None,
     ):
-        if not isinstance(profile, str) or not profile:
-            raise ParseError(f"mapping profile must be a non-empty string, got {profile!r}")
-        self._profile = profile
+        self._profile = _checked_profile(profile)
         self._registry = registry if registry is not None else default_registry()
         self._nodes: dict[str, dict[str, LayerNode]] = {C: {}, E: {}}
         for node in nodes:
             if node.layer not in (C, E):
-                raise BadEdge(f"node {node.id!r} has layer {node.layer!r}; a graph is given "
-                              f"only C- and E-nodes")
+                raise BadEdge(f"node {shown(node.id)} has layer {shown(node.layer)}; a graph is "
+                              f"given only C- and E-nodes")
             layer = self._nodes[node.layer]
             if not isinstance(node.id, str) or not _ID_PATTERN.match(node.id):
                 problem = f"in layer {node.layer} is not a canonical id"
             elif node.id in layer:
                 problem = f"duplicated in layer {node.layer}"
             elif not isinstance(node.display_name, str) or not node.display_name:
-                problem = f"display name must be a non-empty string, got {node.display_name!r}"
+                problem = ("display name must be a non-empty string, "
+                           f"got {shown(node.display_name)}")
             elif not isinstance(node.description, str):
-                problem = f"description must be a string, got {node.description!r}"
+                problem = f"description must be a string, got {shown(node.description)}"
             else:
                 layer[node.id] = node
                 continue
-            raise ParseError(f"{node.layer.lower()}_nodes[{len(layer)}]: node {node.id!r} "
+            raise ParseError(f"{node.layer.lower()}_nodes[{len(layer)}]: node {shown(node.id)} "
                              f"{problem}")
         modes = self._registry._modes
         # Each upper node's child ids, in node order; every edge is checked
@@ -283,20 +283,20 @@ class PyramidGraph:
                     up_id, low_id = edge
                     ids = by_node.get(up_id)
                     if ids is None:
-                        raise BadEdge(f"edge references unknown {upper}-node {up_id!r}")
+                        raise BadEdge(f"edge references unknown {upper}-node {shown(up_id)}")
                     if low_id not in lower_ids:
                         where = f"{key}[{list(by_node).index(up_id)}].{target_key}[{len(ids)}]"
-                        raise BadEdge(f"{where}: {upper}-node {up_id!r} references unknown "
-                                      f"{lower}-node {low_id!r}")
+                        raise BadEdge(f"{where}: {upper}-node {shown(up_id)} references "
+                                      f"unknown {lower}-node {shown(low_id)}")
                 except (TypeError, ValueError):  # not a pair, or an unhashable id
-                    raise BadEdge(f"edge {edge!r} is not a pair of node ids") from None
+                    raise BadEdge(f"edge {shown(edge)} is not a pair of node ids") from None
                 ids.append(low_id)
         self._child_ids: dict[str, dict[str, tuple[str, ...]]] = {}
         for upper, children in ((C, "modes"), (E, "cognitive functions")):
             for position, (node_id, ids) in enumerate(grouped[upper].items()):
                 if not ids:
                     raise BadEdge(f"{upper.lower()}_nodes[{position}]: {upper}-node "
-                                  f"{node_id!r} lists no {children}")
+                                  f"{shown(node_id)} lists no {children}")
             self._child_ids[upper] = {
                 node_id: tuple(sorted(set(ids))) for node_id, ids in sorted(grouped[upper].items())}
         named = sorted(set().union(*self._child_ids[C].values()))
@@ -315,12 +315,12 @@ class PyramidGraph:
 
     def layer_nodes(self, layer: str) -> tuple[LayerNode, ...]:
         if layer not in LAYERS:
-            raise UnknownNode(f"unknown layer {_shown(layer)!r}")
+            raise UnknownNode(f"unknown layer {shown(layer)}")
         return tuple(sorted(self._nodes[layer].values(), key=lambda n: n.id))
 
     def node(self, layer: str, name: str) -> LayerNode:
         if layer not in LAYERS:
-            raise UnknownNode(f"unknown layer {_shown(layer)!r}")
+            raise UnknownNode(f"unknown layer {shown(layer)}")
         try:
             found = self._nodes[layer].get(canon(name))
         except TypeError:  # not a str: unhashable, or refused by canon
@@ -343,7 +343,7 @@ class PyramidGraph:
                 and self._child_ids == other._child_ids)
 
     def __repr__(self) -> str:
-        return (f"PyramidGraph({self._profile!r}, R={len(self._nodes[R])}, "
+        return (f"PyramidGraph({shown(self._profile)}, R={len(self._nodes[R])}, "
                 f"C={len(self._nodes[C])}, E={len(self._nodes[E])})")
 
     def to_document(self) -> dict:
@@ -355,6 +355,13 @@ class PyramidGraph:
                          target_key: list(child_ids)}
                         for node_id, child_ids in self._child_ids[layer].items()]
         return doc
+
+
+def _checked_profile(profile) -> str:
+    """``profile`` if it is a non-empty string, as a mapping profile must be."""
+    if not isinstance(profile, str) or not profile:
+        raise ParseError(f"mapping profile must be a non-empty string, got {shown(profile)}")
+    return profile
 
 
 def _edge_view(child_ids: dict[str, tuple[str, ...]]) -> frozenset[tuple[str, str]]:
@@ -395,7 +402,7 @@ def _resolve_target(registry: Registry, name: str, profile: str,
         return mode.id
     cid = canon(name)
     if cid not in extras:
-        if not _ID_PATTERN.match(cid) or "--" in cid:
+        if not _is_atom_id(cid):
             return None
         extras[cid] = generated_mode(cid, "academic-profile", (),
                                      f"Writing move declared by the {profile} mapping profile.")
@@ -420,13 +427,13 @@ def load_pyramid(
     if source is None:
         source = _PROFILES.get(profile)
         if source is None:
-            raise UnknownProfile(f"unknown profile {profile!r}; built-in profiles: "
+            raise UnknownProfile(f"unknown profile {shown(profile)}; built-in profiles: "
                                  f"{', '.join(BUILTIN_PROFILES)}")
     elif profile != DEFAULT_PROFILE:
-        raise UnknownProfile(f"profile {profile!r} cannot be given with a mapping "
+        raise UnknownProfile(f"profile {shown(profile)} cannot be given with a mapping "
                              f"document, which names its own profile")
     doc = read_document(source, "mapping")
-    profile = doc.get("profile", "custom")
+    profile = _checked_profile(doc.get("profile", "custom"))  # minted modes name it
     registry = registry if registry is not None else default_registry()
     extras: dict[str, Mode] = {}
     nodes: list[LayerNode] = []
@@ -442,8 +449,8 @@ def load_pyramid(
                 target = (canon(name) if layer == E
                           else _resolve_target(registry, name, profile, extras))
                 if target is None:
-                    raise ParseError(f"{where}.{target_key}[{j}]: invalid mode name {name!r} "
-                                     f"in {profile} mapping")
+                    raise ParseError(f"{where}.{target_key}[{j}]: invalid mode name "
+                                     f"{shown(name)} in {profile} mapping")
                 edges[layer].append((node_id, target))
     registry = registry.with_modes(extras.values()) if extras else registry
     return PyramidGraph(profile, nodes, edges[C], edges[E], registry)
@@ -464,16 +471,16 @@ def compose_academic(registry: Registry, f: AcademicFunction) -> Mode:
     only one supplement is given).
     """
     if not f.supplements:
-        raise BadComposition(f"academic function {f.name!r} needs supplementary modes")
+        raise BadComposition(f"academic function {shown(f.name)} needs supplementary modes")
     core = registry.resolve(f.core)
     supplements = [registry.resolve(s) for s in f.supplements]
     if any(s.id == core.id for s in supplements):
         raise BadComposition(
-            f"core mode {core.id!r} cannot also be a supplement of {f.name!r}")
+            f"core mode {shown(core.id)} cannot also be a supplement of {shown(f.name)}")
     constituents = (core.id, *(s.id for s in supplements))
     name_id = canon(f.name)
-    if not _ID_PATTERN.match(name_id) or "--" in name_id:  # ``af-a--b`` is a pair's id
-        raise BadComposition(f"cannot form an id from function name {f.name!r}")
+    if not _is_atom_id(name_id):  # ``af-a--b`` would be a pair's id
+        raise BadComposition(f"cannot form an id from function name {shown(f.name)}")
     return generated_mode(
         f"af-{name_id}", "academic-composition", constituents,
         f"Academic function anchored on {core.id} with {len(supplements)} supporting modes.",

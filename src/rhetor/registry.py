@@ -25,8 +25,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .capacity import _shown
-from .errors import BadConstituent, DuplicateMode, ParseError, RhetorError, UnknownMode, at
+from .errors import BadConstituent, DuplicateMode, ParseError, RhetorError, UnknownMode, at, shown
 from .jsontext import entries, json_text, names_field, read_document, text_field
 from .records import record
 
@@ -63,19 +62,24 @@ def canon(name: str) -> str:
     return s.strip("-")
 
 
+def _is_atom_id(cid: str) -> bool:
+    """Whether canonical name ``cid`` can be an atom's id: a mode id, and not
+    a ``--`` join, which names a pair."""
+    return _ID_PATTERN.match(cid) is not None and "--" not in cid
+
+
 def _unknown(error: type, what: str, name: object, ids: Iterable[str]) -> RhetorError:
     """The ``error`` for a ``name`` that names no ``what``.
 
     A ``str`` gets as did-you-mean hints the one or two of ``ids`` closest
-    to ``canon(name)``, if any is close.  Any other value gets no hints, and
-    ``_shown`` names it.
+    to ``canon(name)``, if any is close.  Any other value gets no hints.
     """
     if not isinstance(name, str):
-        return error(f"no {what} named {_shown(name)!r}: a name must be a str, "
+        return error(f"no {what} named {shown(name)}: a name must be a str, "
                      f"not {type(name).__name__}")
     import difflib  # only a miss that reaches the user needs hints
     hints = difflib.get_close_matches(canon(name), sorted(ids), n=2, cutoff=0.6)
-    return error(f"no {what} named {name!r}", suggestions=tuple(hints))
+    return error(f"no {what} named {shown(name)}", suggestions=tuple(hints))
 
 
 @record
@@ -143,38 +147,39 @@ def _check_join(name: str, constituents: tuple[str, ...] = (), what: str = "mode
     """Keep a ``--`` name for the diatomic of the two ids it joins, as ``unite`` makes it."""
     if "--" in name and constituents != tuple(name.split("--")):
         a, _, b = name.partition("--")
-        raise ParseError(f"{what} {name!r} is reserved for the diatomic of {a!r} and {b!r}")
+        raise ParseError(f"{what} {shown(name)} is reserved for the diatomic of "
+                         f"{shown(a)} and {shown(b)}")
 
 
 def _check_mode(mode: Mode) -> None:
     """What a registry asks of each of its modes on its own."""
     if not isinstance(mode.id, str) or not _ID_PATTERN.match(mode.id):
-        raise ParseError(f"mode id {mode.id!r} is not a valid identifier")
+        raise ParseError(f"mode id {shown(mode.id)} is not a valid identifier")
     if not isinstance(mode.display_name, str) or not mode.display_name:
-        raise ParseError(f"mode {mode.id!r} display name must be a non-empty string, "
-                         f"got {mode.display_name!r}")
+        raise ParseError(f"mode {shown(mode.id)} display name must be a non-empty string, "
+                         f"got {shown(mode.display_name)}")
     if not isinstance(mode.description, str):
-        raise ParseError(f"mode {mode.id!r} description must be a string, "
-                         f"got {mode.description!r}")
+        raise ParseError(f"mode {shown(mode.id)} description must be a string, "
+                         f"got {shown(mode.description)}")
     _check_join(mode.id, mode.constituents)
     n = len(mode.constituents)
     if n == 1:
-        raise BadConstituent(f"mode {mode.id!r} has a single constituent; "
+        raise BadConstituent(f"mode {shown(mode.id)} has a single constituent; "
                              "use none (atomic) or two or more")
     if n == 2 and mode.constituents[0] == mode.constituents[1]:
-        raise BadConstituent(f"mode {mode.id!r} repeats one constituent twice")
+        raise BadConstituent(f"mode {shown(mode.id)} repeats one constituent twice")
 
 
 def _check_alias(alias: str, target: str, modes: dict[str, Mode]) -> None:
     """What a registry asks of each alias: a canonical key, neither a mode id
     nor a ``--`` join, that points at one of ``modes``."""
     if not isinstance(alias, str) or not alias or alias != canon(alias):
-        raise ParseError(f"alias {alias!r} is not a canonical name")
+        raise ParseError(f"alias {shown(alias)} is not a canonical name")
     _check_join(alias, what="alias")
     if alias in modes:
-        raise DuplicateMode(f"alias {alias!r} shadows the registered mode {alias!r}")
+        raise DuplicateMode(f"alias {shown(alias)} shadows the registered mode {shown(alias)}")
     if not isinstance(target, str) or target not in modes:
-        raise BadConstituent(f"alias {alias!r} points at unknown mode {target!r}")
+        raise BadConstituent(f"alias {shown(alias)} points at unknown mode {shown(target)}")
 
 
 # --- built-in tables --------------------------------------------------------
@@ -246,9 +251,12 @@ class Registry:
 
     def __init__(self, modes: Iterable[Mode], version: str = DEFAULT_VERSION,
                  aliases: dict[str, str] | None = None):
-        self._modes = _merged({}, modes)
+        if modes.__class__ is _Merged:  # from with_modes or load_registry: checked there
+            self._modes = {mode.id: mode for mode in modes}
+        else:
+            self._modes = _merged({}, modes)
         if not isinstance(version, str):
-            raise ParseError(f"registry version must be a string, got {version!r}")
+            raise ParseError(f"registry version must be a string, got {shown(version)}")
         self.version = version
         self._aliases = dict(aliases or {})
         for alias, target in self._aliases.items():
@@ -258,21 +266,22 @@ class Registry:
                 part = self._modes.get(cid)
                 if part is None:
                     raise BadConstituent(
-                        f"mode {mode.id!r} references unknown constituent {cid!r}")
+                        f"mode {shown(mode.id)} references unknown constituent {shown(cid)}")
                 if mode.is_diatomic and not part.is_atomic:
                     raise BadConstituent(
-                        f"diatomic mode {mode.id!r} has non-atomic constituent {cid!r}")
+                        f"diatomic mode {shown(mode.id)} has non-atomic constituent "
+                        f"{shown(cid)}")
                 if not part.is_atomic and not part.is_diatomic:
                     raise BadConstituent(
-                        f"mode {mode.id!r} nests the compound mode {cid!r}")
+                        f"mode {shown(mode.id)} nests the compound mode {shown(cid)}")
         # One diatomic per pair, or ``unite`` would answer by construction order.
         self._by_pair: dict[tuple[str, ...], Mode] = {}
         for mode in self._modes.values():
             if mode.is_diatomic:
                 held = self._by_pair.setdefault(tuple(sorted(mode.constituents)), mode)
                 if held is not mode:
-                    raise BadConstituent(f"diatomic modes {held.id!r} and {mode.id!r} "
-                                         f"join the same pair")
+                    raise BadConstituent(f"diatomic modes {shown(held.id)} and "
+                                         f"{shown(mode.id)} join the same pair")
 
     # -- lookup --------------------------------------------------------------
 
@@ -324,7 +333,7 @@ class Registry:
                 and self._aliases == other._aliases)
 
     def __repr__(self) -> str:
-        return f"Registry({len(self)} modes, version={self.version!r})"
+        return f"Registry({len(self)} modes, version={shown(self.version)})"
 
     def atoms(self) -> frozenset[Mode]:
         """All atomic modes; 21 in the default registry."""
@@ -346,7 +355,7 @@ class Registry:
     def with_modes(self, modes: Iterable[Mode]) -> "Registry":
         """New registry extended with ``modes``: each id given once, and existing
         ids must not change (restating an equal registered mode is a no-op)."""
-        return Registry(_merged(self._modes, modes).values(), version=self.version,
+        return Registry(_Merged(_merged(self._modes, modes).values()), version=self.version,
                         aliases=self._aliases)
 
     # -- serialization -------------------------------------------------------
@@ -370,21 +379,28 @@ class Registry:
         return {"version": self.version, "modes": modes, "aliases": dict(sorted(self._aliases.items()))}
 
 
+class _Merged(tuple):
+    """The modes of a table ``_merged`` returned, which ``Registry`` takes as
+    they are: so each mode passes ``_check_mode`` once."""
+
+
 def _merged(held: dict[str, Mode], modes: Iterable[Mode]) -> dict[str, Mode]:
     """``held`` extended with ``modes``, the one loop that checks and merges
     modes: each passes ``_check_mode``, each id is given once, and a held id
     is restated only unchanged.  An error names the mode's place in ``modes``
-    (``modes[3]: ...``), in code as in a registry document."""
+    (``modes[3]: ...``), in code as in a registry document.  The modes of
+    ``held`` are not checked again."""
     merged = dict(held)
     seen: set[str] = set()
     for position, mode in enumerate(modes):
         try:
             _check_mode(mode)
             if mode.id in seen:
-                raise DuplicateMode(f"mode id {mode.id!r} defined more than once")
+                raise DuplicateMode(f"mode id {shown(mode.id)} defined more than once")
             seen.add(mode.id)
             if merged.setdefault(mode.id, mode) != mode:
-                raise DuplicateMode(f"mode id {mode.id!r} conflicts with an existing definition")
+                raise DuplicateMode(f"mode id {shown(mode.id)} conflicts with an existing "
+                                    "definition")
         except RhetorError as exc:
             raise at(f"modes[{position}]", exc)
     return merged
@@ -415,7 +431,7 @@ def _parse_origin(raw: object, where: str) -> Origin:
             return _BASE_ORIGIN
         if raw == "decomposed":
             return _DECOMPOSED_ORIGIN
-        raise ParseError(f"{where}: unknown origin {raw!r}")
+        raise ParseError(f"{where}: unknown origin {shown(raw)}")
     if isinstance(raw, dict):
         where += ".origin"
         return Origin("generated", text_field(raw, "operator", where, required=True),
@@ -426,14 +442,14 @@ def _parse_origin(raw: object, where: str) -> Origin:
 def _mode_from_entry(entry: dict, where: str) -> Mode:
     mode_id = entry.get("id")
     if not isinstance(mode_id, str):
-        raise ParseError(f"{where}: missing or invalid id {mode_id!r}")
+        raise ParseError(f"{where}: missing or invalid id {shown(mode_id)}")
     mode = Mode(mode_id, text_field(entry, "display_name", where) or _title(mode_id),
                 tuple(map(canon, names_field(entry, "constituents", where))),
                 _parse_origin(entry.get("origin"), where),
                 text_field(entry, "description", where))
     arity = entry.get("arity")
     if arity is not None and arity != mode.arity:
-        raise ParseError(f"{where}: arity {arity!r} does not match "
+        raise ParseError(f"{where}: arity {shown(arity)} does not match "
                          f"{len(mode.constituents)} constituents")
     return mode
 
@@ -465,10 +481,11 @@ def load_registry(source: "str | Path | dict | None" = None) -> Registry:
             key, target = canon(alias), canon(target)
             _check_alias(key, target, merged)
             if aliases.setdefault(key, target) != target:
-                raise DuplicateMode(f"alias {key!r} already points at {aliases[key]!r}")
+                raise DuplicateMode(f"alias {shown(key)} already points at "
+                                    f"{shown(aliases[key])}")
         except RhetorError as exc:
-            raise at(f"aliases[{alias!r}]", exc)
-    return Registry(merged.values(), version=doc.get("version", DEFAULT_VERSION),
+            raise at(f"aliases[{shown(alias)}]", exc)
+    return Registry(_Merged(merged.values()), version=doc.get("version", DEFAULT_VERSION),
                     aliases=aliases)
 
 

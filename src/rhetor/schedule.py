@@ -6,8 +6,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .capacity import MAX_WIDTH, _shown, capacity, growth
-from .errors import BadSchedule, ParseError
+from .capacity import MAX_WIDTH, capacity, growth
+from .errors import BadSchedule, ParseError, shown
 from .jsontext import entries, json_text, read_document
 from .records import record
 
@@ -43,17 +43,17 @@ class StageSchedule:
                 raise ParseError(f"stages[{position}]: 'K' must be an integer")
             if duration.__class__ is not int and duration.__class__ is not float:
                 raise ParseError(f"stages[{position}]: 'duration' must be a number")
-            prefix = f"stages[{position}]: stage {name!r}"
+            prefix = f"stages[{position}]: stage {shown(name)}"
             if k < 1:
-                raise BadSchedule(f"{prefix} needs a positive integer width, got {_shown(k)}")
+                raise BadSchedule(f"{prefix} needs a positive integer width, got {shown(k)}")
             if k > MAX_WIDTH:
-                raise BadSchedule(f"{prefix} needs a width of at most {MAX_WIDTH}, got {_shown(k)}")
+                raise BadSchedule(f"{prefix} needs a width of at most {MAX_WIDTH}, got {shown(k)}")
             if k < previous_k:
                 raise BadSchedule(f"{prefix}: cumulative width decreases "
                                   f"({previous_k} then {k})")
             if not 0 < duration < math.inf:
                 raise BadSchedule(f"{prefix} needs a positive finite duration, "
-                                  f"got {_shown(duration)}")
+                                  f"got {shown(duration)}")
             if not math.isfinite(_rate(k, previous_k, duration)):
                 raise BadSchedule(f"{prefix} is out of floating-point range")
             previous_k = k

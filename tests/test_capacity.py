@@ -8,24 +8,30 @@ from rhetor import (
     BadCapacity,
     BadCount,
     BadIndex,
+    BadRuleSet,
     BadSchedule,
     OutOfRange,
     Segment,
+    UnknownMode,
     asymptotic_subset_entropy,
     capacity,
     capacity_ratio,
     capacity_table,
     coverage,
     coverage_band,
+    default_registry,
     entropy_layered,
     entropy_subset_sizes,
     estimate_rri,
     growth,
+    load_rules,
     load_schedule,
+    parse_document,
     subset_entropy_exact,
     subset_entropy_logspace,
 )
 from rhetor.capacity import MAX_WIDTH, MRB
+from rhetor.errors import SHOWN_LENGTH
 from rhetor.records import asdict
 
 widths = st.integers(min_value=1, max_value=MAX_WIDTH)
@@ -259,6 +265,9 @@ class TestCoverage:
 # Python 3.11 and later refuse to write this int as a string.
 HUGE = 10**5000
 NAMED = "<int out of floating-point range>"
+# A name of 10**6 characters is cut where every value in an error text is.
+LONG = "x" * 10**6
+CUT = f"'{LONG[:SHOWN_LENGTH - 1]}... (1000002 characters)"
 
 
 def _doc(*indices):
@@ -317,8 +326,19 @@ def _doc(*indices):
                  f"segment index -{NAMED} of 'd' does not increase", id="document-negative"),
     pytest.param(lambda: estimate_rri([(HUGE, _doc(1)), (1, _doc(1))]), BadIndex,
                  f"stage indices must increase strictly ({NAMED} then 1)", id="estimate_rri"),
+    pytest.param(lambda: default_registry().resolve([HUGE]), UnknownMode,
+                 f"no mode named [{NAMED}]: a name must be a str, not list", id="resolve-list"),
+    pytest.param(lambda: load_rules({"reversal": [["cause", HUGE]]}), BadRuleSet,
+                 f"reversal[0]: reversal pair ['cause', {NAMED}] must be a list of names",
+                 id="rules-pair"),
+    pytest.param(lambda: default_registry().resolve(LONG), UnknownMode,
+                 f"no mode named {CUT}", id="resolve-long-name"),
+    pytest.param(lambda: parse_document(f"doc d\nstage s\nseg | {LONG}\n"), UnknownMode,
+                 f"no mode named {CUT} (line 3)", id="parse_document-long-name"),
 ])
 def test_an_int_beyond_float_range_is_named_not_written(call, error, message):
+    """Nor is a long value: each error text stays under 1,000 characters."""
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
+    assert len(message) < 1000

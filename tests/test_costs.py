@@ -206,3 +206,19 @@ def test_depth_one_unite_builds_three_records_per_derivation(monkeypatch, n):
     assert len(derivations) == math.comb(n, 2)
     assert {name: len(calls) for name, calls in built.items()} == dict.fromkeys(
         built, len(derivations))
+
+
+def test_each_mode_is_checked_once_per_registry_built(monkeypatch, extension_registry_path):
+    """``with_modes`` and ``load_registry`` check each new mode once; the
+    modes the registry already held are not checked again."""
+    from rhetor import registry as registry_module
+    new = [Mode(f"m{i}", f"M{i}") for i in range(5)]
+    checked = counting(monkeypatch, registry_module, "_check_mode")
+    extended = default_registry().with_modes(new)
+    assert [args[0] for args in checked] == new
+    checked.clear()
+    Registry(list(extended))
+    assert len(checked) == len(extended)
+    checked.clear()
+    loaded = load_registry(extension_registry_path)
+    assert len(checked) == len(loaded) - len(default_registry())

@@ -1,22 +1,31 @@
 """Every loader turns any input, however broken, into a domain error or a value."""
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhetor import (
+    ACADEMIC_PROFILE,
     BadEdge,
     BadRuleSet,
     BadSchedule,
     DuplicateMode,
     ParseError,
     RhetorError,
+    default_registry,
+    default_rules,
+    default_schedule,
     load_pyramid,
     load_registry,
     load_rules,
     load_schedule,
     load_stage_map,
     parse_document,
+    serialize_pyramid,
+    serialize_registry,
+    serialize_rules,
+    serialize_schedule,
 )
 
 LOADERS = {
@@ -183,3 +192,67 @@ def test_loader_error_names_where(kind, source, error, message):
     with pytest.raises(RhetorError) as caught:
         LOADERS[kind](source)
     assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+# One leaf of a serialized built-in document, put in place of its value in
+# the parsed document.  No JSON text carries an int this large on Python 3.11
+# and later, but a parsed dict can, and every loader takes one.
+HUGE = 10**5000
+BAD_LEAVES = (HUGE, -HUGE, "x" * 10**6, [HUGE], None, 1.5, {})
+
+#: The most characters any error text may have, whatever value it names.
+TEXT_BOUND = 1000
+
+
+def _leaf_paths(value, path=()):
+    """The key path of every leaf of a parsed JSON document, in document order."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from _leaf_paths(item, (*path, key))
+    elif isinstance(value, list) and value:
+        for position, item in enumerate(value):
+            yield from _leaf_paths(item, (*path, position))
+    else:
+        yield path
+
+
+BUILT_INS = {
+    "registry": serialize_registry(default_registry()),
+    "rules": serialize_rules(default_rules()),
+    "mapping": serialize_pyramid(load_pyramid()),
+    "academic mapping": serialize_pyramid(load_pyramid(ACADEMIC_PROFILE)),
+    "schedule": serialize_schedule(default_schedule()),
+    "stage map": (Path(__file__).parent / "fixtures" / "lesson_map.json").read_text(),
+}
+MUTATIONS = [(name, path) for name, text in BUILT_INS.items()
+             for path in _leaf_paths(json.loads(text))]
+
+
+def _load_with(name: str, path: tuple, bad) -> None:
+    """Load built-in ``name`` with ``bad`` at ``path``: a value, or a domain
+    error whose text stays under the bound."""
+    doc = json.loads(BUILT_INS[name])
+    *parents, last = path
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    parent[last] = bad
+    try:
+        LOADERS[name.replace("academic ", "")](doc)
+    except RhetorError as exc:
+        assert len(str(exc)) < TEXT_BOUND, str(exc)[:TEXT_BOUND]
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_INS))
+def test_every_leaf_of_a_built_in_takes_each_bad_value(name):
+    for mutation, path in MUTATIONS:
+        if mutation == name:
+            for bad in BAD_LEAVES:
+                _load_with(name, path, bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=st.sampled_from(MUTATIONS),
+       bad=st.sampled_from(BAD_LEAVES) | JSON_VALUES | st.integers(min_value=10**308))
+def test_a_built_in_with_one_bad_leaf_loads_or_raises_a_domain_error(mutation, bad):
+    _load_with(*mutation, bad)

@@ -387,6 +387,14 @@ class TestClosure:
             closure(registry, rules, [], 1)
         with pytest.raises(ValueError):
             closure(registry, rules, ["bogus"], 1)
+        # Neither a name nor an iterable: refused as a bad max_depth is.
+        with pytest.raises(ValueError) as caught:
+            closure(registry, rules, 0, 1)
+        assert str(caught.value) == "ops must be an operator name or an iterable of them, got 0"
+        with pytest.raises(ValueError) as caught:
+            closure(registry, rules, OPERATOR_KINDS, 1, seed=0)
+        assert str(caught.value) == ("seed must be a mode, a mode name or an iterable of them, "
+                                     "got 0")
 
     def test_bare_string_names_one_operator(self, registry, rules):
         assert (closure(registry, rules, "unite", 1)

@@ -511,7 +511,7 @@ HUGE = 10 ** 5000  # beyond float range, and beyond Python 3.11's int-to-text di
         "max-degree-huge"])
 def test_a_name_that_is_not_a_str_is_refused(registry, rules, graph, call, error, message):
     """A name of another type names nothing: no hints are built for it, and
-    ``_shown`` names an int too long to write."""
+    ``shown`` names an int too long to write."""
     with pytest.raises(error) as caught:
         call(registry, rules, graph)
     assert str(caught.value) == message
