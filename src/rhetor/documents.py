@@ -386,6 +386,12 @@ class RriEstimate:
     intervals: tuple[IntervalRate, ...]
 
 
+def _first_of(bad: list) -> str:
+    """The first of ``bad`` and a count of the others, so the text stays short."""
+    others = len(bad) - 1
+    return shown(bad[0]) + (f" and {others} other{'s' * (others > 1)}" if others else "")
+
+
 def estimate_rri(docs: Sequence[tuple[float, AnnotatedDocument]]) -> RriEstimate:
     """Introduction rates across a staged corpus.
 
@@ -402,10 +408,10 @@ def estimate_rri(docs: Sequence[tuple[float, AnnotatedDocument]]) -> RriEstimate
     indices = [i for i, _ in docs]
     not_real = [i for i in indices if isinstance(i, bool) or not isinstance(i, Real)]
     if not_real:
-        raise BadIndex(f"stage indices must be real numbers, got {', '.join(map(shown, not_real))}")
+        raise BadIndex(f"stage indices must be real numbers, got {_first_of(not_real)}")
     not_finite = [i for i in indices if not abs(i) < float("inf")]  # nan compares false
     if not_finite:
-        raise BadIndex(f"stage indices must be finite, got {', '.join(map(shown, not_finite))}")
+        raise BadIndex(f"stage indices must be finite, got {_first_of(not_finite)}")
     for a, b in zip(indices, indices[1:]):
         if b <= a:
             raise BadIndex(f"stage indices must increase strictly ({shown(a)} then {shown(b)})")

@@ -199,13 +199,8 @@ def split(registry: Registry, m: "str | Mode") -> tuple[Mode, Mode]:
     mode = registry.resolve(m)
     if not mode.is_diatomic:
         raise NotDiatomic(f"cannot split {shown(mode.id)}: arity is {mode.arity}")
-    parts = []
-    for cid in mode.constituents:
-        part = registry.get(cid)
-        if part is None:
-            part = generated_mode(cid, SPLIT, (mode.id,), f"Constituent of {mode.id}.")
-        parts.append(part)
-    return (parts[0], parts[1])
+    return tuple(registry.get(cid) or _generated(SPLIT, (mode.id,), cid)
+                 for cid in mode.constituents)
 
 
 def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
@@ -221,34 +216,39 @@ def unite(registry: Registry, a: "str | Mode", b: "str | Mode") -> Mode:
     for mode in (ma, mb):
         if not mode.is_atomic:
             raise NotAtomic(f"cannot unite {shown(mode.id)}: arity is {mode.arity}")
-    a, b = pair = (ma.id, mb.id) if ma.id < mb.id else (mb.id, ma.id)
-    held = registry.diatomic_for_pair(a, b)
-    return held or _pair_mode(f"{a}--{b}", pair, _title(a), _title(b))
+    pair = (ma.id, mb.id) if ma.id < mb.id else (mb.id, ma.id)
+    return registry.diatomic_for_pair(*pair) or _generated(UNITE, pair, "--".join(pair))
 
 
-def _pair_mode(mode_id: str, pair: tuple[str, str], title_a: str, title_b: str) -> Mode:
-    """The generated diatomic ``a--b`` of ``pair == (a, b)``, two distinct atom
-    ids in id order titled ``title_a`` and ``title_b``, as ``unite`` and
-    ``closure`` make it when no registered diatomic joins the pair.
-
-    Both records come from their generated ``__new__``, called directly: it
-    is a record's whole constructor, without the class call's detour through
-    ``type.__call__`` (``records.py``)."""
-    return Mode.__new__(Mode, mode_id, f"{title_a}-{title_b}", pair,
-                        Origin.__new__(Origin, "generated", UNITE, pair),
-                        f"Generated pairing of {pair[0]} and {pair[1]}.")
-
-
-#: Per unary operator: the relation whose pairs it reads, and the description
-#: of a partner the rules name but the registry lacks.
+#: Per unary operator, the relation whose pairs it reads.
 _RELATION_OF = {FORWARD_BACKWARD: "reversal", EXPAND: "scale", REDUCE: "scale",
                 ORTHOGONAL: "orthogonal"}
+#: Per operator, the description of a result the registry lacks, filled with its inputs.
 _DESCRIPTION = {
+    SPLIT: "Constituent of {}.",
+    UNITE: "Generated pairing of {} and {}.",
     FORWARD_BACKWARD: "Directional reversal of {}.",
     EXPAND: "Expanded-scale form of {}.",
     REDUCE: "Reduced-scale form of {}.",
     ORTHOGONAL: "Complementary-axis partner of {}.",
 }
+
+
+def _generated(operator: str, inputs: tuple[str, ...], mode_id: str) -> Mode:
+    """The mode ``operator`` makes as ``mode_id`` from ``inputs`` when the
+    registry holds none: for ``unite`` the diatomic ``a--b`` of its two atom
+    ids in id order, for every other operator an atom.
+
+    A diatomic is titled from its two atoms' titles, each kept in ``_title``'s
+    bounded cache; titling the pair id would fill that cache with pairs.  Its
+    records come from their generated ``__new__``, called directly: it is a
+    record's whole constructor, without the class call's detour through
+    ``type.__call__`` (``records.py``)."""
+    description = _DESCRIPTION[operator].format(*inputs)
+    if operator == UNITE:
+        return Mode.__new__(Mode, mode_id, "-".join(map(_title, inputs)), inputs,
+                            Origin.__new__(Origin, "generated", UNITE, inputs), description)
+    return generated_mode(mode_id, operator, inputs, description)
 
 
 def _partners(registry: Registry, rules: DualityRuleSet, operator: str) -> dict[str, str]:
@@ -281,16 +281,7 @@ def _unary(registry: Registry, rules: DualityRuleSet, m: "str | Mode",
     if partner_id is None:
         raise NoDual(f"{shown(mode.id)} has no {_RELATION_OF[operator]} partner "
                      "under the active rules")
-    return _partner(registry, partner_id, operator, mode)
-
-
-def _partner(registry: Registry, partner_id: str, operator: str, source: Mode) -> Mode:
-    """A unary operator's result once the rules named ``partner_id`` for ``source``."""
-    existing = registry.get(partner_id)
-    if existing is not None:
-        return existing
-    return generated_mode(partner_id, operator, (source.id,),
-                          _DESCRIPTION[operator].format(source.id))
+    return registry.get(partner_id) or _generated(operator, (mode.id,), partner_id)
 
 
 def forward_backward(registry: Registry, rules: DualityRuleSet, m: "str | Mode") -> Mode:
@@ -329,17 +320,30 @@ def _one_or_many(value, single: "type | tuple[type, ...]", parameter: str, what:
 
 @record
 class Derivation:
-    """One recorded operator application inside a closure run."""
+    """One recorded operator application inside a closure run.
+
+    ``result_ids`` names its results in order; ``held`` holds, in the same
+    order, those the starting registry already held, as its own modes.
+    """
 
     operator: str
     inputs: tuple[str, ...]
-    results: tuple[Mode, ...]
+    result_ids: tuple[str, ...]
     depth: int
-    rediscovery: bool  # every result already existed in the starting registry
+    held: tuple[Mode, ...] = ()
 
     @property
-    def result_ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.results)
+    def rediscovery(self) -> bool:
+        """Whether every result already existed in the starting registry."""
+        return len(self.held) == len(self.result_ids)
+
+    @property
+    def results(self) -> tuple[Mode, ...]:
+        """The result modes, built on each read: a held result is the registry's
+        own mode, any other the mode ``operator`` makes from ``inputs``."""
+        held = {m.id: m for m in self.held}
+        return tuple(held.get(rid) or _generated(self.operator, self.inputs, rid)
+                     for rid in self.result_ids)
 
 
 def closure(
@@ -375,13 +379,14 @@ def closure(
         raise ValueError("ops must name at least one operator")
     if rules is None:
         rules = default_rules()
+    # Each mode of the universe is its id and its constituents; no Mode is built.
     if seed is None:
-        universe = {m.id: m for m in registry}
+        universe = {m.id: m.constituents for m in registry}
     else:
         universe = {}
         for entry in _one_or_many(seed, (str, Mode), "seed", "a mode, a mode name"):
             mode = registry.resolve(entry)
-            universe[mode.id] = mode
+            universe[mode.id] = mode.constituents
 
     partner_maps = {kind: _partners(registry, rules, kind)
                     for kind in kinds if kind in _RELATION_OF}
@@ -389,66 +394,66 @@ def closure(
     out: list[Derivation] = []
     # The loops below pass the operators only inputs they accept: atoms to
     # unite and the unary operators, diatomics to split, distinct pairs in id
-    # order.  So they skip the operators' checks: split and the unary partners
-    # run their cores, unite runs inline, and unpaired atoms are skipped by lookup.
+    # order.  So they skip the operators' checks and record result ids: split
+    # and unite run inline, and unpaired atoms are skipped by lookup.
     fresh_ids: set[str] = set(universe)  # inputs not yet tried: all, at depth 1
-    diatomic_for_pair = registry.diatomic_for_pair
+    diatomic_for_pair, held_mode = registry.diatomic_for_pair, registry.get
     new = Derivation.__new__  # the whole constructor, without type.__call__ (records.py)
     for depth in range(1, max_depth + 1):
-        snapshot = sorted(universe.values(), key=lambda m: m.id)
-        atoms = [m for m in snapshot if m.is_atomic]
-        fresh = [m for m in snapshot if m.id in fresh_ids]
+        snapshot = sorted(universe)
+        atoms = [i for i in snapshot if not universe[i]]
+        fresh = [i for i in snapshot if i in fresh_ids]
         # Each derivation under its first result id.  Every loop records only ids
         # new to ``derived``, so these keys are distinct and order the batch as
         # the whole result-id tuples would.
         batch: dict[str, Derivation] = {}
         for kind in kinds:
             if kind == SPLIT:
-                for mode in fresh:
-                    if mode.is_diatomic and not derived.issuperset(mode.constituents):
-                        novel = tuple(p for p in split(registry, mode) if p.id not in derived)
-                        derived.update(p.id for p in novel)
-                        batch[novel[0].id] = new(Derivation, SPLIT, (mode.id,), novel, depth,
-                                                 all(p.id in registry for p in novel))
+                for mode_id in fresh:
+                    parts = universe[mode_id]
+                    if len(parts) == 2 and not derived.issuperset(parts):
+                        novel = tuple(p for p in parts if p not in derived)
+                        derived.update(novel)
+                        held = tuple(m for m in map(held_mode, novel) if m is not None)
+                        batch[novel[0]] = new(Derivation, SPLIT, (mode_id,), novel, depth, held)
             elif kind == UNITE:
                 # ``combinations(atoms, 2)`` in its own order, keeping only the
                 # pairs with a fresh member.  A generated ``a--b`` is never
                 # registered: only the diatomic over (a, b) may take that id.
-                ids = [m.id for m in atoms]
-                titles = [_title(i) for i in ids]
-                fresh_at = [i for i, a in enumerate(ids) if a in fresh_ids]
-                for i, a in enumerate(ids):
-                    for j in (range(i + 1, len(ids)) if a in fresh_ids
+                fresh_at = [i for i, a in enumerate(atoms) if a in fresh_ids]
+                for i, a in enumerate(atoms):
+                    for j in (range(i + 1, len(atoms)) if a in fresh_ids
                               else fresh_at[bisect_right(fresh_at, i):]):
-                        b = ids[j]
+                        b = atoms[j]
                         held = diatomic_for_pair(a, b)
                         rid = f"{a}--{b}" if held is None else held.id
                         if rid not in derived:
                             derived.add(rid)
-                            pair = (a, b)
-                            result = held or _pair_mode(rid, pair, titles[i], titles[j])
-                            batch[rid] = new(Derivation, UNITE, pair, (result,), depth,
-                                             held is not None)
+                            batch[rid] = new(Derivation, UNITE, (a, b), (rid,), depth,
+                                             () if held is None else (held,))
             else:
                 partner_of = partner_maps[kind]
-                for mode in fresh:
-                    rid = partner_of.get(mode.id)
-                    if rid is not None and rid not in derived and mode.is_atomic:
+                for mode_id in fresh:
+                    rid = partner_of.get(mode_id)
+                    if rid is not None and rid not in derived and not universe[mode_id]:
                         derived.add(rid)
-                        batch[rid] = new(Derivation, kind, (mode.id,),
-                                         (_partner(registry, rid, kind, mode),),
-                                         depth, rid in registry)
+                        held = held_mode(rid)
+                        batch[rid] = new(Derivation, kind, (mode_id,), (rid,), depth,
+                                         () if held is None else (held,))
 
         out.extend(map(batch.__getitem__, sorted(batch)))
         if depth == max_depth:
             break
         fresh_ids = set()
         for derivation in batch.values():
-            for result in derivation.results:
-                if result.id not in universe:
-                    universe[result.id] = result
-                    fresh_ids.add(result.id)
+            # A held result keeps its own constituents; a generated one is
+            # unite's pair of inputs, or an atom.
+            parts = {m.id: m.constituents for m in derivation.held}
+            generated = derivation.inputs if derivation.operator == UNITE else ()
+            for rid in derivation.result_ids:
+                if rid not in universe:
+                    universe[rid] = parts.get(rid, generated)
+                    fresh_ids.add(rid)
         if not fresh_ids:
             break
     return tuple(out)
-

@@ -450,7 +450,7 @@ def load_pyramid(
                           else _resolve_target(registry, name, profile, extras))
                 if target is None:
                     raise ParseError(f"{where}.{target_key}[{j}]: invalid mode name "
-                                     f"{shown(name)} in {profile} mapping")
+                                     f"{shown(name)} in {shown(profile)} mapping")
                 edges[layer].append((node_id, target))
     registry = registry.with_modes(extras.values()) if extras else registry
     return PyramidGraph(profile, nodes, edges[C], edges[E], registry)

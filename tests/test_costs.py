@@ -32,7 +32,7 @@ from rhetor.cli import main
 from rhetor.operators import OPERATOR_KINDS
 from rhetor.pyramid import BUILTIN_PROFILES, C, E, PyramidGraph
 from rhetor.registry import Mode, Origin, Registry
-from test_scan_oracles import CLASH_REGISTRY, WIDE_REGISTRY, WIDE_RULES
+from test_scan_oracles import CLASH_REGISTRY, UNARY, WIDE_REGISTRY, WIDE_RULES
 
 
 def counting(monkeypatch, owner, name):
@@ -158,54 +158,51 @@ CLOSURE_CASES = {
 @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
 def test_closure_tries_each_fresh_combination_once_per_depth(monkeypatch, case):
     """At each depth, ``diatomic_for_pair`` runs at most once per atom pair with
-    a member the previous depth added (at depth 1, every mode), and ``_partner``
-    at most once per such atom and unary operator.  ``_pair_mode`` runs once per
-    generated ``unite`` result: never for a registered pair or a result already
-    derived."""
+    a member the previous depth added (at depth 1, every mode), and a unary
+    derivation is built at most once per such atom and unary operator.  Each
+    ``Derivation`` built is one the output records, and ``closure`` makes no
+    result mode: ``_generated`` runs only when ``.results`` is read."""
     registry, rules = CLOSURE_CASES[case]
     lookups = counting(monkeypatch, Registry, "diatomic_for_pair")
-    partners = counting(monkeypatch, operators, "_partner")
-    pair_modes = counting(monkeypatch, operators, "_pair_mode")
-    shallower_lookups, shallower_partners = [], []
+    builds = counting(monkeypatch, operators.Derivation, "__new__")
+    made = counting(monkeypatch, operators, "_generated")
+    shallower_lookups, shallower_builds = [], []
     for depth in range(1, 5):
         lookups.clear()
-        partners.clear()
-        pair_modes.clear()
+        builds.clear()
         derivations = closure(registry, rules, OPERATOR_KINDS, depth)
-        generated = [d.results[0].id for d in derivations
-                     if d.operator == "unite" and not d.rediscovery]
-        assert sorted(mode_id for mode_id, *_ in pair_modes) == sorted(generated)
-        assert not any(mode_id in registry for mode_id, *_ in pair_modes)
+        assert made == []
+        assert sorted(result_ids for _, _, _, result_ids, *_ in builds) == sorted(
+            d.result_ids for d in derivations)
         # The run one depth shallower made the same calls first.
         assert lookups[:len(shallower_lookups)] == shallower_lookups
-        assert partners[:len(shallower_partners)] == shallower_partners
-        known = {m.id for m in registry} | {r.id for d in derivations if d.depth < depth - 1
-                                            for r in d.results}
-        fresh = known if depth == 1 else {r.id for d in derivations if d.depth == depth - 1
-                                          for r in d.results} - known
+        assert builds[:len(shallower_builds)] == shallower_builds
+        known = {m.id for m in registry} | {rid for d in derivations if d.depth < depth - 1
+                                            for rid in d.result_ids}
+        fresh = known if depth == 1 else {rid for d in derivations if d.depth == depth - 1
+                                          for rid in d.result_ids} - known
         pairs = Counter(frozenset((a, b)) for _, a, b in lookups[len(shallower_lookups):])
-        unary = Counter((operator, source.id)
-                        for _, _, operator, source in partners[len(shallower_partners):])
+        unary = Counter((operator, source) for _, operator, (source, *_), *_
+                        in builds[len(shallower_builds):] if operator in UNARY)
         assert all(n == 1 and pair & fresh for pair, n in pairs.items())
         assert all(n == 1 and source in fresh for (_, source), n in unary.items())
-        shallower_lookups, shallower_partners = lookups[:], partners[:]
-    assert shallower_lookups and shallower_partners  # the bound saw calls to count
+        shallower_lookups, shallower_builds = lookups[:], builds[:]
+    assert shallower_lookups and any(operator in UNARY for _, operator, *_ in builds)
 
 
 @pytest.mark.parametrize("n", [2, 12])
-def test_depth_one_unite_builds_three_records_per_derivation(monkeypatch, n):
+def test_depth_one_unite_builds_one_record_per_derivation(monkeypatch, n):
     """A depth-1 ``unite`` closure over ``n`` fresh atoms builds one
-    ``Derivation``, one ``Mode`` and one ``Origin`` per derivation: 3·C(n, 2)
-    records in all, the allocations that its speed rests on.  Each is counted
-    at its class's generated ``__new__``, which a class call and a direct
-    call both run."""
+    ``Derivation`` per derivation, and no ``Mode`` or ``Origin``: C(n, 2)
+    records in all.  Each is counted at its class's generated ``__new__``,
+    which a class call and a direct call both run."""
     registry = Registry([Mode(f"m{chr(ord('a') + i)}", f"M{i}") for i in range(n)])
     built = {cls.__name__: counting(monkeypatch, cls, "__new__")
              for cls in (operators.Derivation, Mode, Origin)}
     derivations = closure(registry, DualityRuleSet(), ["unite"], 1)
     assert len(derivations) == math.comb(n, 2)
-    assert {name: len(calls) for name, calls in built.items()} == dict.fromkeys(
-        built, len(derivations))
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "Derivation": len(derivations), "Mode": 0, "Origin": 0}
 
 
 def test_each_mode_is_checked_once_per_registry_built(monkeypatch, extension_registry_path):

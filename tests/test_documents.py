@@ -474,7 +474,8 @@ class TestRriEstimation:
     @pytest.mark.parametrize("indices, named", [
         ((math.nan, 1.0), "nan"),
         ((0.0, math.inf), "inf"),
-        ((-math.inf, 0.0, math.nan), "-inf, nan"),
+        ((-math.inf, 0.0, math.nan), "-inf and 1 other"),
+        ((math.nan,) * 10**4, "nan and 9999 others"),  # a short text, whatever the count
     ])
     def test_non_finite_indices(self, indices, named):
         docs = [(i, make_doc(("S", {"narration"}))) for i in indices]
@@ -482,10 +483,11 @@ class TestRriEstimation:
             estimate_rri(docs)
 
     @pytest.mark.parametrize("indices, named", [
-        (("a", "b"), "'a', 'b'"),
-        ((False, True), "False, True"),
+        (("a", "b"), "'a' and 1 other"),
+        ((False, True), "False and 1 other"),
         ((1.0, None, 3), "None"),
         ((0, 1j), "1j"),
+        (("s",) * 10**4, "'s' and 9999 others"),
     ])
     def test_indices_that_are_not_real_numbers(self, indices, named):
         docs = [(i, make_doc(("S", {"narration"}))) for i in indices]

@@ -127,7 +127,7 @@ ERROR_TABLE = [
      "c_nodes[0]: node '' in layer C is not a canonical id"),
     ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration"]},
                              {"id": "b", "modes": ["cause", "effect", "!!!"]}]},
-     ParseError, "c_nodes[1].modes[2]: invalid mode name '!!!' in custom mapping"),
+     ParseError, "c_nodes[1].modes[2]: invalid mode name '!!!' in 'custom' mapping"),
     ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration"]}],
                  "e_nodes": [{"id": "e0", "cognitive": ["a"]},
                              {"id": "e1", "cognitive": ["a", "nope"]}]},
@@ -164,7 +164,7 @@ ERROR_TABLE = [
     ("registry", {"aliases": {"tale": "narration", "aa--bb": "narration"}}, ParseError,
      "aliases['aa--bb']: alias 'aa--bb' is reserved for the diatomic of 'aa' and 'bb'"),
     ("mapping", {"c_nodes": [{"id": "a", "modes": ["narration", "xx--yy"]}]}, ParseError,
-     "c_nodes[0].modes[1]: invalid mode name 'xx--yy' in custom mapping"),
+     "c_nodes[0].modes[1]: invalid mode name 'xx--yy' in 'custom' mapping"),
     ("stage map", {"stages": [{"stage": "s", "c": ["observe"], "e": "teaching-learning"},
                               {"stage": "s", "c": ["infer"], "e": "scientific-discovery"}]},
      ParseError, "stages[1]: stage 's' is mapped twice"),
@@ -183,6 +183,10 @@ ERROR_TABLE = [
     ("registry", {"aliases": []}, ParseError, "registry 'aliases' must be an object"),
     ("schedule", {"stages": [{"name": "a", "K": 2, "duration": "3"}]}, ParseError,
      "stages[0]: 'duration' must be a number"),
+    # A profile of 10**6 characters is cut short: the text stays under 1,000.
+    ("mapping", {"profile": "x" * 10**6, "c_nodes": [{"id": "a", "modes": ["!!!"]}]},
+     ParseError, "c_nodes[0].modes[0]: invalid mode name '!!!' in '" + "x" * 199
+     + "... (1000002 characters) mapping"),
 ]
 
 

@@ -169,7 +169,7 @@ def closure_naive(registry, rules, ops, max_depth, seed=None):
         for entry in seed:
             mode = entry if isinstance(entry, Mode) else registry.resolve(entry)
             universe[mode.id] = mode
-    derived, out = set(), []
+    made, out = {}, []  # every result so far, the mode its operator gave, by id
     for depth in range(1, max_depth + 1):
         snapshot = sorted(universe.values(), key=lambda m: m.id)
         atoms = [m for m in snapshot if m.is_atomic]
@@ -182,13 +182,13 @@ def closure_naive(registry, rules, ops, max_depth, seed=None):
                 return
             if not isinstance(results, tuple):
                 results = (results,)
-            novel = tuple(r for r in results if r.id not in derived)
+            novel = tuple(r for r in results if r.id not in made)
             if not novel:
                 return
-            derived.update(r.id for r in novel)
+            made.update((r.id, r) for r in novel)
             batch.append(operators.Derivation(
-                operator, tuple(m.id for m in inputs), novel, depth,
-                all(r.id in registry for r in novel)))
+                operator, tuple(m.id for m in inputs), tuple(r.id for r in novel), depth,
+                tuple(r for r in novel if r.id in registry)))
 
         for kind in kinds:
             if kind == "split":
@@ -207,8 +207,8 @@ def closure_naive(registry, rules, ops, max_depth, seed=None):
         batch.sort(key=lambda d: d.result_ids)
         out.extend(batch)
         for derivation in batch:
-            for result in derivation.results:
-                universe.setdefault(result.id, result)
+            for rid in derivation.result_ids:
+                universe.setdefault(rid, made[rid])
     return tuple(out)
 
 
@@ -239,7 +239,7 @@ def load_pyramid_per_occurrence(doc, registry):
             r_id = pyramid._resolve_target(registry, name, profile, extras)
             if r_id is None:
                 raise ParseError(f"c_nodes[{i}].modes[{j}]: invalid mode name {name!r} "
-                                 f"in {profile} mapping")
+                                 f"in {profile!r} mapping")
             edges_cr.add((c_id, r_id))
     for e_node in doc["e_nodes"]:
         e_id = canon(e_node["id"])
@@ -747,6 +747,8 @@ def test_every_derivation_replays_through_the_public_operator(seed, rules, ops, 
             assert set(d.results) <= set(split(CLASH_REGISTRY, *inputs))
         else:
             assert UNARY[d.operator](CLASH_REGISTRY, rules, *inputs) == d.results[0]
+        assert d.result_ids == tuple(r.id for r in d.results)
+        assert d.rediscovery == all(r.id in CLASH_REGISTRY for r in d.results)
         for result in d.results:
             universe.setdefault(result.id, result)
 
