@@ -317,6 +317,16 @@ class TestClosure:
         assert produced["exemplification"] == "generalization"
         assert produced["division"] == "combination"
 
+    def test_split_of_a_seed_outside_the_registry_mixes_held_and_generated(
+            self, registry, rules):
+        outside = Mode("cause--zeta", "Cause-Zeta", ("cause", "zeta"))
+        [derivation] = closure(registry, rules, ["split"], 1, seed=[outside])
+        assert derivation.result_ids == ("cause", "zeta")
+        assert derivation.held == (registry.get("cause"),)
+        assert not derivation.rediscovery
+        assert derivation.results == split(registry, outside)
+        assert derivation.results[1].origin.inputs == ("cause--zeta",)
+
     def test_generated_atoms_feed_later_depths(self, registry, rules):
         derivations = closure(registry, rules, ["reduce", "expand"], 3)
         by_depth = {d.depth: d for d in derivations}
