@@ -471,10 +471,12 @@ class TestRriEstimation:
         with pytest.raises(BadIndex):
             estimate_rri(docs)
 
+    # Here and below, a case with several bad indices has an id that lists them all.
     @pytest.mark.parametrize("indices, named", [
         ((math.nan, 1.0), "nan"),
         ((0.0, math.inf), "inf"),
-        ((-math.inf, 0.0, math.nan), "-inf and 1 other"),
+        pytest.param((-math.inf, 0.0, math.nan), "-inf and 1 other",
+                     id="indices2--inf, nan"),
         ((math.nan,) * 10**4, "nan and 9999 others"),  # a short text, whatever the count
     ])
     def test_non_finite_indices(self, indices, named):
@@ -483,8 +485,8 @@ class TestRriEstimation:
             estimate_rri(docs)
 
     @pytest.mark.parametrize("indices, named", [
-        (("a", "b"), "'a' and 1 other"),
-        ((False, True), "False and 1 other"),
+        pytest.param(("a", "b"), "'a' and 1 other", id="indices0-'a', 'b'"),
+        pytest.param((False, True), "False and 1 other", id="indices1-False, True"),
         ((1.0, None, 3), "None"),
         ((0, 1j), "1j"),
         (("s",) * 10**4, "'s' and 9999 others"),
